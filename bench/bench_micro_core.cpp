@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the library's hot paths: tree
 // construction, the Theorem 3 solver, the step-model executor, the event
-// queue, and a full end-to-end multicast simulation. These guard the
-// experiment harness's own performance — regenerating the figures runs
-// hundreds of thousands of these operations.
+// queue, one FPFS receive-and-forward through an NI, a full end-to-end
+// multicast simulation, and whole multi-tenant traffic mixes. These guard
+// the experiment harness's own performance — regenerating the figures
+// runs hundreds of thousands of these operations.
 
 #include <benchmark/benchmark.h>
 
@@ -11,9 +12,12 @@
 #include "core/optimal_k.hpp"
 #include "harness/testbed.hpp"
 #include "mcast/step_model.hpp"
+#include "netif/smart_ni.hpp"
 #include "routing/up_down.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "traffic/traffic_engine.hpp"
+#include "traffic/workload.hpp"
 
 namespace {
 
@@ -100,6 +104,83 @@ BENCHMARK(BM_FullMulticastSimulation)
     ->Args({16, 8})
     ->Args({64, 8})
     ->Args({64, 32});
+
+// One FPFS receive-and-forward at an intermediate NI: receive processing
+// (t_rcv), the forwarding-entry lookup, holding the packet, and one copy
+// to each of two children, which the wormhole fabric then delivers. The
+// packets cycle through 1024 installed messages, the store size of a busy
+// NI in a multi-tenant mix, so this is the NI-store layer's per-packet
+// cost.
+void BM_FpfsForward(benchmark::State& state) {
+  struct NullSink final : net::DeliverySink {
+    void on_packet_delivered(const net::Packet&) override {}
+  };
+  const topo::Topology topology{topo::Graph{1, {}},
+                                std::vector<topo::SwitchId>(4, 0), "star"};
+  const routing::UpDownRouter router{topology.switches()};
+  const routing::RouteTable routes{topology, router};
+  sim::Simulator simctx;
+  net::WormholeNetwork network{simctx, topology, routes, {}};
+  NullSink leaves;
+  network.bind_sink(2, &leaves);
+  network.bind_sink(3, &leaves);
+  netif::FpfsNi ni{simctx, network, netif::SystemParams{}, 1};
+  constexpr std::int64_t kMessages = 1024;
+  constexpr std::int32_t kPackets = 64;
+  const netif::ForwardingEntry entry{{2, 3}, kPackets, true};
+  for (net::MessageId m = 1; m <= kMessages; ++m) ni.install(m, entry);
+  net::Packet packet;
+  packet.packet_count = kPackets;
+  packet.sender = 0;
+  packet.dest = 1;
+  std::int64_t k = 0;
+  for (auto _ : state) {
+    packet.message = static_cast<net::MessageId>(1 + k % kMessages);
+    packet.packet_index = static_cast<std::int32_t>(k / kMessages % kPackets);
+    // A message whose packets all arrived restarts its receive count.
+    if (packet.packet_index == 0 && k >= kMessages) {
+      ni.install(packet.message, entry);
+    }
+    ++k;
+    ni.deliver(packet);
+    simctx.run();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FpfsForward);
+
+// A whole multi-tenant mix on the 64-host irregular rig at bench_traffic's
+// constrained bandwidth and paced operating point, at a fixed offered
+// load: wall time per op should stay flat as the mix grows 100x.
+void BM_TrafficRun(benchmark::State& state) {
+  const auto ops = static_cast<std::int32_t>(state.range(0));
+  sim::Rng rng{1997};
+  const auto topology = topo::make_irregular(topo::IrregularConfig{}, rng);
+  const routing::UpDownRouter router{topology.switches()};
+  const routing::RouteTable routes{topology, router};
+  const auto chain = core::cco_ordering(topology, router);
+  traffic::WorkloadConfig mix;
+  mix.num_ops = ops;
+  mix.ops_per_ms = 40.0;
+  const traffic::Workload workload =
+      traffic::generate_workload(topology.num_hosts(), chain, mix);
+  traffic::TrafficConfig cfg;
+  cfg.network.bandwidth_bytes_per_us = 16.0;
+  cfg.scheduler.policy = traffic::Policy::kPaced;
+  cfg.scheduler.overlap_tolerance_x1000 = 500;
+  cfg.scheduler.max_defer_ticks = 2;
+  cfg.scheduler.tick = sim::Time::us(5.0);
+  const traffic::TrafficEngine engine{topology, routes, cfg};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run(workload));
+  }
+  state.SetItemsProcessed(state.iterations() * ops);
+}
+BENCHMARK(BM_TrafficRun)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

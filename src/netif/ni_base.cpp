@@ -1,5 +1,6 @@
 #include "netif/ni_base.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,9 @@ NetworkInterface::NetworkInterface(sim::Simulator& simctx,
 }
 
 void NetworkInterface::install(net::MessageId message, ForwardingEntry entry) {
+  if (message < 0) {
+    throw std::invalid_argument("NetworkInterface: negative message id");
+  }
   if (entry.packet_count < 1) {
     throw std::invalid_argument("ForwardingEntry: packet_count < 1");
   }
@@ -29,13 +33,22 @@ void NetworkInterface::install(net::MessageId message, ForwardingEntry entry) {
       throw std::invalid_argument("ForwardingEntry: node is its own child");
     }
   }
-  entries_[message] = std::move(entry);
-  received_count_[message] = 0;
+  const auto id = static_cast<std::size_t>(message);
+  if (id >= slot_of_.size()) slot_of_.resize(id + 1, 0);
+  if (slot_of_[id] == 0) {
+    slots_.emplace_back();
+    slot_of_[id] = static_cast<std::uint32_t>(slots_.size());
+  }
+  // A reinstall keeps the slot (and any packets it still holds) but
+  // restarts the message's receive count.
+  MessageSlot& slot = slots_[slot_of_[id] - 1];
+  slot.entry = std::move(entry);
+  slot.received = 0;
 }
 
 const ForwardingEntry* NetworkInterface::find_entry(net::MessageId m) const {
-  const auto it = entries_.find(m);
-  return it == entries_.end() ? nullptr : &it->second;
+  const MessageSlot* slot = find_slot(m);
+  return slot == nullptr ? nullptr : &slot->entry;
 }
 
 void NetworkInterface::after_host_receive(net::MessageId, Host&) {}
@@ -65,8 +78,9 @@ void NetworkInterface::deliver(const net::Packet& packet) {
 
 void NetworkInterface::note_data_processed(const net::Packet& packet,
                                            const ForwardingEntry& entry) {
-  auto& count = received_count_[packet.message];
-  ++count;
+  MessageSlot* slot = find_slot(packet.message);
+  assert(slot != nullptr && &slot->entry == &entry);
+  const std::int32_t count = ++slot->received;
   if (count > entry.packet_count) {
     throw std::logic_error("NI " + std::to_string(self_) +
                            ": duplicate packet delivery");
@@ -77,30 +91,37 @@ void NetworkInterface::note_data_processed(const net::Packet& packet,
   }
 }
 
-void NetworkInterface::release_copy(net::MessageId message,
-                                    std::int32_t index) {
-  const auto key = packet_key(message, index);
-  auto it = outstanding_.find(key);
-  assert(it != outstanding_.end() && "release_copy on packet not held");
-  --it->second;
-  release_if_done(key);
-}
-
 void NetworkInterface::hold_packet(net::MessageId message, std::int32_t index,
                                    std::int32_t copies) {
-  const auto key = packet_key(message, index);
-  assert(!outstanding_.contains(key) && "packet already held");
-  outstanding_[key] = copies;
+  MessageSlot* slot = find_slot(message);
+  if (slot == nullptr) {
+    throw std::logic_error("NI " + std::to_string(self_) +
+                           ": hold_packet for unknown message " +
+                           std::to_string(message));
+  }
+  auto& outstanding = slot->outstanding;
+  const auto i = static_cast<std::size_t>(index);
+  if (i >= outstanding.size()) {
+    outstanding.resize(std::max(
+        i + 1, static_cast<std::size_t>(slot->entry.packet_count)), 0);
+  }
+  assert(outstanding[i] == 0 && "packet already held");
   buffer_.acquire();
-  if (copies == 0) release_if_done(key);
-}
-
-void NetworkInterface::release_if_done(std::uint64_t key) {
-  auto it = outstanding_.find(key);
-  if (it != outstanding_.end() && it->second <= 0) {
-    outstanding_.erase(it);
+  if (copies > 0) {
+    outstanding[i] = copies;
+  } else {
     buffer_.release();
   }
+}
+
+void NetworkInterface::release_copy(net::MessageId message,
+                                    std::int32_t index) {
+  MessageSlot* slot = find_slot(message);
+  assert(slot != nullptr &&
+         static_cast<std::size_t>(index) < slot->outstanding.size());
+  auto& count = slot->outstanding[static_cast<std::size_t>(index)];
+  assert(count > 0 && "release_copy on a packet not held");
+  if (--count == 0) buffer_.release();
 }
 
 void NetworkInterface::inject_copy(net::MessageId message, std::int32_t index,
@@ -139,11 +160,7 @@ void NetworkInterface::send_copy(net::MessageId message, std::int32_t index,
     p.dest = child;
     p.route_class = route_class;
     network_.send(p);
-    const auto key = packet_key(message, index);
-    auto it = outstanding_.find(key);
-    assert(it != outstanding_.end() && "send_copy without hold_packet");
-    --it->second;
-    release_if_done(key);
+    release_copy(message, index);
     if (trace_) {
       trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
                      "sent msg=" + std::to_string(message) + " pkt=" +
@@ -169,11 +186,7 @@ void NetworkInterface::send_copy_then(net::MessageId message,
     p.dest = child;
     p.route_class = route_class;
     network_.send(p);
-    const auto key = packet_key(message, index);
-    auto it = outstanding_.find(key);
-    assert(it != outstanding_.end() && "send_copy_then without hold_packet");
-    --it->second;
-    release_if_done(key);
+    release_copy(message, index);
     then();
     if (trace_) {
       trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "netif/buffer_tracker.hpp"
 #include "netif/forwarding.hpp"
@@ -127,8 +129,9 @@ class NetworkInterface : public net::DeliverySink {
   void hold_packet(net::MessageId message, std::int32_t index,
                    std::int32_t copies);
 
-  /// Decrements a held packet's outstanding-copy count without sending
-  /// (the reliable NI releases on acknowledgment, not on injection).
+  /// Decrements a held packet's outstanding-copy count, releasing its
+  /// buffer slot on the last copy. send_copy calls it once the injection
+  /// completes; the reliable NI calls it directly on acknowledgment.
   void release_copy(net::MessageId message, std::int32_t index);
 
   /// Counts one successfully receive-processed *distinct* data packet and
@@ -138,6 +141,8 @@ class NetworkInterface : public net::DeliverySink {
   void note_data_processed(const net::Packet& packet,
                            const ForwardingEntry& entry);
 
+  /// The installed entry for `m`, or nullptr. The pointer stays valid
+  /// across later installs (a reinstall overwrites the same entry).
   [[nodiscard]] const ForwardingEntry* find_entry(net::MessageId m) const;
 
   sim::Simulator& sim_;
@@ -149,15 +154,33 @@ class NetworkInterface : public net::DeliverySink {
   BufferTracker buffer_;
 
  private:
-  void release_if_done(std::uint64_t key);
-  static std::uint64_t packet_key(net::MessageId m, std::int32_t index) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(m)) << 32) |
-           static_cast<std::uint32_t>(index);
+  /// Everything the NI keeps per message: the forwarding entry, how many
+  /// distinct packets finished receive processing, and each held
+  /// packet's outstanding-copy count (> 0 while it occupies a buffer
+  /// slot; sized on the first hold, so leaves never allocate it).
+  struct MessageSlot {
+    ForwardingEntry entry;
+    std::int32_t received = 0;
+    std::vector<std::int32_t> outstanding;
+  };
+
+  /// The slot of an installed message, or nullptr. Inline: every
+  /// received packet and every injected copy looks its message up.
+  [[nodiscard]] const MessageSlot* find_slot(net::MessageId m) const {
+    const auto id = static_cast<std::size_t>(m);
+    if (m < 0 || id >= slot_of_.size() || slot_of_[id] == 0) return nullptr;
+    return &slots_[slot_of_[id] - 1];
+  }
+  [[nodiscard]] MessageSlot* find_slot(net::MessageId m) {
+    return const_cast<MessageSlot*>(std::as_const(*this).find_slot(m));
   }
 
-  std::unordered_map<net::MessageId, ForwardingEntry> entries_;
-  std::unordered_map<net::MessageId, std::int32_t> received_count_;
-  std::unordered_map<std::uint64_t, std::int32_t> outstanding_;
+  /// Message ids are dense (1..N in every engine), so a vector indexed
+  /// by id maps each installed message to its slot (index + 1; 0 = not
+  /// installed). Slots live in a deque: find_entry pointers held by
+  /// streams and repair rounds survive later installs.
+  std::vector<std::uint32_t> slot_of_;
+  std::deque<MessageSlot> slots_;
 };
 
 }  // namespace nimcast::netif

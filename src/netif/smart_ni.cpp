@@ -163,9 +163,9 @@ void FcfsNi::on_packet_received(const net::Packet& packet,
   send_copy(packet.message, packet.packet_index, packet.packet_count,
             entry.children.front());
 
-  auto& seen = arrivals_[packet.message];
-  ++seen;
-  if (seen == entry.packet_count) {
+  const auto id = static_cast<std::size_t>(packet.message);
+  if (id >= arrivals_.size()) arrivals_.resize(id + 1, 0);
+  if (++arrivals_[id] == entry.packet_count) {
     for (std::size_t i = 1; i < entry.children.size(); ++i) {
       for (std::int32_t j = 0; j < entry.packet_count; ++j) {
         send_copy(packet.message, j, entry.packet_count, entry.children[i]);

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "netif/ni_base.hpp"
 
@@ -82,7 +82,8 @@ class FcfsNi final : public NetworkInterface {
                           const ForwardingEntry& entry) override;
 
  private:
-  std::unordered_map<net::MessageId, std::int32_t> arrivals_;
+  /// Packets received per message, indexed by (dense) message id.
+  std::vector<std::int32_t> arrivals_;
 };
 
 }  // namespace nimcast::netif

@@ -1,13 +1,12 @@
 #include "traffic/traffic_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "mcast/fabric.hpp"
@@ -88,6 +87,57 @@ void collect_edges(const MsgPlan& m,
   }
 }
 
+/// Longest route over every edge of `plans`, per op (index = op). Both
+/// directions count: drain acknowledgements retrace the edge.
+std::vector<std::size_t> op_max_hops(const routing::RouteTable& routes,
+                                     const std::vector<MsgPlan>& plans,
+                                     std::size_t num_ops) {
+  std::vector<std::size_t> hops(num_ops, 0);
+  std::vector<std::pair<topo::HostId, topo::HostId>> edges;
+  for (const MsgPlan& m : plans) {
+    edges.clear();
+    collect_edges(m, edges);
+    for (const auto& [a, b] : edges) {
+      hops[m.op] = std::max({hops[m.op], routes.hops(a, b), routes.hops(b, a)});
+    }
+  }
+  return hops;
+}
+
+/// The conservative window for the mix under `config` (zero = serial
+/// engine).
+sim::Time plan_window(const TrafficConfig& config,
+                      const routing::RouteTable& routes,
+                      const std::vector<MsgPlan>& plans, std::size_t num_ops) {
+  if (config.shards <= 1) return sim::Time::zero();
+  // Only pipelined release narrows the window by path length.
+  const bool pipelined =
+      config.network.release_model == net::ReleaseModel::kPipelined;
+  const std::vector<std::size_t> hops =
+      pipelined ? op_max_hops(routes, plans, num_ops)
+                : std::vector<std::size_t>(num_ops, 0);
+  const std::size_t max_hops = *std::max_element(hops.begin(), hops.end());
+  const sim::Time window = mcast::Fabric::conservative_window(
+      config.network, max_hops, config.window);
+  // The ONE window choice for the whole shared fabric. A mid-mix
+  // re-shard would tear down every in-flight worm, so the global pick
+  // must already be safe for every operation: assert it equals the min
+  // over per-op conservative windows (the regression this engine
+  // replaces computed pick_window per single operation).
+  sim::Time per_op_min = window;
+  for (std::size_t h : hops) {
+    const sim::Time w =
+        mcast::Fabric::conservative_window(config.network, h, config.window);
+    per_op_min = std::min(per_op_min, w);
+  }
+  if (per_op_min != window) {
+    throw std::logic_error(
+        "TrafficEngine: shared-fabric window diverged from the per-op "
+        "minimum — the engine would have to re-shard mid-mix");
+  }
+  return window;
+}
+
 void validate_workload(const topo::Topology& topology,
                        const Workload& workload) {
   if (workload.ops.empty()) {
@@ -152,27 +202,15 @@ TrafficEngine::TrafficEngine(const topo::Topology& topology,
 
 sim::Time TrafficEngine::planned_window(const Workload& workload) const {
   validate_workload(topology_, workload);
-  if (config_.shards <= 1) return sim::Time::zero();
-  std::size_t max_hops = 0;
-  if (config_.network.release_model == net::ReleaseModel::kPipelined) {
-    std::vector<std::pair<topo::HostId, topo::HostId>> edges;
-    for (const MsgPlan& m : build_plans(workload)) {
-      edges.clear();
-      collect_edges(m, edges);
-      for (const auto& [a, b] : edges) {
-        // Both directions: drain acknowledgements retrace the edge.
-        max_hops = std::max({max_hops, routes_.hops(a, b), routes_.hops(b, a)});
-      }
-    }
-  }
-  return mcast::Fabric::conservative_window(config_.network, max_hops,
-                                            config_.window);
+  return plan_window(config_, routes_, build_plans(workload),
+                     workload.ops.size());
 }
 
 TrafficResult TrafficEngine::run(const Workload& workload) const {
   validate_workload(topology_, workload);
   const std::vector<MsgPlan> plans = build_plans(workload);
   const std::size_t num_ops = workload.ops.size();
+  const auto num_hosts = static_cast<std::size_t>(topology_.num_hosts());
 
   // Per-op message index lists by phase, participants, channel
   // footprints (every message of the op, forward edge direction — the
@@ -180,7 +218,7 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   std::vector<std::vector<std::size_t>> op_msgs0(num_ops);
   std::vector<std::vector<std::size_t>> op_msgs1(num_ops);
   std::vector<std::vector<std::int32_t>> op_foot(num_ops);
-  std::unordered_set<topo::HostId> participants;
+  std::vector<std::uint8_t> participant(num_hosts, 0);
   {
     std::vector<std::vector<std::pair<topo::HostId, topo::HostId>>> op_edges(
         num_ops);
@@ -189,10 +227,12 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
       (m.phase == 0 ? op_msgs0 : op_msgs1)[m.op].push_back(i);
       collect_edges(m, op_edges[m.op]);
       if (m.tree) {
-        for (topo::HostId h : m.tree->nodes) participants.insert(h);
+        for (topo::HostId h : m.tree->nodes) {
+          participant[static_cast<std::size_t>(h)] = 1;
+        }
       } else {
-        participants.insert(m.src);
-        participants.insert(m.dst);
+        participant[static_cast<std::size_t>(m.src)] = 1;
+        participant[static_cast<std::size_t>(m.dst)] = 1;
       }
     }
     for (std::size_t op = 0; op < num_ops; ++op) {
@@ -201,37 +241,7 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     }
   }
 
-  // The ONE window choice for the whole shared fabric. A mid-mix
-  // re-shard would tear down every in-flight worm, so the global pick
-  // must already be safe for every operation: assert it equals the min
-  // over per-op conservative windows (the regression this engine
-  // replaces computed pick_window per single operation).
-  const sim::Time window = planned_window(workload);
-  if (config_.shards > 1) {
-    sim::Time per_op_min;
-    bool first = true;
-    for (std::size_t op = 0; op < num_ops; ++op) {
-      std::size_t hops = 0;
-      if (config_.network.release_model == net::ReleaseModel::kPipelined) {
-        std::vector<std::pair<topo::HostId, topo::HostId>> edges;
-        for (std::size_t i : op_msgs0[op]) collect_edges(plans[i], edges);
-        for (std::size_t i : op_msgs1[op]) collect_edges(plans[i], edges);
-        for (const auto& [a, b] : edges) {
-          hops = std::max({hops, routes_.hops(a, b), routes_.hops(b, a)});
-        }
-      }
-      const sim::Time w = mcast::Fabric::conservative_window(
-          config_.network, hops, config_.window);
-      per_op_min = first ? w : std::min(per_op_min, w);
-      first = false;
-    }
-    if (per_op_min != window) {
-      throw std::logic_error(
-          "TrafficEngine: shared-fabric window diverged from the per-op "
-          "minimum — the engine would have to re-shard mid-mix");
-    }
-  }
-
+  const sim::Time window = plan_window(config_, routes_, plans, num_ops);
   mcast::Fabric fabric{topology_, routes_, config_.network, config_.shards,
                        window,    {},      nullptr};
   const bool sharded_mode = fabric.sharded();
@@ -263,16 +273,22 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   }
   GroupScheduler sched{scfg, network.num_channels()};
 
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::NetworkInterface>>
-      nis;
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::Host>> hosts;
-  for (topo::HostId h : participants) {
-    sim::Simulator& hsim = sim_for_host(h);
-    nis.emplace(h, std::make_unique<netif::FpfsNi>(hsim, network,
-                                                   config_.params, h,
-                                                   nullptr));
-    hosts.emplace(h, std::make_unique<netif::Host>(hsim, h, config_.params));
+  // NIs and hosts indexed by HostId; null for non-participants.
+  std::vector<std::unique_ptr<netif::FpfsNi>> nis(num_hosts);
+  std::vector<std::unique_ptr<netif::Host>> hosts(num_hosts);
+  for (std::size_t h = 0; h < num_hosts; ++h) {
+    if (participant[h] == 0) continue;
+    const auto id = static_cast<topo::HostId>(h);
+    sim::Simulator& hsim = sim_for_host(id);
+    nis[h] = std::make_unique<netif::FpfsNi>(hsim, network, config_.params, id);
+    hosts[h] = std::make_unique<netif::Host>(hsim, id, config_.params);
   }
+  const auto ni_of = [&](topo::HostId h) -> netif::FpfsNi& {
+    return *nis[static_cast<std::size_t>(h)];
+  };
+  const auto host_of = [&](topo::HostId h) -> netif::Host& {
+    return *hosts[static_cast<std::size_t>(h)];
+  };
 
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const MsgPlan& m = plans[i];
@@ -283,51 +299,63 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
         entry.children = m.tree->children.at(h);
         entry.packet_count = m.packets;
         entry.is_destination = (h != m.tree->root);
-        nis.at(h)->install(message, entry);
+        ni_of(h).install(message, entry);
       }
     } else {
       netif::ForwardingEntry at_src;
       at_src.children = {m.dst};
       at_src.packet_count = m.packets;
       at_src.is_destination = false;
-      nis.at(m.src)->install(message, at_src);
+      ni_of(m.src).install(message, at_src);
       netif::ForwardingEntry at_dst;
       at_dst.packet_count = m.packets;
       at_dst.is_destination = true;
-      nis.at(m.dst)->install(message, at_dst);
+      ni_of(m.dst).install(message, at_dst);
     }
   }
 
-  // Per-(message, destination) NI-completion flags. Flat per-host bytes:
-  // each slot is written only by its owner shard's thread during a
-  // window; the coordinator reads them only at barrier instants.
-  std::vector<std::vector<std::uint8_t>> arrived(
-      plans.size(),
-      std::vector<std::uint8_t>(static_cast<std::size_t>(topology_.num_hosts()),
-                                0));
+  // Per-(message, destination) NI-completion flags, one flat plans x
+  // hosts byte matrix: each byte is written only by its destination's
+  // owner shard.
+  std::vector<std::uint8_t> arrived(plans.size() * num_hosts, 0);
+  // Destinations each message still waits for. Decremented by whichever
+  // shard completes a destination, hence atomic; exactly one sink sees
+  // the count reach zero and logs the message as done.
+  std::vector<std::atomic<std::int32_t>> remaining(plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    remaining[i].store(plans[i].expected);
+  }
 
-  // Host-level completion records, buffered per shard during the run and
-  // merged afterwards, sorted by (time, host, message) — bit-identical
-  // serial vs sharded, as in MulticastEngine.
+  // Per-shard append-only logs, written by the owner shard's thread
+  // during a window and read by the coordinator only at barrier
+  // instants. host_done: host-level completion records, merged after the
+  // run and sorted by (time, host, message) — bit-identical serial vs
+  // sharded, as in MulticastEngine. done_msgs: messages whose last
+  // destination completed since the coordinator last drained the log.
   struct CompletionLog {
     std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_done;
+    std::vector<std::size_t> done_msgs;
   };
   std::vector<std::unique_ptr<CompletionLog>> logs;
   for (std::int32_t s = 0; s < num_shards; ++s) {
     logs.push_back(std::make_unique<CompletionLog>());
   }
 
-  for (auto& [h, ni] : nis) {
+  for (const auto& ni : nis) {
+    if (!ni) continue;
     ni->on_message_at_ni = [&](topo::HostId dest, net::MessageId msg) {
       const auto mi = static_cast<std::size_t>(msg - 1);
-      auto& seen = arrived[mi][static_cast<std::size_t>(dest)];
+      auto& seen = arrived[mi * num_hosts + static_cast<std::size_t>(dest)];
       if (seen != 0) return;
       seen = 1;
       CompletionLog& log = *logs[static_cast<std::size_t>(
           sharded_mode ? network.shard_of_host(dest) : 0)];
-      hosts.at(dest)->software_receive([&, logp = &log, dest, msg, mi] {
+      if (remaining[mi].fetch_sub(1) == 1) {
+        log.done_msgs.push_back(mi);
+      }
+      host_of(dest).software_receive([&, logp = &log, dest, msg, mi] {
         logp->host_done.emplace_back(mi, dest, sim_for_host(dest).now());
-        nis.at(dest)->after_host_receive(msg, *hosts.at(dest));
+        ni_of(dest).after_host_receive(msg, host_of(dest));
       });
     };
   }
@@ -336,17 +364,25 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   // single-threaded barrier phase in sharded mode), so every admission
   // decision is a pure function of simulated history.
   struct OpState {
-    bool admitted = false;
     bool phase1_launched = false;
-    bool released = false;
     std::int32_t waited = 0;
+    /// Messages of each phase not yet complete at every destination.
+    std::int32_t left0 = 0;
+    std::int32_t left1 = 0;
     sim::Time admitted_at;
   };
   std::vector<OpState> st(num_ops);
-  std::vector<std::uint8_t> msg_done(plans.size(), 0);
+  for (std::size_t op = 0; op < num_ops; ++op) {
+    st[op].left0 = static_cast<std::int32_t>(op_msgs0[op].size());
+    st[op].left1 = static_cast<std::int32_t>(op_msgs1[op].size());
+  }
   std::vector<std::size_t> deferred;  // op indices, arrival order
+  std::vector<std::size_t> finished;  // ops a drain completed a phase of
+  const bool paced = scfg.policy == Policy::kPaced;
   std::vector<std::int64_t> block_scratch(
-      static_cast<std::size_t>(network.num_channels()), 0);
+      paced ? static_cast<std::size_t>(network.num_channels()) : 0, 0);
+  // Admitted ops whose second phase has not launched yet.
+  std::int64_t awaiting_phase1 = 0;
   std::int64_t ticks = 0;
   bool tick_active = false;
   sim::Time next_tick;
@@ -354,71 +390,58 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   const auto launch_msg = [&](std::size_t i) {
     const auto message = static_cast<net::MessageId>(i + 1);
     const topo::HostId root = plans[i].root();
-    nis.at(root)->start_from_host(message, *hosts.at(root));
+    ni_of(root).start_from_host(message, host_of(root));
   };
 
-  const auto refresh_msg_done = [&](std::size_t i) {
-    if (msg_done[i] != 0) return;
-    const MsgPlan& m = plans[i];
-    if (m.tree) {
-      for (topo::HostId h : m.tree->nodes) {
-        if (h != m.tree->root &&
-            arrived[i][static_cast<std::size_t>(h)] == 0) {
-          return;
+  // Runs at every coordinated instant (arrival or tick): fold the
+  // fabric's view into the scheduler (paced only — FIFO never reads
+  // it), drain the messages completed since the last instant into their
+  // ops' phase counters, then releases before phase-1 launches, each in
+  // op order, so freed capacity is visible to every decision at the
+  // same instant. Only an op a drain just finished a phase of can be
+  // due either: release needs its last phase done, a launch its
+  // phase 0. Each phase finishes once, so each op releases once.
+  const auto drain = [&] {
+    if (paced) {
+      for (std::size_t c = 0; c < block_scratch.size(); ++c) {
+        block_scratch[c] =
+            network.channel_block_ns(static_cast<std::int32_t>(c));
+      }
+      sched.refresh_telemetry(block_scratch);
+    }
+    finished.clear();
+    for (const auto& log : logs) {
+      for (std::size_t i : log->done_msgs) {
+        const MsgPlan& m = plans[i];
+        OpState& s = st[m.op];
+        if (--(m.phase == 0 ? s.left0 : s.left1) == 0) {
+          finished.push_back(m.op);
         }
       }
-    } else if (arrived[i][static_cast<std::size_t>(m.dst)] == 0) {
-      return;
+      log->done_msgs.clear();
     }
-    msg_done[i] = 1;
-  };
-  const auto all_done = [&](const std::vector<std::size_t>& msgs) {
-    for (std::size_t i : msgs) {
-      if (msg_done[i] == 0) return false;
-    }
-    return true;
-  };
-
-  // One coordinator sweep, run at every coordinated instant (arrival or
-  // tick): fold the fabric's view into the scheduler, then releases
-  // before phase transitions before (at ticks) admissions, so freed
-  // capacity is visible to every decision at the same instant.
-  const auto sweep = [&] {
-    for (std::size_t c = 0; c < block_scratch.size(); ++c) {
-      block_scratch[c] = network.channel_block_ns(static_cast<std::int32_t>(c));
-    }
-    sched.refresh_telemetry(block_scratch);
-    for (std::size_t op = 0; op < num_ops; ++op) {
-      if (!st[op].admitted || st[op].released) continue;
-      for (std::size_t i : op_msgs0[op]) refresh_msg_done(i);
-      if (st[op].phase1_launched) {
-        for (std::size_t i : op_msgs1[op]) refresh_msg_done(i);
-      }
-    }
-    for (std::size_t op = 0; op < num_ops; ++op) {
-      OpState& s = st[op];
-      if (!s.admitted || s.released) continue;
-      if (s.phase1_launched && all_done(op_msgs0[op]) &&
-          all_done(op_msgs1[op])) {
+    std::sort(finished.begin(), finished.end());
+    for (std::size_t op : finished) {
+      const OpState& s = st[op];
+      if (s.phase1_launched && s.left0 == 0 && s.left1 == 0) {
         sched.release(op_foot[op]);
-        s.released = true;
       }
     }
-    for (std::size_t op = 0; op < num_ops; ++op) {
+    for (std::size_t op : finished) {
       OpState& s = st[op];
-      if (!s.admitted || s.phase1_launched) continue;
-      if (!all_done(op_msgs0[op])) continue;
+      if (s.phase1_launched || s.left0 != 0) continue;
       for (std::size_t i : op_msgs1[op]) launch_msg(i);
       s.phase1_launched = true;
+      --awaiting_phase1;
     }
   };
 
   const auto admit_op = [&](std::size_t op, sim::Time at) {
     sched.admit(op_foot[op]);
     OpState& s = st[op];
-    s.admitted = true;
     s.admitted_at = at;
     s.phase1_launched = op_msgs1[op].empty();
+    if (!s.phase1_launched) ++awaiting_phase1;
     for (std::size_t i : op_msgs0[op]) launch_msg(i);
   };
 
@@ -428,11 +451,7 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   // deferral happens, which makes pacing byte-identical to the FIFO
   // baseline at single-group offered load.
   const auto need_ticks = [&] {
-    if (!deferred.empty()) return true;
-    for (std::size_t op = 0; op < num_ops; ++op) {
-      if (st[op].admitted && !st[op].phase1_launched) return true;
-    }
-    return false;
+    return !deferred.empty() || awaiting_phase1 > 0;
   };
 
   // Coordination keys: one per arrival in op order, the tick chain's
@@ -455,7 +474,7 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   tick_fn = [&] {
     tick_active = false;
     ++ticks;
-    sweep();
+    drain();
     std::vector<std::size_t> still;
     for (std::size_t op : deferred) {
       if (sched.would_admit(op_foot[op], st[op].waited)) {
@@ -476,10 +495,9 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   for (std::size_t op = 0; op < num_ops; ++op) {
     const sim::Time at = workload.ops[op].arrival;
     fabric.schedule_coordinated(at, arrival_keys[op], [&, op, at] {
-      sweep();
+      drain();
       const bool now_ok =
-          scfg.policy == Policy::kFifo ||
-          (deferred.empty() && sched.would_admit(op_foot[op], 0));
+          !paced || (deferred.empty() && sched.would_admit(op_foot[op], 0));
       if (now_ok) {
         admit_op(op, at);
       } else {

@@ -95,6 +95,14 @@ struct TrafficResult {
 /// between the serial and sharded engines. Compound operations
 /// (collective gather -> broadcast, churn prefix -> re-bound suffix)
 /// launch their second phase at the first tick after phase 1 completes.
+///
+/// Coordinator work is event-driven, not a rescan of the mix: each
+/// message counts the destinations it still waits for, the NI
+/// completion sink decrements the count, and the sink that reaches zero
+/// appends the message to its shard's log. A coordinated instant drains
+/// those logs into per-op phase counters and acts only on the ops whose
+/// phase just finished — releases, then phase-1 launches, in op order.
+/// The tick chain's "anything left to drive" test is two counters.
 class TrafficEngine {
  public:
   TrafficEngine(const topo::Topology& topology,

@@ -46,8 +46,11 @@ TEST(DotExport, TopologyHasSwitchesHostsAndLinks) {
   // Every switch-switch link appears as an undirected edge.
   for (topo::LinkId e = 0; e < topology.switches().num_edges(); ++e) {
     const auto& edge = topology.switches().edge(e);
-    const std::string expect = "s" + std::to_string(edge.a) + " -- s" +
-                               std::to_string(edge.b) + ";";
+    std::string expect = "s";
+    expect += std::to_string(edge.a);
+    expect += " -- s";
+    expect += std::to_string(edge.b);
+    expect += ";";
     EXPECT_NE(dot.find(expect), std::string::npos) << expect;
   }
 }

@@ -138,9 +138,15 @@ INSTANTIATE_TEST_SUITE_P(
       std::string tag = style_name == "smart-fpfs"
                             ? "fpfs"
                             : (style_name == "smart-fcfs" ? "fcfs" : "conv");
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_m" +
-             std::to_string(std::get<1>(pinfo.param)) + "_k" +
-             std::to_string(std::get<2>(pinfo.param)) + "_" + tag;
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_m";
+      name += std::to_string(std::get<1>(pinfo.param));
+      name += "_k";
+      name += std::to_string(std::get<2>(pinfo.param));
+      name += "_";
+      name += tag;
+      return name;
     });
 
 }  // namespace

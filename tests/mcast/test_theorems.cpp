@@ -60,9 +60,13 @@ INSTANTIATE_TEST_SUITE_P(
       return ps;
     }()),
     [](const ::testing::TestParamInfo<Params>& pinfo) {
-      return "n" + std::to_string(pinfo.param.n) + "_k" +
-             std::to_string(pinfo.param.k) + "_m" +
-             std::to_string(pinfo.param.m);
+      std::string name = "n";
+      name += std::to_string(pinfo.param.n);
+      name += "_k";
+      name += std::to_string(pinfo.param.k);
+      name += "_m";
+      name += std::to_string(pinfo.param.m);
+      return name;
     });
 
 // Theorem 1 is stated for *any* multicast tree, not just k-binomial ones;

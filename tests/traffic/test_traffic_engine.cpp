@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/kbinomial.hpp"
@@ -254,6 +255,47 @@ TEST(TrafficEngine, SharedFabricWindowIsStableAcrossTheMix) {
   // diverge).
   const TrafficResult r = engine.run(wl);
   EXPECT_EQ(r.window_ns, shared.count_ns());
+}
+
+TEST(TrafficEngine, MixedWorkloadMatchesRecordedGoldens) {
+  // Pins the coordinator's observable schedule: collectives (gather then
+  // broadcast), churn streams (prefix then re-bound suffix) and paced
+  // deferrals, serial and sharded. The values were recorded with the
+  // original sweep-every-instant coordinator; any change to when phase-1
+  // launches, releases or admissions happen moves them.
+  const Rig rig = make_rig(37, 64);
+  WorkloadConfig wcfg = mix_config(40.0, 48);
+  wcfg.stream_fraction = 0.4;
+  wcfg.collective_fraction = 0.3;
+  wcfg.churn_probability = 0.7;
+  const Workload wl = generate_workload(64, rig.cco, wcfg);
+  ASSERT_GT(wl.collectives, 0);
+  ASSERT_GT(wl.churns, 0);
+  struct Golden {
+    Policy policy;
+    std::uint64_t digest;
+    std::int64_t makespan_ns;
+    std::int64_t ticks;
+    std::int64_t deferral_ticks;
+  };
+  const Golden goldens[] = {
+      {Policy::kFifo, 14596438927934257922u, 1451520, 103, 0},
+      {Policy::kPaced, 5532902317239142017u, 1583998, 135, 331},
+  };
+  for (const Golden& g : goldens) {
+    for (std::int32_t shards : {1, 2}) {
+      const TrafficEngine engine{*rig.topology, *rig.routes,
+                                 engine_config(g.policy, shards)};
+      const TrafficResult r = engine.run(wl);
+      SCOPED_TRACE(std::string{to_string(g.policy)} + " shards " +
+                   std::to_string(shards));
+      EXPECT_EQ(r.shards_used, shards);
+      EXPECT_EQ(r.digest, g.digest);
+      EXPECT_EQ(r.makespan.count_ns(), g.makespan_ns);
+      EXPECT_EQ(r.ticks, g.ticks);
+      EXPECT_EQ(r.deferral_ticks, g.deferral_ticks);
+    }
+  }
 }
 
 TEST(TrafficEngine, RejectsFaultyAndLossyFabrics) {
