@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) of the library's hot paths: tree
 // construction, the Theorem 3 solver, the step-model executor, the event
-// queue, one FPFS receive-and-forward through an NI, a full end-to-end
-// multicast simulation, and whole multi-tenant traffic mixes. These guard
-// the experiment harness's own performance — regenerating the figures
-// runs hundreds of thousands of these operations.
+// queue, route construction (irregular wiring, the up*/down* BFS, eager
+// and compressed route tables), one FPFS receive-and-forward through an
+// NI, a full end-to-end multicast simulation, and whole multi-tenant
+// traffic mixes. These guard the experiment harness's own performance —
+// regenerating the figures runs hundreds of thousands of these
+// operations.
 
 #include <benchmark/benchmark.h>
 
@@ -82,6 +84,51 @@ void BM_UpDownRouteTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UpDownRouteTable);
+
+/// The 1024-host irregular fabric of fabric-scale runs: 256 switches, 4
+/// hosts each, 8 ports.
+topo::Topology irregular_1024() {
+  topo::IrregularConfig cfg;
+  cfg.num_hosts = 1024;
+  cfg.num_switches = 256;
+  sim::Rng rng{5};
+  return topo::make_irregular(cfg, rng);
+}
+
+// One up*/down* BFS between a far-apart switch pair on 256 switches.
+void BM_UpDownTryRoute(benchmark::State& state) {
+  const auto topology = irregular_1024();
+  const routing::UpDownRouter router{topology.switches()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.try_route(7, 250));
+  }
+}
+BENCHMARK(BM_UpDownTryRoute);
+
+// Construction of a compressed table: the component map plus the cache
+// index, no route materialized.
+void BM_CompressedRouteTableBuild(benchmark::State& state) {
+  const auto topology = irregular_1024();
+  const routing::UpDownRouter router{topology.switches()};
+  for (auto _ : state) {
+    const routing::RouteTable table{topology, router, /*epoch=*/0,
+                                    routing::RouteStorage::kCompressed};
+    benchmark::DoNotOptimize(table);
+  }
+}
+BENCHMARK(BM_CompressedRouteTableBuild);
+
+// Rejection-sampled wiring at the chaos (32) and paper (64) host counts.
+void BM_MakeIrregular(benchmark::State& state) {
+  topo::IrregularConfig cfg;
+  cfg.num_hosts = static_cast<std::int32_t>(state.range(0));
+  cfg.num_switches = cfg.num_hosts / 4;
+  sim::Rng rng{5};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topo::make_irregular(cfg, rng));
+  }
+}
+BENCHMARK(BM_MakeIrregular)->Arg(32)->Arg(64);
 
 void BM_FullMulticastSimulation(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));

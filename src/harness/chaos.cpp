@@ -167,7 +167,10 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
         topo::make_irregular(spec.irregular, rng));
     router = std::make_unique<routing::UpDownRouter>(topology->switches());
   }
-  const routing::RouteTable routes{*topology, *router};
+  // Compressed: a campaign touches a handful of switch pairs, so only
+  // those are routed. `router` outlives the table.
+  const routing::RouteTable routes{*topology, *router, /*epoch=*/0,
+                                   routing::RouteStorage::kCompressed};
   const core::Chain cco = core::cco_ordering(*topology, *router);
   out.fabric = topology->name();
 

@@ -232,11 +232,9 @@ void WormholeNetwork::build_path(topo::HostId src, topo::HostId dst,
                                  std::int32_t cls,
                                  std::vector<std::int32_t>& out) const {
   out.push_back(injection_channel(src));
-  const auto& route = class_table(cls).path(src, dst);
-  for (std::int32_t c : routing::route_channels(topology_.switches(), route,
-                                                routes_->virtual_channels())) {
-    out.push_back(c);
-  }
+  routing::append_route_channels(topology_.switches(),
+                                 class_table(cls).path(src, dst),
+                                 routes_->virtual_channels(), out);
   out.push_back(ejection_channel(dst));
 }
 

@@ -34,20 +34,57 @@ RouteTable::RouteTable(const topo::Topology& topology,
   }
 }
 
+namespace {
+
+template <typename T>
+std::vector<T> copy_with_capacity(const std::vector<T>& v) {
+  std::vector<T> out;
+  out.reserve(v.capacity());
+  out.assign(v.begin(), v.end());
+  return out;
+}
+
+/// Copy that keeps each vector's capacity, so a route copied into many
+/// host pairs reports the same footprint as one the router built.
+SwitchRoute copy_route(const SwitchRoute& r) {
+  return {copy_with_capacity(r.switches), copy_with_capacity(r.links),
+          copy_with_capacity(r.vcs)};
+}
+
+}  // namespace
+
 void RouteTable::init_eager(const topo::Topology& topology,
                             const Router& router) {
   const auto pairs = static_cast<std::size_t>(num_hosts_) *
                      static_cast<std::size_t>(num_hosts_);
   routes_.resize(pairs);
   reachable_.assign(pairs, 0);
-  for (topo::HostId s = 0; s < num_hosts_; ++s) {
-    for (topo::HostId d = 0; d < num_hosts_; ++d) {
-      auto r = router.try_route(topology.switch_of(s), topology.switch_of(d));
-      if (r) {
-        routes_[index(s, d)] = *std::move(r);
-        reachable_[index(s, d)] = 1;
-      } else {
-        ++unreachable_pairs_;
+  // A route depends only on the switch pair: ask the router once per
+  // pair of host-attached switches and copy the answer into every host
+  // pair on it.
+  const auto num_switches = topology.switches().num_vertices();
+  std::vector<std::vector<topo::HostId>> hosts_on(
+      static_cast<std::size_t>(num_switches));
+  for (topo::HostId h = 0; h < num_hosts_; ++h) {
+    hosts_on[static_cast<std::size_t>(topology.switch_of(h))].push_back(h);
+  }
+  for (topo::SwitchId s = 0; s < num_switches; ++s) {
+    const auto& src_hosts = hosts_on[static_cast<std::size_t>(s)];
+    if (src_hosts.empty()) continue;
+    for (topo::SwitchId d = 0; d < num_switches; ++d) {
+      const auto& dst_hosts = hosts_on[static_cast<std::size_t>(d)];
+      if (dst_hosts.empty()) continue;
+      const auto r = router.try_route(s, d);
+      if (!r) {
+        const auto host_pairs = src_hosts.size() * dst_hosts.size();
+        unreachable_pairs_ += static_cast<std::int64_t>(host_pairs);
+        continue;
+      }
+      for (const topo::HostId a : src_hosts) {
+        for (const topo::HostId b : dst_hosts) {
+          routes_[index(a, b)] = copy_route(*r);
+          reachable_[index(a, b)] = 1;
+        }
       }
     }
   }
@@ -58,9 +95,11 @@ void RouteTable::init_lazy(const topo::Topology& topology, const Router& router,
   lazy_ = std::make_unique<Lazy>();
   lazy_->owned = std::move(owned);
   lazy_->router = &router;
-  const auto num_switches =
+  lazy_->num_switches =
       static_cast<std::size_t>(topology.switches().num_vertices());
-  lazy_->slots = std::make_unique<CacheSlot[]>(num_switches * num_switches);
+  const auto pairs = lazy_->pairs();
+  lazy_->route_id = std::make_unique<std::atomic<std::uint32_t>[]>(pairs);
+  lazy_->blocks.resize((pairs + kBlockRoutes - 1) / kBlockRoutes);
   recompute_components();
 }
 
@@ -87,27 +126,27 @@ const SwitchRoute& RouteTable::lazy_path(topo::HostId src,
                                          topo::HostId dst) const {
   const auto s = topology_->switch_of(src);
   const auto d = topology_->switch_of(dst);
-  const auto num_switches =
-      static_cast<std::size_t>(topology_->switches().num_vertices());
-  auto& slot = lazy_->slots[static_cast<std::size_t>(s) * num_switches +
-                            static_cast<std::size_t>(d)];
-  const auto gen = lazy_->generation;
-  if (slot.ready_gen.load(std::memory_order_acquire) == gen) {
-    return slot.route;
+  auto& slot = lazy_->route_id[lazy_->pair(s, d)];
+  if (const auto id = slot.load(std::memory_order_acquire); id != 0) {
+    return lazy_->route(id - 1);
   }
   std::lock_guard lock{lazy_->fill_mutex};
-  if (slot.ready_gen.load(std::memory_order_relaxed) == gen) {
-    return slot.route;
+  if (const auto id = slot.load(std::memory_order_relaxed); id != 0) {
+    return lazy_->route(id - 1);
   }
   auto r = lazy_->router->try_route(s, d);
   // Routability must agree with the component map, or reachable() and
   // path() would contradict each other.
   assert(r.has_value() ==
          (component(s) >= 0 && component(s) == component(d)));
-  slot.route = r ? *std::move(r) : SwitchRoute{};
-  lazy_->materialized.fetch_add(1, std::memory_order_relaxed);
-  slot.ready_gen.store(gen, std::memory_order_release);
-  return slot.route;
+  const auto id = lazy_->materialized.load(std::memory_order_relaxed);
+  auto& block = lazy_->blocks[id / kBlockRoutes];
+  if (!block) block = std::make_unique<SwitchRoute[]>(kBlockRoutes);
+  SwitchRoute& route = block[id % kBlockRoutes];
+  if (r) route = *std::move(r);  // unreachable pairs keep the empty route
+  lazy_->materialized.store(id + 1, std::memory_order_relaxed);
+  slot.store(id + 1, std::memory_order_release);
+  return route;
 }
 
 bool RouteTable::disjoint(const topo::Graph& g, topo::HostId a, topo::HostId b,
@@ -138,13 +177,15 @@ std::size_t route_heap_bytes(const SwitchRoute& r) {
 std::size_t RouteTable::memory_bytes() const {
   std::size_t bytes = 0;
   if (lazy_) {
-    const auto num_switches =
-        static_cast<std::size_t>(topology_->switches().num_vertices());
-    const auto slots = num_switches * num_switches;
-    bytes += slots * sizeof(CacheSlot);
+    const std::uint32_t routes =
+        lazy_->materialized.load(std::memory_order_relaxed);
+    bytes += lazy_->pairs() * sizeof(std::atomic<std::uint32_t>);
+    bytes += lazy_->blocks.capacity() * sizeof(lazy_->blocks.front());
+    const std::size_t blocks_used = (routes + kBlockRoutes - 1) / kBlockRoutes;
+    bytes += blocks_used * kBlockRoutes * sizeof(SwitchRoute);
     bytes += lazy_->component.capacity() * sizeof(std::int32_t);
-    for (std::size_t i = 0; i < slots; ++i) {
-      bytes += route_heap_bytes(lazy_->slots[i].route);
+    for (std::uint32_t id = 0; id < routes; ++id) {
+      bytes += route_heap_bytes(lazy_->route(id));
     }
   } else {
     bytes += routes_.capacity() * sizeof(SwitchRoute);
@@ -154,13 +195,12 @@ std::size_t RouteTable::memory_bytes() const {
   return bytes;
 }
 
-std::uint32_t RouteTable::cache_generation() const {
-  return lazy_ ? lazy_->generation : 0;
-}
-
 void RouteTable::invalidate_cache() {
   if (!lazy_) return;
-  ++lazy_->generation;
+  for (std::size_t k = 0; k < lazy_->pairs(); ++k) {
+    lazy_->route_id[k].store(0, std::memory_order_relaxed);
+  }
+  for (auto& block : lazy_->blocks) block.reset();
   lazy_->materialized.store(0, std::memory_order_relaxed);
   recompute_components();
 }

@@ -14,15 +14,18 @@ namespace nimcast::routing {
 /// How a RouteTable stores its routes.
 enum class RouteStorage : std::uint8_t {
   /// All-pairs host routes materialized at construction: O(hosts²)
-  /// SwitchRoute objects. Simple, no router kept alive, but neither the
-  /// build time nor the memory survives a 1024-host fabric.
+  /// SwitchRoute objects. The router is asked once per *switch pair* and
+  /// the route copied into every host pair on it, so the build costs
+  /// O(switches²) routings plus the copies. No router kept alive, but the
+  /// memory does not survive a 1024-host fabric.
   kEager,
-  /// Compressed: one slot per *switch pair* (hosts on the same switch
-  /// share it), each materialized lazily on first use behind a
-  /// generation-tagged flat cache. Reachability comes from the router's
-  /// per-switch component map, so the hot reachable() path never routes.
-  /// The generating router must outlive the table (the owning-router
-  /// constructor takes care of that).
+  /// Compressed: one route per *switch pair* (hosts on the same switch
+  /// share it), materialized lazily on first use. A flat num_switches²
+  /// array of 4-byte route ids points into block storage that holds
+  /// only the routes a run has touched. Reachability comes from the
+  /// router's per-switch component map, so the hot reachable() path
+  /// never routes. The generating router must outlive the table (the
+  /// owning-router constructor takes care of that).
   kCompressed,
 };
 
@@ -114,38 +117,54 @@ class RouteTable {
   /// benches only.
   [[nodiscard]] std::size_t routes_materialized() const;
 
-  /// Approximate heap footprint of the route storage: slot arrays plus
-  /// the per-route vectors actually allocated. The quantity
-  /// `bench_scale` tracks for the compressed-vs-eager comparison.
+  /// Approximate heap footprint of the route storage: the pair index
+  /// or per-pair arrays plus the route vectors actually allocated. The
+  /// quantity `bench_scale` tracks for the compressed-vs-eager
+  /// comparison.
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Generation tag of the lazy cache (compressed mode; 0 for eager).
-  [[nodiscard]] std::uint32_t cache_generation() const;
-
-  /// Drops every materialized route in O(1) by bumping the cache
-  /// generation; subsequent path() calls re-materialize from the router.
-  /// For callers that mutate router state in place instead of building a
-  /// fresh table. No-op for eager tables. Not thread-safe against
-  /// concurrent queries.
+  /// Drops every materialized route (an O(switches²) clear of the pair
+  /// index); subsequent path() calls re-materialize identically from the
+  /// router. No-op for eager tables. Not thread-safe against concurrent
+  /// queries.
   void invalidate_cache();
 
  private:
-  /// One lazily filled switch-pair slot. `ready_gen` equal to the
-  /// table's current generation publishes `route` (release/acquire).
-  struct CacheSlot {
-    std::atomic<std::uint32_t> ready_gen{0};
-    SwitchRoute route;
-  };
+  /// Materialized routes live in fixed-size blocks that never move, so a
+  /// published route id stays valid while other threads append.
+  static constexpr std::uint32_t kBlockRoutes = 16;
 
   /// State behind the compressed mode, boxed so RouteTable stays movable.
+  ///
+  /// Publication: a filler (holding `fill_mutex`) writes the route into
+  /// its block — allocating the block and storing its pointer first if
+  /// needed — then release-stores id+1 into `route_id`. A reader that
+  /// acquire-loads a non-zero id therefore sees both the block pointer
+  /// and the route; `blocks` itself is sized once and never reallocated.
   struct Lazy {
     std::shared_ptr<const Router> owned;   ///< may be null (non-owning)
     const Router* router = nullptr;
-    std::unique_ptr<CacheSlot[]> slots;    ///< num_switches² flat cache
+    std::size_t num_switches = 0;
+    /// num_switches² entries: 0 = not yet materialized, else route id+1.
+    std::unique_ptr<std::atomic<std::uint32_t>[]> route_id;
+    /// Enough block slots for every switch pair; null until first used.
+    std::vector<std::unique_ptr<SwitchRoute[]>> blocks;
     std::vector<std::int32_t> component;   ///< per-switch, -1 = dead
-    std::uint32_t generation = 1;
     mutable std::mutex fill_mutex;
-    mutable std::atomic<std::size_t> materialized{0};
+    /// Routes materialized so far, which is also the next route id.
+    /// Written under fill_mutex.
+    std::atomic<std::uint32_t> materialized{0};
+
+    [[nodiscard]] std::size_t pairs() const {
+      return num_switches * num_switches;
+    }
+    [[nodiscard]] std::size_t pair(topo::SwitchId s, topo::SwitchId d) const {
+      return static_cast<std::size_t>(s) * num_switches +
+             static_cast<std::size_t>(d);
+    }
+    [[nodiscard]] const SwitchRoute& route(std::uint32_t id) const {
+      return blocks[id / kBlockRoutes][id % kBlockRoutes];
+    }
   };
 
   [[nodiscard]] std::size_t index(topo::HostId s, topo::HostId d) const {

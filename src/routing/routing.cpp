@@ -21,20 +21,26 @@ std::int32_t directed_channel(const topo::Graph& g, topo::LinkId link,
   throw std::invalid_argument("directed_channel: switch not on link");
 }
 
-std::vector<std::int32_t> route_channels(const topo::Graph& g,
-                                         const SwitchRoute& r,
-                                         std::int32_t num_vcs) {
+void append_route_channels(const topo::Graph& g, const SwitchRoute& r,
+                           std::int32_t num_vcs,
+                           std::vector<std::int32_t>& out) {
   if (num_vcs < 1) throw std::invalid_argument("route_channels: num_vcs < 1");
-  std::vector<std::int32_t> chans;
-  chans.reserve(r.links.size());
   for (std::size_t i = 0; i < r.links.size(); ++i) {
     const std::int32_t vc = r.vc(i);
     if (vc >= num_vcs) {
       throw std::invalid_argument("route_channels: vc out of range");
     }
-    chans.push_back(directed_channel(g, r.links[i], r.switches[i]) * num_vcs +
-                    vc);
+    out.push_back(directed_channel(g, r.links[i], r.switches[i]) * num_vcs +
+                  vc);
   }
+}
+
+std::vector<std::int32_t> route_channels(const topo::Graph& g,
+                                         const SwitchRoute& r,
+                                         std::int32_t num_vcs) {
+  std::vector<std::int32_t> chans;
+  chans.reserve(r.links.size());
+  append_route_channels(g, r, num_vcs, chans);
   return chans;
 }
 

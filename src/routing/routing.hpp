@@ -88,8 +88,13 @@ class Router {
                                             topo::LinkId link,
                                             topo::SwitchId from);
 
-/// Converts a route into its directed-channel sequence, expanding virtual
-/// channels with multiplicity `num_vcs`.
+/// Appends a route's directed-channel sequence to `out`, expanding
+/// virtual channels with multiplicity `num_vcs`.
+void append_route_channels(const topo::Graph& g, const SwitchRoute& r,
+                           std::int32_t num_vcs,
+                           std::vector<std::int32_t>& out);
+
+/// The same sequence as a fresh vector.
 [[nodiscard]] std::vector<std::int32_t> route_channels(
     const topo::Graph& g, const SwitchRoute& r, std::int32_t num_vcs = 1);
 

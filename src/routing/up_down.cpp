@@ -1,10 +1,9 @@
 #include "routing/up_down.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
-#include <queue>
 #include <stdexcept>
+#include <tuple>
 
 namespace nimcast::routing {
 namespace {
@@ -100,6 +99,7 @@ UpDownRouter::UpDownRouter(const topo::Graph& g, topo::SwitchId root)
   }
   level_ = g.bfs_levels(root_);
   up_end_ = orient_links(g, level_);
+  build_hops();
 }
 
 UpDownRouter::UpDownRouter(const topo::Graph& g,
@@ -120,6 +120,7 @@ UpDownRouter::UpDownRouter(const topo::Graph& g,
     }
   }
   up_end_ = orient_links(g, level_);
+  build_hops();
 }
 
 UpDownRouter::UpDownRouter(const topo::Graph& g, topo::SubgraphMask mask,
@@ -135,31 +136,55 @@ UpDownRouter::UpDownRouter(const topo::Graph& g, topo::SubgraphMask mask,
   }
   level_ = masked_levels(g, mask_, preferred_root, root_);
   up_end_ = orient_links(g, level_);
+  build_hops();
+}
+
+void UpDownRouter::build_hops() {
+  const auto n = graph_.num_vertices();
+  hop_begin_.assign(static_cast<std::size_t>(n) + 1, 0);
+  hops_.clear();
+  for (topo::SwitchId v = 0; v < n; ++v) {
+    const auto begin = static_cast<std::int32_t>(hops_.size());
+    hop_begin_[static_cast<std::size_t>(v)] = begin;
+    if (!mask_.switch_alive(v)) continue;
+    for (topo::LinkId e : graph_.incident(v)) {
+      if (!mask_.link_alive(e)) continue;
+      const topo::SwitchId w = graph_.edge(e).other(v);
+      if (!mask_.switch_alive(w)) continue;
+      hops_.push_back(Hop{e, w, w == up_end(e)});
+    }
+    std::sort(hops_.begin() + begin, hops_.end(),
+              [](const Hop& x, const Hop& y) {
+                return std::tie(x.to, x.link) < std::tie(y.to, y.link);
+              });
+  }
+  hop_begin_[static_cast<std::size_t>(n)] =
+      static_cast<std::int32_t>(hops_.size());
 }
 
 std::vector<std::int32_t> UpDownRouter::host_reach_components(
     const topo::Graph& g) const {
+  // The hop lists already drop dead links and dead switches.
   const auto n = static_cast<std::size_t>(g.num_vertices());
   std::vector<std::int32_t> comp(n, -1);
+  std::vector<topo::SwitchId> queue(n);
   std::int32_t next = 0;
-  std::queue<topo::SwitchId> q;
   for (topo::SwitchId s = 0; s < g.num_vertices(); ++s) {
     if (!mask_.switch_alive(s) || comp[static_cast<std::size_t>(s)] >= 0) {
       continue;
     }
     comp[static_cast<std::size_t>(s)] = next;
-    q.push(s);
-    while (!q.empty()) {
-      const auto v = q.front();
-      q.pop();
-      for (topo::LinkId e : g.incident(v)) {
-        if (!mask_.link_alive(e)) continue;
-        const auto w = g.edge(e).other(v);
-        if (!mask_.switch_alive(w)) continue;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = s;
+    while (head < tail) {
+      const auto v = static_cast<std::size_t>(queue[head++]);
+      for (auto k = hop_begin_[v]; k < hop_begin_[v + 1]; ++k) {
+        const topo::SwitchId w = hops_[static_cast<std::size_t>(k)].to;
         auto& cw = comp[static_cast<std::size_t>(w)];
         if (cw >= 0) continue;
         cw = next;
-        q.push(w);
+        queue[tail++] = w;
       }
     }
     ++next;
@@ -191,86 +216,71 @@ std::optional<SwitchRoute> UpDownRouter::try_route(topo::SwitchId src,
   }
   if (src == dst) return SwitchRoute{{src}, {}, {}};
 
-  // BFS over (switch, phase) states; phase 0 = may still go up,
-  // phase 1 = committed to going down. A down move from phase 0 enters
-  // phase 1; an up move is legal only in phase 0.
-  const auto n = static_cast<std::size_t>(graph_.num_vertices());
+  // BFS over (switch, phase) states, numbered 2*switch + phase; phase 0 =
+  // may still go up, phase 1 = committed to going down. A down move from
+  // phase 0 enters phase 1; an up move is legal only in phase 0. Each
+  // state is discovered at most once, so the queue never exceeds 2n.
+  // The scratch is per thread: tables shared across worker threads route
+  // through one router concurrently.
+  const auto states = 2 * static_cast<std::size_t>(graph_.num_vertices());
   constexpr std::int32_t kUnvisited = std::numeric_limits<std::int32_t>::max();
-  struct Parent {
-    topo::SwitchId sw = topo::kInvalidId;
-    topo::LinkId link = topo::kInvalidId;
-    std::int8_t phase = -1;
+  struct Visit {
+    std::int32_t dist;
+    std::int32_t parent;  ///< predecessor state
+    topo::LinkId link;    ///< link crossed from the predecessor
   };
-  std::array<std::vector<std::int32_t>, 2> dist{
-      std::vector<std::int32_t>(n, kUnvisited),
-      std::vector<std::int32_t>(n, kUnvisited)};
-  std::array<std::vector<Parent>, 2> parent{std::vector<Parent>(n),
-                                            std::vector<Parent>(n)};
+  thread_local std::vector<Visit> visit;
+  thread_local std::vector<std::int32_t> queue;
+  visit.assign(states, Visit{kUnvisited, -1, topo::kInvalidId});
+  if (queue.size() < states) queue.resize(states);
 
-  std::queue<std::pair<topo::SwitchId, std::int8_t>> q;
-  dist[0][static_cast<std::size_t>(src)] = 0;
-  q.emplace(src, 0);
-
-  // Deterministic neighbor order: sort incident links of each step by
-  // (neighbor id, link id). Incident spans are in construction order, so
-  // sort a local copy.
-  while (!q.empty()) {
-    const auto [v, phase] = q.front();
-    q.pop();
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  visit[2 * static_cast<std::size_t>(src)].dist = 0;
+  queue[tail++] = 2 * src;
+  while (head < tail) {
+    const std::int32_t state = queue[head++];
+    const topo::SwitchId v = state >> 1;
     if (v == dst) break;  // first dequeue of dst is a shortest legal path
-    const auto dv = dist[static_cast<std::size_t>(phase)]
-                        [static_cast<std::size_t>(v)];
-
-    auto span = graph_.incident(v);
-    std::vector<topo::LinkId> links{span.begin(), span.end()};
-    std::sort(links.begin(), links.end(),
-              [&](topo::LinkId x, topo::LinkId y) {
-                const auto wx = graph_.edge(x).other(v);
-                const auto wy = graph_.edge(y).other(v);
-                return std::tie(wx, x) < std::tie(wy, y);
-              });
-
-    for (topo::LinkId e : links) {
-      if (!mask_.link_alive(e)) continue;
-      const topo::SwitchId w = graph_.edge(e).other(v);
-      if (!mask_.switch_alive(w)) continue;
-      const bool up_move = is_up(e, v);
-      if (up_move && phase != 0) continue;  // down->up turn is illegal
-      const std::int8_t next_phase = up_move ? std::int8_t{0} : std::int8_t{1};
-      const auto wi = static_cast<std::size_t>(w);
-      auto& dw = dist[static_cast<std::size_t>(next_phase)][wi];
-      if (dw != kUnvisited) continue;
-      dw = dv + 1;
-      parent[static_cast<std::size_t>(next_phase)][wi] = Parent{v, e, phase};
-      q.emplace(w, next_phase);
+    const bool going_down = (state & 1) != 0;
+    const std::int32_t dv = visit[static_cast<std::size_t>(state)].dist;
+    // Hops are pre-sorted by (neighbour id, link id): the deterministic
+    // neighbour order.
+    const auto vi = static_cast<std::size_t>(v);
+    for (auto k = hop_begin_[vi]; k < hop_begin_[vi + 1]; ++k) {
+      const Hop& hop = hops_[static_cast<std::size_t>(k)];
+      if (hop.up && going_down) continue;  // down->up turn is illegal
+      const std::int32_t next = 2 * hop.to + (hop.up ? 0 : 1);
+      auto& w = visit[static_cast<std::size_t>(next)];
+      if (w.dist != kUnvisited) continue;
+      w = Visit{dv + 1, state, hop.link};
+      queue[tail++] = next;
     }
   }
 
-  const auto d0 = dist[0][static_cast<std::size_t>(dst)];
-  const auto d1 = dist[1][static_cast<std::size_t>(dst)];
+  const auto d0 = visit[2 * static_cast<std::size_t>(dst)].dist;
+  const auto d1 = visit[2 * static_cast<std::size_t>(dst) + 1].dist;
   if (d0 == kUnvisited && d1 == kUnvisited) {
     return std::nullopt;
   }
   // Prefer the shorter; ties go to the pure-up arrival (phase 0), which is
   // the deterministic first-found in our BFS order as well.
-  std::int8_t phase = (d0 <= d1) ? std::int8_t{0} : std::int8_t{1};
+  std::int32_t state = 2 * dst + (d0 <= d1 ? 0 : 1);
 
-  // Reconstruct by walking parents from (dst, phase) to (src, 0).
+  // Reconstruct by walking parents from (dst, phase) back to (src, 0),
+  // filling the exactly-sized vectors from the back.
+  const auto hops = static_cast<std::size_t>(
+      visit[static_cast<std::size_t>(state)].dist);
   SwitchRoute r;
-  std::vector<topo::SwitchId> rev_switches{dst};
-  std::vector<topo::LinkId> rev_links;
-  topo::SwitchId cur = dst;
-  std::int8_t cur_phase = phase;
-  while (cur != src) {
-    const auto ci = static_cast<std::size_t>(cur);
-    const Parent& p = parent[static_cast<std::size_t>(cur_phase)][ci];
-    rev_links.push_back(p.link);
-    rev_switches.push_back(p.sw);
-    cur = p.sw;
-    cur_phase = p.phase;
+  r.switches.resize(hops + 1);
+  r.links.resize(hops);
+  for (std::size_t i = hops; i > 0; --i) {
+    const Visit& p = visit[static_cast<std::size_t>(state)];
+    r.switches[i] = state >> 1;
+    r.links[i - 1] = p.link;
+    state = p.parent;
   }
-  r.switches.assign(rev_switches.rbegin(), rev_switches.rend());
-  r.links.assign(rev_links.rbegin(), rev_links.rend());
+  r.switches[0] = src;
   return r;
 }
 

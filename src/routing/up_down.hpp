@@ -70,11 +70,28 @@ class UpDownRouter final : public Router {
   [[nodiscard]] const topo::SubgraphMask& mask() const { return mask_; }
 
  private:
+  /// One usable link out of a switch, pre-oriented for the BFS.
+  struct Hop {
+    topo::LinkId link;
+    topo::SwitchId to;
+    bool up;  ///< crossing it moves toward the root
+  };
+
+  /// Fills `hops_`/`hop_begin_` from the orientation; every constructor
+  /// calls it last.
+  void build_hops();
+
   const topo::Graph& graph_;
   topo::SwitchId root_;
   topo::SubgraphMask mask_;  ///< empty (all alive) for the full-graph ctors
   std::vector<std::int32_t> level_;
   std::vector<topo::SwitchId> up_end_;
+  /// Adjacency in CSR form: switch v's hops are
+  /// hops_[hop_begin_[v] .. hop_begin_[v+1]), in (neighbour id, link id)
+  /// order — the BFS's deterministic tie-break — with dead links and dead
+  /// neighbours already dropped.
+  std::vector<std::int32_t> hop_begin_;
+  std::vector<Hop> hops_;
 };
 
 }  // namespace nimcast::routing

@@ -1,7 +1,6 @@
 #include "topology/irregular.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,32 +16,44 @@ std::vector<SwitchId> round_robin_hosts(const IrregularConfig& cfg) {
   return host_switch;
 }
 
-/// One attempt at a configuration-model pairing of the spare ports.
-/// Returns std::nullopt-equivalent via empty optional pattern: a non-simple
-/// or disconnected draw yields no value and the caller retries.
+/// One attempt at a configuration-model pairing of the spare ports:
+/// shuffles a copy of `all_stubs` into `stubs` and pairs neighbours into
+/// `out`. Returns false on a self-loop or (unless allowed) a parallel
+/// link, and the caller retries. `seen` is a num_switches² bitmap that
+/// is all clear on entry and on return, so an attempt allocates nothing
+/// once the buffers have grown.
 bool try_draw(const IrregularConfig& cfg,
-              const std::vector<std::int32_t>& spare, sim::Rng& rng,
+              const std::vector<SwitchId>& all_stubs, sim::Rng& rng,
+              std::vector<SwitchId>& stubs, std::vector<std::uint8_t>& seen,
               std::vector<Graph::Edge>& out) {
-  std::vector<SwitchId> stubs;
-  for (SwitchId s = 0; s < cfg.num_switches; ++s) {
-    for (std::int32_t p = 0; p < spare[static_cast<std::size_t>(s)]; ++p) {
-      stubs.push_back(s);
-    }
-  }
-  if (stubs.size() % 2 != 0) stubs.pop_back();
-
+  stubs.assign(all_stubs.begin(), all_stubs.end());
   rng.shuffle(stubs);
   out.clear();
-  std::set<std::pair<SwitchId, SwitchId>> seen;
+  const auto n = static_cast<std::size_t>(cfg.num_switches);
+  bool simple = true;
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     SwitchId a = stubs[i];
     SwitchId b = stubs[i + 1];
-    if (a == b) return false;  // self-loop; reject the whole draw
+    if (a == b) {  // self-loop; reject the whole draw
+      simple = false;
+      break;
+    }
     if (a > b) std::swap(a, b);
-    if (!cfg.allow_parallel_links && !seen.emplace(a, b).second) return false;
+    if (!cfg.allow_parallel_links) {
+      auto& bit =
+          seen[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)];
+      if (bit != 0) {
+        simple = false;
+        break;
+      }
+      bit = 1;
+    }
     out.push_back(Graph::Edge{a, b});
   }
-  return true;
+  for (const auto& e : out) {
+    seen[static_cast<std::size_t>(e.a) * n + static_cast<std::size_t>(e.b)] = 0;
+  }
+  return simple;
 }
 
 }  // namespace
@@ -71,10 +82,21 @@ Topology make_irregular(const IrregularConfig& cfg, sim::Rng& rng) {
     }
   }
 
+  std::vector<SwitchId> all_stubs;
+  for (SwitchId s = 0; s < cfg.num_switches; ++s) {
+    for (std::int32_t p = 0; p < spare[static_cast<std::size_t>(s)]; ++p) {
+      all_stubs.push_back(s);
+    }
+  }
+  if (all_stubs.size() % 2 != 0) all_stubs.pop_back();
+
   constexpr int kMaxAttempts = 100'000;
+  std::vector<SwitchId> stubs;
+  const auto n = static_cast<std::size_t>(cfg.num_switches);
+  std::vector<std::uint8_t> seen(n * n);
   std::vector<Graph::Edge> edges;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    if (!try_draw(cfg, spare, rng, edges)) continue;
+    if (!try_draw(cfg, all_stubs, rng, stubs, seen, edges)) continue;
     Graph g{cfg.num_switches, edges};
     if (!g.connected()) continue;
     return Topology{std::move(g), std::move(host_switch),

@@ -71,5 +71,23 @@ TEST(ChaosSoak, DifferentSeedsDrawDifferentCampaigns) {
   EXPECT_NE(ra.digest, rb.digest);
 }
 
+TEST(ChaosSoak, CampaignDigestGoldens) {
+  // Campaign digests fold every observable of a run, so these pin the
+  // drawn fabrics, their routes, the participant and fault draws that
+  // follow on the same generator, and the simulation itself.
+  const ChaosConfig config;
+  const auto digest = [&config](std::int32_t index) {
+    return ChaosSoak::campaign(config, index, 1, 0).digest;
+  };
+  EXPECT_EQ(digest(0), 0x49ffd178acefb84fu);
+  EXPECT_EQ(digest(1), 0x3c40574a257499bcu);
+  EXPECT_EQ(digest(2), 0xd0202714b33594b7u);
+  EXPECT_EQ(digest(3), 0xd9c3d0a22570992bu);
+  EXPECT_EQ(digest(4), 0x6824c6a096fe48fbu);
+  EXPECT_EQ(digest(5), 0xf98774d8748a5e4au);
+  EXPECT_EQ(digest(6), 0xdaf1b184105585deu);
+  EXPECT_EQ(digest(7), 0x354683b6e7853f16u);
+}
+
 }  // namespace
 }  // namespace nimcast::harness

@@ -2,6 +2,7 @@
 
 #include "routing/repair.hpp"
 #include "routing/up_down.hpp"
+#include "support/subgraph_mask.hpp"
 
 namespace nimcast::routing {
 namespace {
@@ -14,21 +15,7 @@ struct SquareRig {
                           "square"};
 };
 
-topo::SubgraphMask mask_for(const topo::Graph& g,
-                            std::initializer_list<topo::LinkId> dead_links,
-                            std::initializer_list<topo::SwitchId> dead_switches
-                            = {}) {
-  topo::SubgraphMask mask;
-  mask.dead_link.assign(static_cast<std::size_t>(g.num_edges()), false);
-  mask.dead_switch.assign(static_cast<std::size_t>(g.num_vertices()), false);
-  for (topo::LinkId e : dead_links) {
-    mask.dead_link[static_cast<std::size_t>(e)] = true;
-  }
-  for (topo::SwitchId s : dead_switches) {
-    mask.dead_switch[static_cast<std::size_t>(s)] = true;
-  }
-  return mask;
-}
+using topo::test_support::mask_for;
 
 TEST(MaskedUpDown, RoutesAroundADeadLink) {
   SquareRig rig;

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "routing/dimension_ordered.hpp"
 #include "routing/repair.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
+#include "support/subgraph_mask.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/irregular.hpp"
 #include "topology/kary_ncube.hpp"
@@ -102,21 +105,7 @@ TEST(RouteTableLazy, MatchesEagerOnMeshTorusHypercube) {
   }
 }
 
-topo::SubgraphMask mask_for(const topo::Graph& g,
-                            std::initializer_list<topo::LinkId> dead_links,
-                            std::initializer_list<topo::SwitchId> dead_switches
-                            = {}) {
-  topo::SubgraphMask mask;
-  mask.dead_link.assign(static_cast<std::size_t>(g.num_edges()), false);
-  mask.dead_switch.assign(static_cast<std::size_t>(g.num_vertices()), false);
-  for (topo::LinkId e : dead_links) {
-    mask.dead_link[static_cast<std::size_t>(e)] = true;
-  }
-  for (topo::SwitchId s : dead_switches) {
-    mask.dead_switch[static_cast<std::size_t>(s)] = true;
-  }
-  return mask;
-}
+using topo::test_support::mask_for;
 
 TEST(RouteTableLazy, MatchesEagerOnFaultedIrregular) {
   const topo::Topology topology = irregular(1);
@@ -186,9 +175,7 @@ TEST(RouteTableLazy, InvalidateCacheRematerializesIdentically) {
   const RouteTable eager{topology, router};
   RouteTable lazy{topology, router, /*epoch=*/0, RouteStorage::kCompressed};
   const auto before = lazy.path(0, 63);
-  const auto gen = lazy.cache_generation();
   lazy.invalidate_cache();
-  EXPECT_GT(lazy.cache_generation(), gen);
   EXPECT_EQ(lazy.routes_materialized(), 0u);
   EXPECT_EQ(lazy.path(0, 63).switches, before.switches);
   expect_equivalent(topology, eager, lazy);
@@ -205,6 +192,59 @@ TEST(RouteTableLazy, OwningConstructorKeepsRouterAlive) {
   const UpDownRouter fresh{topology.switches()};
   const RouteTable eager{topology, fresh};
   expect_equivalent(topology, eager, *lazy);
+}
+
+TEST(RouteTableLazy, ConcurrentFirstTouchMatchesSerial) {
+  // Testbed tables are shared by worker threads, so first touches of one
+  // switch pair race. Every thread walks all host pairs in its own
+  // shuffled order; each pair must come out as one shared route equal to
+  // the serially filled table's, materialized exactly once.
+  topo::IrregularConfig cfg;
+  cfg.num_hosts = 256;
+  cfg.num_switches = 64;
+  sim::Rng topo_rng{9};
+  const topo::Topology topology = topo::make_irregular(cfg, topo_rng);
+  const UpDownRouter router{topology.switches()};
+  const RouteTable serial{topology, router, /*epoch=*/0,
+                          RouteStorage::kCompressed};
+  const RouteTable shared{topology, router, /*epoch=*/0,
+                          RouteStorage::kCompressed};
+  const auto hosts = static_cast<std::size_t>(topology.num_hosts());
+  const std::size_t pairs = hosts * hosts;
+  constexpr int kThreads = 8;
+  std::vector<std::vector<const SwitchRoute*>> seen(
+      kThreads, std::vector<const SwitchRoute*>(pairs, nullptr));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::size_t> order(pairs);
+      for (std::size_t i = 0; i < pairs; ++i) order[i] = i;
+      sim::Rng rng{static_cast<std::uint64_t>(t) + 1};
+      rng.shuffle(order);
+      for (const std::size_t k : order) {
+        const auto s = static_cast<topo::HostId>(k / hosts);
+        const auto d = static_cast<topo::HostId>(k % hosts);
+        seen[static_cast<std::size_t>(t)][k] = &shared.path(s, d);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const auto switches = static_cast<std::size_t>(topology.num_switches());
+  EXPECT_EQ(shared.routes_materialized(), switches * switches);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const auto s = static_cast<topo::HostId>(k / hosts);
+    const auto d = static_cast<topo::HostId>(k % hosts);
+    const SwitchRoute& want = serial.path(s, d);
+    for (int t = 0; t < kThreads; ++t) {
+      const SwitchRoute* got = seen[static_cast<std::size_t>(t)][k];
+      ASSERT_EQ(got, seen[0][k]) << "pair " << s << "->" << d;
+      ASSERT_EQ(got->switches, want.switches) << "pair " << s << "->" << d;
+      ASSERT_EQ(got->links, want.links) << "pair " << s << "->" << d;
+      ASSERT_EQ(got->vcs, want.vcs) << "pair " << s << "->" << d;
+    }
+  }
+  expect_equivalent(topology, serial, shared);
 }
 
 }  // namespace

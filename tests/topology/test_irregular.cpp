@@ -126,5 +126,49 @@ TEST(Irregular, ManySeedsAlwaysConnectedAndWithinPorts) {
   }
 }
 
+/// FNV-1a over a wiring's edge list (in link-id order) followed by the
+/// generator's next draw, so the golden pins both the fabric and how many
+/// draws its rejection sampling consumed.
+std::uint64_t wiring_digest(const Topology& t, sim::Rng& rng) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto& g = t.switches();
+  add(static_cast<std::uint64_t>(g.num_edges()));
+  for (LinkId e = 0; e < g.num_edges(); ++e) {
+    add(static_cast<std::uint64_t>(g.edge(e).a));
+    add(static_cast<std::uint64_t>(g.edge(e).b));
+  }
+  add(rng.next_u64());
+  return h;
+}
+
+TEST(Irregular, WiringGoldens) {
+  // Paper port budget (8-port switches, 4 hosts each) at the 32-, 64- and
+  // 1024-host sizes the chaos, paper and fabric rigs use.
+  const std::int32_t sizes[] = {32, 64, 1024};
+  const std::uint64_t seeds[] = {1, 5, 1997};
+  const std::uint64_t want[3][3] = {
+      {0x07fa0e160a4f7f0f, 0xd5c7258a2977c749, 0x897846d95031a17a},
+      {0x868773014caf4a2a, 0xfcdf934c24342bc5, 0x78e773a460717512},
+      {0x55be5983b2870b77, 0x341a890e337e6e2e, 0xee118ff625bc3714},
+  };
+  for (std::size_t i = 0; i < 3; ++i) {
+    IrregularConfig cfg;
+    cfg.num_hosts = sizes[i];
+    cfg.num_switches = sizes[i] / 4;
+    for (std::size_t j = 0; j < 3; ++j) {
+      sim::Rng rng{seeds[j]};
+      const Topology t = make_irregular(cfg, rng);
+      const auto got = wiring_digest(t, rng);
+      EXPECT_EQ(got, want[i][j]) << sizes[i] << " hosts, seed " << seeds[j];
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nimcast::topo
