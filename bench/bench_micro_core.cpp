@@ -1,13 +1,19 @@
 // Micro-benchmarks (google-benchmark) of the library's hot paths: tree
 // construction, the Theorem 3 solver, the step-model executor, the event
-// queue, route construction (irregular wiring, the up*/down* BFS, eager
-// and compressed route tables), one FPFS receive-and-forward through an
-// NI, a full end-to-end multicast simulation, and whole multi-tenant
-// traffic mixes. These guard the experiment harness's own performance —
+// queue (batch churn and a 1024-host run's fixed-delay mix), route
+// construction (irregular wiring, the up*/down* BFS, eager and
+// compressed route tables), one FPFS receive-and-forward through an NI,
+// a full end-to-end multicast simulation, and whole multi-tenant traffic
+// mixes. These guard the experiment harness's own performance —
 // regenerating the figures runs hundreds of thousands of these
 // operations.
 
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
@@ -74,6 +80,36 @@ void BM_EventQueueChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(10000);
+
+void BM_EventQueueFixedDelays(benchmark::State& state) {
+  // fabric1024's schedule mix — 100 ns hops 34.4%, 500 / 2000 / 3000 ns
+  // NI and drain costs 21.4% each, 12.5 us host start-up 1.3% — at a
+  // constant pending depth: every pop schedules one event at its firing
+  // time plus the next delay of the (shuffled) mix.
+  const auto depth = state.range(0);
+  std::vector<sim::Time> mix;
+  for (const auto& [ns, per_mille] :
+       {std::pair{100, 344}, std::pair{500, 214}, std::pair{2000, 214},
+        std::pair{3000, 214}, std::pair{12500, 14}}) {
+    mix.insert(mix.end(), static_cast<std::size_t>(per_mille),
+               sim::Time::ns(ns));
+  }
+  sim::Rng rng{1024};
+  for (std::size_t i = mix.size() - 1; i > 0; --i) {
+    std::swap(mix[i], mix[static_cast<std::size_t>(rng.next_below(i + 1))]);
+  }
+  sim::EventQueue q;
+  std::size_t next = 0;
+  for (std::int64_t i = 0; i < depth; ++i) {
+    q.schedule(mix[next++ % mix.size()], [] {});
+  }
+  for (auto _ : state) {
+    auto fired = q.pop();
+    q.schedule(fired.time + mix[next++ % mix.size()], [] {});
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueFixedDelays)->Arg(64)->Arg(700);
 
 void BM_UpDownRouteTable(benchmark::State& state) {
   sim::Rng rng{5};

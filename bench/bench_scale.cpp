@@ -16,8 +16,8 @@
 //                     (default results/BENCH_sim_core.json): re-runs that
 //                     bench's serial 64-host sweep and fails if wall time
 //                     exceeds 1.10x the recorded value after normalizing
-//                     by the churn microbench ratio (machine speed), i.e.
-//                     if 64-host throughput regressed > 10%.
+//                     by the frozen seed-queue churn ratio (machine
+//                     speed), i.e. if 64-host throughput regressed > 10%.
 
 #include <algorithm>
 #include <chrono>
@@ -436,21 +436,24 @@ ShardedGrid measure_sharded_grid(bool quick) {
 
 // ---------------------------------------------------------------------------
 // Perf gate: the recorded BENCH_sim_core.json holds the 64-host serial
-// sweep wall time and the churn events/sec of the machine that recorded
-// it. Re-running churn here measures *this* machine; scaling the
-// recorded wall by the churn ratio predicts what the recorded build
-// would score on this box, making the 10% regression gate portable
-// across hardware.
+// sweep wall time and the seed-queue churn events/sec
+// (events_per_sec_seed_baseline) of the machine that recorded it.
+// Re-running that frozen churn loop here measures *this* machine;
+// scaling the recorded wall by the churn ratio predicts what the
+// recorded build would score on this box, making the 10% regression gate
+// portable across hardware. The probe deliberately avoids
+// sim::EventQueue: an event-core speedup would otherwise tighten the
+// gate, and an event-core slowdown would loosen it and hide itself.
 
-/// Churn microbench probe (machine-speed scale), measured once per
-/// process no matter how many callers normalize against it. The probe
-/// is full-size regardless of --quick — the recorded baselines are
+/// Frozen seed-queue churn probe (machine-speed scale), measured once
+/// per process no matter how many callers normalize against it. The
+/// probe is full-size regardless of --quick — the recorded baselines are
 /// full-size — but hoisting it here means a quick-mode run pays for it
 /// at most once instead of re-deriving it per gate invocation.
 const bench::ChurnResult& churn_probe() {
   static const bench::ChurnResult probe = [] {
-    (void)bench::churn_new(200'000, 512);  // warm-up
-    return bench::churn_new(2'000'000, 512);
+    (void)bench::churn_legacy(200'000, 512);  // warm-up
+    return bench::churn_legacy(2'000'000, 512);
   }();
   return probe;
 }
@@ -464,7 +467,7 @@ double extract_json_number(const std::string& text, const char* key) {
 
 struct GateResult {
   bool ran = false;
-  double machine_scale = 0.0;   ///< churn now / churn recorded
+  double machine_scale = 0.0;   ///< seed-queue churn now / recorded
   double recorded_wall_ms = 0.0;
   double predicted_wall_ms = 0.0;
   double actual_wall_ms = 0.0;
@@ -485,10 +488,12 @@ GateResult run_gate(const std::string& baseline_path) {
     bench::expect_shape(false, "gate baseline not readable: " + baseline_path);
     return g;
   }
-  const double recorded_churn = extract_json_number(text, "events_per_sec");
+  const double recorded_churn =
+      extract_json_number(text, "events_per_sec_seed_baseline");
   g.recorded_wall_ms = extract_json_number(text, "wall_ms_serial");
   if (recorded_churn <= 0.0 || g.recorded_wall_ms <= 0.0) {
-    bench::expect_shape(false, "gate baseline missing events_per_sec / "
+    bench::expect_shape(false, "gate baseline missing "
+                               "events_per_sec_seed_baseline / "
                                "wall_ms_serial: " + baseline_path);
     return g;
   }
@@ -607,9 +612,10 @@ int main(int argc, char** argv) {
                    gate_result.predicted_wall_ms, gate_result.actual_wall_ms,
                    gate_result.passed ? "true" : "false");
     }
-    // Machine-speed probe recorded alongside the wall-time metrics so a
-    // downstream trend diff (scripts/bench_trend.py) can normalize two
-    // runs taken on different machines onto one scale.
+    // Machine-speed probe (the frozen seed-queue churn loop) recorded
+    // alongside the wall-time metrics so a downstream trend diff
+    // (scripts/bench_trend.py) can normalize two runs taken on different
+    // machines onto one scale.
     std::fprintf(out,
                  "  \"machine_probe_events_per_sec\": %.1f,\n"
                  "  \"peak_rss_kb\": %zu,\n"

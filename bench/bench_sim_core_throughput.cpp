@@ -1,6 +1,6 @@
 // Tracks the throughput of the simulation core, the hot path under every
-// figure/ablation bench: (a) raw EventQueue events/sec against an inline
-// reimplementation of the seed queue (std::priority_queue +
+// figure/ablation bench: (a) raw EventQueue events/sec against the seed
+// queue frozen in bench/common.hpp (std::priority_queue +
 // std::unordered_map<seq, std::function> with lazy cancellation), and
 // (b) end-to-end wall time of the paper's Section 5.2 testbed sweep,
 // serial vs. the NIMCAST_THREADS worker pool, with a bit-identity check
@@ -10,11 +10,8 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <functional>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "bench/common.hpp"
 #include "harness/parallel.hpp"
@@ -31,67 +28,7 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-// ---------------------------------------------------------------------------
-// The seed's event queue, kept verbatim as the events/sec baseline.
-
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  std::uint64_t schedule(sim::Time when, Callback cb) {
-    const std::uint64_t seq = next_seq_++;
-    heap_.push(Entry{when, seq});
-    callbacks_.emplace(seq, std::move(cb));
-    return seq;
-  }
-
-  bool cancel(std::uint64_t seq) { return callbacks_.erase(seq) > 0; }
-
-  [[nodiscard]] bool empty() const { return callbacks_.empty(); }
-
-  std::pair<sim::Time, Callback> pop() {
-    while (!callbacks_.contains(heap_.top().seq)) heap_.pop();
-    const Entry top = heap_.top();
-    heap_.pop();
-    auto it = callbacks_.find(top.seq);
-    std::pair<sim::Time, Callback> fired{top.time, std::move(it->second)};
-    callbacks_.erase(it);
-    return fired;
-  }
-
- private:
-  struct Entry {
-    sim::Time time;
-    std::uint64_t seq;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
-  std::uint64_t next_seq_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// The churn microbench loop itself lives in bench/common.hpp (shared with
-// bench_scale's machine-speed probe); this binary supplies the legacy-queue
-// flavor for the speedup comparison.
-
 using bench::ChurnResult;
-
-ChurnResult churn_legacy(std::uint64_t total_events, int depth) {
-  LegacyEventQueue q;
-  return bench::churn(
-      q, total_events, depth,
-      [](LegacyEventQueue& qq, sim::Time when, auto cb) {
-        return qq.schedule(when, std::move(cb));
-      },
-      [](LegacyEventQueue& qq, std::uint64_t id) { return qq.cancel(id); },
-      [](LegacyEventQueue& qq) { return qq.pop(); });
-}
 
 // ---------------------------------------------------------------------------
 // Sweep wall-time: the paper rig replayed at several (n, m) points, the
@@ -142,13 +79,14 @@ int main() {
 
   // Warm-up + measured run for each queue.
   (void)bench::churn_new(churn_events / 10, churn_depth);
-  (void)churn_legacy(churn_events / 10, churn_depth);
+  (void)bench::churn_legacy(churn_events / 10, churn_depth);
   const ChurnResult fast = bench::churn_new(churn_events, churn_depth);
-  const ChurnResult slow = churn_legacy(churn_events, churn_depth);
+  const ChurnResult slow = bench::churn_legacy(churn_events, churn_depth);
   bench::expect_shape(fast.checksum == slow.checksum,
                       "churn workloads diverged (checksum mismatch)");
   const double core_speedup = fast.events_per_sec / slow.events_per_sec;
-  std::printf("event core     : %.3g events/sec (slab 4-ary heap)\n",
+  std::printf("event core     : %.3g events/sec (delay lanes + 4-ary "
+              "heap)\n",
               fast.events_per_sec);
   std::printf("seed baseline  : %.3g events/sec (priority_queue + "
               "unordered_map)\n",

@@ -11,9 +11,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/rotation.hpp"
 #include "harness/report.hpp"
@@ -61,10 +65,12 @@ inline int finish(const char* bench_name) {
 // Event-core churn microbench: a simulator-shaped loop keeping `depth`
 // events pending; each fired event reschedules itself ahead, and every
 // fourth event also schedules-then-cancels a retry timer (the reliable_ni
-// pattern that exercises cancellation). Shared by bench_sim_core_throughput
-// (events/sec vs the seed queue) and bench_scale (its result doubles as a
+// pattern that exercises cancellation). bench_sim_core_throughput runs it
+// on sim::EventQueue and on the frozen seed queue below (events/sec and
+// speedup); bench_scale runs it on the frozen seed queue only, as a
 // machine-speed probe that normalizes recorded baselines to the current
-// box before gating).
+// box before gating — a probe that ran the queue under test would move
+// the gate with every event-core change.
 
 struct ChurnResult {
   double events_per_sec = 0.0;
@@ -105,6 +111,60 @@ ChurnResult churn(Queue& q, std::uint64_t total_events, int depth,
       std::chrono::duration<double, std::milli>(Clock::now() - start).count();
   return ChurnResult{static_cast<double>(fired) / (elapsed_ms / 1000.0),
                      checksum};
+}
+
+/// The seed's event queue, kept verbatim: the events/sec baseline and the
+/// machine-speed probe. Frozen — never optimize it.
+class LegacyEventQueue {
+ public:
+  using Callback = std::function<void()>;
+
+  std::uint64_t schedule(sim::Time when, Callback cb) {
+    const std::uint64_t seq = next_seq_++;
+    heap_.push(Entry{when, seq});
+    callbacks_.emplace(seq, std::move(cb));
+    return seq;
+  }
+
+  bool cancel(std::uint64_t seq) { return callbacks_.erase(seq) > 0; }
+
+  [[nodiscard]] bool empty() const { return callbacks_.empty(); }
+
+  std::pair<sim::Time, Callback> pop() {
+    while (!callbacks_.contains(heap_.top().seq)) heap_.pop();
+    const Entry top = heap_.top();
+    heap_.pop();
+    auto it = callbacks_.find(top.seq);
+    std::pair<sim::Time, Callback> fired{top.time, std::move(it->second)};
+    callbacks_.erase(it);
+    return fired;
+  }
+
+ private:
+  struct Entry {
+    sim::Time time;
+    std::uint64_t seq;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  std::uint64_t next_seq_ = 1;
+};
+
+inline ChurnResult churn_legacy(std::uint64_t total_events, int depth) {
+  LegacyEventQueue q;
+  return churn(
+      q, total_events, depth,
+      [](LegacyEventQueue& qq, sim::Time when, auto cb) {
+        return qq.schedule(when, std::move(cb));
+      },
+      [](LegacyEventQueue& qq, std::uint64_t id) { return qq.cancel(id); },
+      [](LegacyEventQueue& qq) { return qq.pop(); });
 }
 
 inline ChurnResult churn_new(std::uint64_t total_events, int depth) {

@@ -7,9 +7,17 @@ Emits a GitHub-step-summary-friendly markdown table of per-metric deltas
 (current vs previous), one row per (bench, point, metric). Simulation
 metrics (latencies, throughputs in simulated time, FCT percentiles) are
 machine-independent and compared raw. Wall-clock metrics (wall_ms,
-events_per_sec) are normalized by the churn machine-speed probe recorded
-in each run's BENCH_scale.json (machine_probe_events_per_sec) when both
-sides carry one; otherwise they are compared raw and flagged.
+events_per_sec) are normalized by the machine-speed probe recorded in each
+run's BENCH_scale.json (machine_probe_events_per_sec) when both sides
+carry one; otherwise they are compared raw and flagged.
+
+The probe is the churn loop run on the frozen seed event queue
+(bench/common.hpp LegacyEventQueue), so event-core changes do not move
+it. Artifacts recorded before that switch ran the probe on the live
+sim::EventQueue, which churns ~2x faster than the seed queue, so one diff
+against such an artifact reads a probe ratio of ~0.5 and makes every
+wall-clock metric look ~2x better than it is. Compare raw, or re-record
+the previous side, for that one diff.
 
 Exit code is always 0: the trend is informational — the hard perf gate
 lives in bench_scale --gate-baseline. Stdlib only.

@@ -61,18 +61,9 @@ std::int64_t configured_window_ns() {
   return 0;  // auto
 }
 
-int pick_shards(int threads, std::int32_t hosts, std::size_t replications) {
-  if (const int forced = configured_shards(); forced > 0) return forced;
-  if (replications >= static_cast<std::size_t>(threads)) return 1;
-  const std::size_t per_rep = static_cast<std::size_t>(threads) /
-                              std::max<std::size_t>(replications, 1);
-  // Keep every shard at least kMinHostsPerShard hosts wide: thinner
-  // shards spend more wall clock at window barriers than they win back.
-  const auto by_hosts = static_cast<std::size_t>(
-      std::max<std::int32_t>(hosts / kMinHostsPerShard, 1));
-  return static_cast<int>(std::min(
-      {std::max<std::size_t>(per_rep, 1), by_hosts,
-       static_cast<std::size_t>(kMaxAutoShards)}));
+int pick_shards(int /*threads*/, std::int32_t /*hosts*/,
+                std::size_t /*replications*/) {
+  return std::max(configured_shards(), 1);
 }
 
 SelectionOverride configured_selection() {
@@ -157,7 +148,12 @@ WorkerPool::WorkerPool(int threads) {
 }
 
 WorkerPool::~WorkerPool() {
-  for (auto& t : threads_) t.request_stop();
+  {
+    // Under the mutex, so a worker between its predicate check and its
+    // wait cannot miss the stop (a lost wakeup hangs the join below).
+    std::lock_guard lock{mutex_};
+    for (auto& t : threads_) t.request_stop();
+  }
   work_ready_.notify_all();
   // jthread joins on destruction.
 }

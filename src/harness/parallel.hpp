@@ -43,21 +43,15 @@ inline constexpr int kMaxThreads = 512;
 
 inline constexpr std::int64_t kMaxWindowNs = 1'000'000'000;
 
-/// Intra-run shard count for one testbed replication. NIMCAST_SHARDS
-/// wins when set. The auto policy splits the `threads` worker budget:
-/// replication parallelism first (embarrassingly parallel, so it always
-/// takes priority — replications >= threads leaves nothing to shard);
-/// the spare threads go into sharding, threads / replications each,
-/// bounded so every shard keeps at least kMinHostsPerShard hosts
-/// (thinner shards drown in window-barrier overhead) and by
-/// kMaxAutoShards. Sharding never changes results (the sharded engine
-/// is bit-identical to the serial one), so this policy is purely a
-/// wall-clock decision.
+/// Intra-run shard count for one testbed replication: NIMCAST_SHARDS
+/// when set, else 1 (the serial engine). The sharded engine has lost to
+/// serial at every measured point — its t_hop lookahead plans windows of
+/// a few dozen events, so barrier time alone exceeds a whole serial run
+/// (docs/perf.md) — so nothing turns it on by default. Sharding never
+/// changes results, only wall clock. The thread budget, host count and
+/// replication count no longer affect the answer.
 [[nodiscard]] int pick_shards(int threads, std::int32_t hosts,
                               std::size_t replications);
-
-inline constexpr std::int32_t kMinHostsPerShard = 64;
-inline constexpr int kMaxAutoShards = 8;
 
 /// Streaming member-selection policy requested via NIMCAST_SELECTION
 /// ("static" or "adaptive", surrounding whitespace tolerated). kUnset

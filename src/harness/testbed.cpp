@@ -127,10 +127,9 @@ MeasurePoint measure_point(const topo::Topology& topology,
   validate_point(num_hosts, n, m, repetitions);
 
   const core::RankTree rank_tree = spec.build(n, m);
-  // Thread budget split: replication parallelism first (embarrassingly
-  // parallel); on big fabrics with too few replications to fill it, the
-  // spare threads go into intra-run sharding instead — and since the
-  // sharded engine is bit-identical to the serial one, the split never
+  // Thread budget: replication parallelism (embarrassingly parallel).
+  // Intra-run sharding only when NIMCAST_SHARDS asks for it — the
+  // sharded engine is bit-identical to the serial one, so it never
   // changes the measured numbers.
   const int budget = threads >= 1 ? threads : configured_threads();
   const int shards =
@@ -253,9 +252,8 @@ Testbed::Point Testbed::measure(std::int32_t n, std::int32_t m,
 
   const core::RankTree rank_tree = spec.build(n, m);
   // Same budget split as measure_point: replications fill the worker
-  // budget first; on big fabrics with too few replications the spare
-  // threads shard each simulation instead (identical results either
-  // way).
+  // budget; NIMCAST_SHARDS alone shards each simulation (identical
+  // results either way).
   const auto sets = static_cast<std::size_t>(spec_.sets_per_topology);
   const std::size_t replications = instances_.size() * sets;
   const int budget = threads >= 1 ? threads : configured_threads();

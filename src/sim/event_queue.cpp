@@ -18,6 +18,7 @@ void EventQueue::release_slot(std::uint32_t slot) {
   Slot& s = slab_[slot];
   s.cb.reset();
   s.heap_index = kNoHeapIndex;
+  s.lane = kNoLane;
   ++s.generation;  // invalidates every outstanding EventId for this slot
   free_slots_.push_back(slot);
 }
@@ -76,6 +77,120 @@ void EventQueue::heap_remove(std::size_t index) {
   }
 }
 
+std::uint32_t EventQueue::admit(DelayBucket& b, Time::rep delay) {
+  if (b.delay != delay) {
+    // First sighting in this bucket. Take the bucket over unless the
+    // delay holding it still has events in its lane; an empty lane stays
+    // with the bucket and serves the new delay if it recurs.
+    if (b.lane == kNoLane || lanes_[b.lane].count == 0) b.delay = delay;
+    return kNoLane;
+  }
+  // Second consecutive sighting without a lane: the delay recurs.
+  const std::uint32_t lane = take_spare_lane();
+  if (lane != kNoLane) {
+    b.lane = lane;
+    lanes_[lane].bucket = static_cast<std::uint32_t>(&b - buckets_.data());
+  }
+  return lane;
+}
+
+std::uint32_t EventQueue::take_spare_lane() {
+  if (lanes_.size() < kMaxLanes) {
+    lanes_.emplace_back();
+    return static_cast<std::uint32_t>(lanes_.size() - 1);
+  }
+  while (!spare_lanes_.empty()) {
+    const std::uint32_t lane = spare_lanes_.back();
+    spare_lanes_.pop_back();
+    Lane& ln = lanes_[lane];
+    ln.spare = false;
+    if (ln.count == 0) {  // still drained: hand it over
+      DelayBucket& owner = buckets_[ln.bucket];
+      if (owner.lane == lane) owner.lane = kNoLane;
+      return lane;
+    }
+  }
+  return kNoLane;
+}
+
+void EventQueue::lane_push_slow(Lane& ln, const LaneEntry& e) {
+  if (ln.count == ln.ring.size()) {
+    std::vector<LaneEntry> grown(std::max<std::size_t>(8, 2 * ln.ring.size()));
+    for (std::uint32_t i = 0; i < ln.count; ++i) grown[i] = ln.at(i);
+    ln.ring.swap(grown);
+    ln.head = 0;
+  }
+  ln.at(ln.count++) = e;
+  if (ln.count == 1) {
+    heap_push(e.time, 0, e.order, e.slot);  // the lane's head entry
+  } else {
+    assert(!(e.time < ln.at(ln.count - 2).time) && "lane out of order");
+    slab_[e.slot].heap_index = kInLane;
+  }
+}
+
+void EventQueue::lane_drained(std::uint32_t lane) {
+  Lane& ln = lanes_[lane];
+  if (!ln.spare) {
+    ln.spare = true;
+    spare_lanes_.push_back(lane);
+  }
+}
+
+void EventQueue::drop_front(Lane& ln) {
+  const auto mask = static_cast<std::uint32_t>(ln.ring.size() - 1);
+  ln.head = (ln.head + 1) & mask;
+  --ln.count;
+  while (ln.dead != 0 && dead(ln.front())) {
+    ln.head = (ln.head + 1) & mask;
+    --ln.count;
+    --ln.dead;
+  }
+}
+
+void EventQueue::compact(Lane& ln) {
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < ln.count; ++i) {
+    const LaneEntry e = ln.at(i);
+    if (!dead(e)) ln.at(kept++) = e;
+  }
+  ln.count = kept;
+  ln.dead = 0;
+}
+
+bool EventQueue::lanes_idle() const {
+  return std::all_of(lanes_.begin(), lanes_.end(),
+                     [](const Lane& ln) { return ln.count == 0; });
+}
+
+void EventQueue::lane_cancel(std::uint32_t slot) {
+  const std::uint32_t lane = slab_[slot].lane;
+  const std::uint32_t heap_index = slab_[slot].heap_index;
+  Lane& ln = lanes_[lane];
+  release_slot(slot);  // the generation bump marks its entry dead
+  if (heap_index != kInLane) {
+    // The lane's head: its heap entry moves to the next live entry.
+    drop_front(ln);
+    if (ln.count == 0) {
+      heap_remove(heap_index);
+      lane_drained(lane);
+    } else {
+      heap_[heap_index] = head_key(ln.front());
+      sift_down(heap_index);
+    }
+  } else if (ln.back().slot == slot) {
+    // The tail (schedule-then-cancel): drop it and any dead run before it.
+    --ln.count;
+    while (ln.dead != 0 && dead(ln.back())) {
+      --ln.count;
+      --ln.dead;
+    }
+  } else {
+    ++ln.dead;
+    if (ln.dead > ln.count - ln.dead) compact(ln);
+  }
+}
+
 bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id.seq & 0xffffffffu);
   const auto generation = static_cast<std::uint32_t>(id.seq >> 32);
@@ -84,8 +199,13 @@ bool EventQueue::cancel(EventId id) {
   if (s.heap_index == kNoHeapIndex || s.generation != generation) {
     return false;
   }
-  heap_remove(s.heap_index);
-  release_slot(slot);
+  --live_;
+  if (s.lane != kNoLane) {
+    lane_cancel(slot);
+  } else {
+    heap_remove(s.heap_index);
+    release_slot(slot);
+  }
   return true;
 }
 
@@ -95,12 +215,34 @@ void EventQueue::reserve(std::size_t n) {
   free_slots_.reserve(n);
 }
 
+std::size_t EventQueue::lane_capacity() const {
+  std::size_t total = 0;
+  for (const Lane& ln : lanes_) total += ln.ring.size();
+  return total;
+}
+
 EventQueue::Fired EventQueue::pop() {
-  assert(!heap_.empty() && "pop() on empty queue");
+  assert(live_ != 0 && "pop() on empty queue");
   const HeapEntry top = heap_.front();
   Slot& s = slab_[top.slot];
   Fired fired{top.time, top.hi, top.lo, std::move(s.cb)};
+  const std::uint32_t lane = s.lane;
   release_slot(top.slot);
+  // A direct caller may schedule behind the last pop; ref_ must not
+  // follow it back, or a lane would stop being sorted.
+  ref_ = std::max(ref_, top.time);
+  --live_;
+  if (lane != kNoLane) {
+    Lane& ln = lanes_[lane];
+    drop_front(ln);
+    if (ln.count != 0) {
+      // The lane's next event replaces its head entry at the root.
+      heap_[0] = head_key(ln.front());
+      sift_down(0);
+      return fired;
+    }
+    lane_drained(lane);
+  }
   const std::size_t last = heap_.size() - 1;
   if (last > 0) {
     heap_[0] = heap_[last];

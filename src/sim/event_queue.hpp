@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -56,7 +58,7 @@ class EventCallback {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(obj_);
+      if (!ops_->trivial) ops_->destroy(obj_);
       if (obj_ != inline_storage()) EventPool::release(obj_);
       ops_ = nullptr;
       obj_ = nullptr;
@@ -89,6 +91,10 @@ class EventCallback {
     // inline callback (slab growth, move of the owning EventCallback).
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
+    // Trivially copyable callable (the common `this` + a few ints
+    // capture): relocation is a byte copy and destruction a no-op, so
+    // every pop skips two indirect calls.
+    bool trivial;
   };
 
   template <typename D>
@@ -100,7 +106,8 @@ class EventCallback {
           ::new (dst) D(std::move(*from));
           from->~D();
         },
-        [](void* obj) noexcept { static_cast<D*>(obj)->~D(); }};
+        [](void* obj) noexcept { static_cast<D*>(obj)->~D(); },
+        std::is_trivially_copyable_v<D>};
     return &ops;
   }
 
@@ -112,7 +119,11 @@ class EventCallback {
     }
     if (other.obj_ == other.inline_storage()) {
       obj_ = inline_storage();
-      ops_->relocate(obj_, other.obj_);
+      if (ops_->trivial) {
+        std::memcpy(inline_, other.inline_, kInlineCapacity);
+      } else {
+        ops_->relocate(obj_, other.obj_);
+      }
     } else {
       obj_ = other.obj_;  // pool chunk: steal the pointer
     }
@@ -136,22 +147,46 @@ class EventCallback {
 /// schedule sends at identical times and the paper's disciplines (FCFS,
 /// FPFS) are defined by service *order*.
 ///
-/// Implementation: an indexed 4-ary min-heap over a slab of pooled event
-/// slots. Scheduling allocates nothing on the hot path (slot reuse +
-/// inline callback storage), cancellation removes the heap entry and
-/// frees the slot immediately (O(log n), no tombstones), and stale
-/// EventIds are rejected by a per-slot generation counter. Not
-/// thread-safe; each worker thread owns its own queue.
+/// Every event is keyed (time, hi, lo) and fires in ascending key order.
+/// The plain schedule() path uses (0, insertion counter) — pure FIFO, the
+/// historical behaviour. schedule_keyed() lets a caller supply the key
+/// explicitly; the sharded simulator passes (schedule-time, lineage key)
+/// so that events merged across shard queues keep the order a serial
+/// execution would have given them (a serial run's insertion counter is
+/// monotone in schedule time, so the two keyings agree whenever schedule
+/// times differ; rekey_lo() lets the sharded driver finalize lineage keys
+/// at window barriers once global dispatch ordinals are known).
 ///
-/// The tie-break key is a 128-bit (hi, lo) pair. The plain schedule()
-/// path uses (0, insertion counter) — pure FIFO, the historical
-/// behaviour. schedule_keyed() lets a caller supply the key explicitly;
-/// the sharded simulator passes (schedule-time, lineage key) so that
-/// events merged across shard queues keep the order a serial execution
-/// would have given them (a serial run's insertion counter is monotone
-/// in schedule time, so the two keyings agree whenever schedule times
-/// differ; rekey_lo() lets the sharded driver finalize lineage keys at
-/// window barriers once global dispatch ordinals are known).
+/// Implementation: delay lanes over an indexed 4-ary min-heap, on a slab
+/// of pooled event slots. The model is constant-cost — nearly every
+/// event lands at `now + one of a handful of fixed delays` (t_hop, NI
+/// send/receive overheads, host start-up, drain times) — so:
+///
+///   - A plain schedule() whose delay `when - ref` recurs (ref = the
+///     latest popped time, kept monotone) is appended to a FIFO ring for
+///     that delay. ref and the insertion counter only grow, so each lane is
+///     sorted by (time, 0, counter) by construction.
+///   - Each non-empty lane's head sits in the heap as one entry. A push
+///     onto a non-empty lane is O(1) and touches no heap; a pop sifts a
+///     heap of (active lanes + other events) instead of every pending
+///     event. The merge is exactly by (time, hi, lo), so dispatch order
+///     is identical to a single heap over all events.
+///   - Lane lookup is one probe of a small direct-mapped table keyed by
+///     delay. A delay earns a lane on its second consecutive sighting in
+///     its table bucket, and a lane changes hands only while it is empty,
+///     so at most kMaxLanes delays hold lanes and a non-recurring delay
+///     costs one probe on its way to the heap.
+///   - Everything else — negative or one-off delays, and every
+///     schedule_keyed() call — takes the heap path with its own key.
+///
+/// Scheduling allocates nothing on the hot path (slot reuse + inline
+/// callback storage). Cancellation frees the slot immediately and bumps
+/// its generation, so stale EventIds are rejected; a heap event leaves
+/// the heap at once, a lane event is dropped at once when it is the
+/// lane's head or tail (the schedule-then-cancel retry-timer pattern),
+/// and one in mid-lane is skipped when it reaches the head, with the
+/// lane compacted once its dead entries outnumber its live ones. Not
+/// thread-safe; each worker thread owns its own queue.
 class EventQueue {
  public:
   using Callback = EventCallback;
@@ -165,7 +200,15 @@ class EventQueue {
   /// Schedules `f` at absolute time `when`.
   template <typename F>
   EventId schedule(Time when, F&& f) {
-    return schedule_keyed(when, 0, next_order_++, std::forward<F>(f));
+    const std::uint64_t order = next_order_++;
+    const Time::rep delay = (when - ref_).count_ns();
+    const std::uint32_t lane = delay >= 0 ? lane_for(delay) : kNoLane;
+    if (lane == kNoLane) {
+      return schedule_keyed(when, 0, order, std::forward<F>(f));
+    }
+    const std::uint32_t slot = emplace_slot(std::forward<F>(f));
+    lane_push(lane, LaneEntry{when, order, slot, slab_[slot].generation});
+    return EventId{make_id(slot, slab_[slot].generation)};
   }
 
   /// Schedules `f` at `when` with an explicit (hi, lo) tie-break key:
@@ -176,15 +219,10 @@ class EventQueue {
   template <typename F>
   EventId schedule_keyed(Time when, std::uint64_t hi, std::uint64_t lo,
                          F&& f) {
-    EventCallback cb;
-    cb.emplace(std::forward<F>(f), *pool_);
-    assert(cb && "scheduling an empty callback");
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slab_[slot];
-    s.time = when;
-    s.cb = std::move(cb);
+    const std::uint32_t slot = emplace_slot(std::forward<F>(f));
     heap_push(when, hi, lo, slot);
-    return EventId{make_id(slot, s.generation)};
+    ++live_;
+    return EventId{make_id(slot, slab_[slot].generation)};
   }
 
   /// Claims the next plain-FIFO insertion counter without scheduling
@@ -196,13 +234,12 @@ class EventQueue {
   [[nodiscard]] std::uint64_t reserve_order() { return next_order_++; }
 
   /// Cancels a pending event. Returns false when the event already fired
-  /// or was cancelled before. The heap entry is removed and the slot is
-  /// freed immediately, so schedule/cancel churn (e.g. retry timers) does
-  /// not grow the queue.
+  /// or was cancelled before. The slot is freed immediately, so
+  /// schedule/cancel churn (e.g. retry timers) does not grow the queue.
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Pre-sizes the slot slab and heap for `n` concurrent events.
   void reserve(std::size_t n);
@@ -233,9 +270,11 @@ class EventQueue {
   /// compaction pass and, filtered by (time, hi), when cross-shard mail
   /// could tie a provisional key; `fn` must be order-preserving over the
   /// entries it changes relative to the ones it leaves alone (the ordinal
-  /// assignment is).
+  /// assignment is). Keyed queues only: shard-order simulators schedule
+  /// exclusively through schedule_keyed(), so no event sits in a lane.
   template <typename Fn>
   void rekey_lo(Fn&& fn) {
+    assert(lanes_idle() && "rekey_lo() on a queue with lane events");
     bool changed = false;
     for (HeapEntry& e : heap_) {
       const std::uint64_t lo = fn(e.time, e.hi, e.lo);
@@ -253,11 +292,25 @@ class EventQueue {
   /// the peak number of *concurrently pending* events.
   [[nodiscard]] std::size_t slot_capacity() const { return slab_.size(); }
 
+  /// Entries allocated across every lane ring (live, dead and unused).
+  /// Exposed for tests: lane storage must stay bounded by the live lane
+  /// events plus the ones cancelled within one delay window.
+  [[nodiscard]] std::size_t lane_capacity() const;
+
  private:
+  static constexpr std::uint32_t kNoHeapIndex = 0xffffffffu;
+  /// heap_index of a lane event that is not its lane's head.
+  static constexpr std::uint32_t kInLane = 0xfffffffeu;
+  static constexpr std::uint32_t kNoLane = 0xffffffffu;
+  static constexpr unsigned kBucketBits = 6;
+  static constexpr std::uint32_t kMaxLanes = 16;
+
   struct Slot {
-    Time time{};
     std::uint32_t generation = 1;
+    /// Heap position; kInLane for a lane event behind its lane's head;
+    /// kNoHeapIndex when free.
     std::uint32_t heap_index = kNoHeapIndex;
+    std::uint32_t lane = kNoLane;
     EventCallback cb;
   };
   struct HeapEntry {
@@ -266,7 +319,34 @@ class EventQueue {
     std::uint64_t lo;
     std::uint32_t slot;
   };
-  static constexpr std::uint32_t kNoHeapIndex = 0xffffffffu;
+  /// A lane event: its key (time, 0, order) and the slot generation it
+  /// was scheduled under — a mismatch marks it cancelled.
+  struct LaneEntry {
+    Time time;
+    std::uint64_t order;
+    std::uint32_t slot;
+    std::uint32_t generation;
+  };
+  /// FIFO ring of one delay's events. The head and the tail are always
+  /// live; `dead` counts the cancelled entries between them.
+  struct Lane {
+    std::vector<LaneEntry> ring;  ///< power-of-two size
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;  ///< entries stored, live + dead
+    std::uint32_t dead = 0;
+    std::uint32_t bucket = 0;  ///< table bucket that owns this lane
+    bool spare = false;        ///< listed in spare_lanes_
+
+    [[nodiscard]] LaneEntry& at(std::uint32_t i) {
+      return ring[(head + i) & (ring.size() - 1)];
+    }
+    [[nodiscard]] LaneEntry& front() { return at(0); }
+    [[nodiscard]] LaneEntry& back() { return at(count - 1); }
+  };
+  struct DelayBucket {
+    Time::rep delay = -1;  ///< latest delay seen in this bucket
+    std::uint32_t lane = kNoLane;
+  };
 
   static std::uint64_t make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<std::uint64_t>(generation) << 32) | slot;
@@ -275,6 +355,61 @@ class EventQueue {
     if (a.time != b.time) return a.time < b.time;
     if (a.hi != b.hi) return a.hi < b.hi;
     return a.lo < b.lo;
+  }
+  static std::uint32_t bucket_of(Time::rep delay) {
+    return static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(delay) * 0x9e3779b97f4a7c15ull) >>
+        (64 - kBucketBits));
+  }
+
+  /// Constructs `f` in place in a fresh slot and returns the slot.
+  template <typename F>
+  std::uint32_t emplace_slot(F&& f) {
+    const std::uint32_t slot = acquire_slot();
+    try {
+      slab_[slot].cb.emplace(std::forward<F>(f), *pool_);
+    } catch (...) {
+      free_slots_.push_back(slot);
+      throw;
+    }
+    assert(slab_[slot].cb && "scheduling an empty callback");
+    return slot;
+  }
+
+  /// The lane a plain event `delay` past ref_ joins, or kNoLane.
+  std::uint32_t lane_for(Time::rep delay) {
+    DelayBucket& b = buckets_[bucket_of(delay)];
+    if (b.delay == delay && b.lane != kNoLane) return b.lane;
+    return admit(b, delay);
+  }
+  std::uint32_t admit(DelayBucket& b, Time::rep delay);
+  std::uint32_t take_spare_lane();
+
+  void lane_push(std::uint32_t lane, const LaneEntry& e) {
+    Lane& ln = lanes_[lane];
+    Slot& s = slab_[e.slot];
+    s.lane = lane;
+    ++live_;
+    if (ln.count != 0 && ln.count < ln.ring.size()) {
+      assert(!(e.time < ln.back().time) && "lane out of order");
+      s.heap_index = kInLane;
+      ln.at(ln.count++) = e;
+      return;
+    }
+    lane_push_slow(ln, e);
+  }
+  void lane_push_slow(Lane& ln, const LaneEntry& e);
+  void lane_drained(std::uint32_t lane);
+  void lane_cancel(std::uint32_t slot);
+  /// Removes the lane's head, then any cancelled entries behind it.
+  void drop_front(Lane& ln);
+  void compact(Lane& ln);
+  [[nodiscard]] bool lanes_idle() const;
+  [[nodiscard]] bool dead(const LaneEntry& e) const {
+    return slab_[e.slot].generation != e.generation;
+  }
+  static HeapEntry head_key(const LaneEntry& e) {
+    return HeapEntry{e.time, 0, e.order, e.slot};
   }
 
   std::uint32_t acquire_slot();
@@ -288,8 +423,14 @@ class EventQueue {
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;
+  std::vector<Lane> lanes_;
+  /// Lanes that drained (possibly refilled since) — hand-off candidates.
+  std::vector<std::uint32_t> spare_lanes_;
+  std::array<DelayBucket, std::size_t{1} << kBucketBits> buckets_{};
   std::unique_ptr<EventPool> pool_;
   std::uint64_t next_order_ = 1;
+  Time ref_ = Time::zero();  ///< latest popped time (running max)
+  std::size_t live_ = 0;
 };
 
 }  // namespace nimcast::sim

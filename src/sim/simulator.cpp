@@ -9,6 +9,19 @@ void Simulator::throw_past_schedule(Time when) const {
                          " is in the past (now=" + now_.to_string() + ")");
 }
 
+void Simulator::fold_dispatch(DispatchDigest& digest,
+                              const EventQueue::Fired& fired) {
+  for (const std::uint64_t word :
+       {static_cast<std::uint64_t>(fired.time.count_ns()), fired.hi,
+        fired.lo}) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest.fnv ^= (word >> (8 * byte)) & 0xffu;
+      digest.fnv *= 0x100000001b3ull;
+    }
+  }
+  ++digest.events;
+}
+
 std::uint64_t Simulator::run(std::uint64_t event_limit) {
   std::uint64_t fired = 0;
   while (!queue_.empty()) {

@@ -229,10 +229,27 @@ class Simulator {
   /// Pre-sizes the event queue for `n` concurrent events.
   void reserve_events(std::size_t n) { queue_.reserve(n); }
 
+  /// Dispatch-order fingerprint for golden tests: an FNV-1a digest of
+  /// every dispatched event's firing key (time, hi, lo), in dispatch
+  /// order, plus the event count. While one is installed on a thread,
+  /// every Simulator dispatching on that thread folds into it; a serial
+  /// run's (time, lo) stream is its exact event order, so an unchanged
+  /// digest proves an event-core rewrite kept every dispatch in place.
+  struct DispatchDigest {
+    std::uint64_t fnv = 0xcbf29ce484222325ull;
+    std::uint64_t events = 0;
+  };
+  /// Installs `digest` on the calling thread (nullptr uninstalls).
+  static void set_dispatch_digest(DispatchDigest* digest) {
+    dispatch_digest_ = digest;
+  }
+
   static constexpr std::uint64_t kDefaultEventLimit = 500'000'000;
 
  private:
   [[noreturn]] void throw_past_schedule(Time when) const;
+  static void fold_dispatch(DispatchDigest& digest,
+                            const EventQueue::Fired& fired);
 
   /// Next lineage key. Inside a window dispatch: provisional, parented
   /// on the currently dispatching event's local index. Outside dispatch
@@ -258,6 +275,7 @@ class Simulator {
     now_ = fired.time;
     last_event_ = fired.time;
     ++dispatched_;
+    if (dispatch_digest_ != nullptr) fold_dispatch(*dispatch_digest_, fired);
     if (shard_order_) {
       ++window_dispatches_;
       call_idx_ = 0;
@@ -279,6 +297,7 @@ class Simulator {
   bool in_dispatch_ = false;
   bool recording_ = false;
   bool shard_order_ = false;  // false = default FIFO keying
+  static inline thread_local DispatchDigest* dispatch_digest_ = nullptr;
 };
 
 }  // namespace nimcast::sim

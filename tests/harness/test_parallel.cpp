@@ -292,25 +292,17 @@ TEST_F(ConfiguredShardsTest, EnvOverridesThePolicy) {
   EXPECT_EQ(pick_shards(1, 2048, 1), 3);
 }
 
-TEST_F(ConfiguredShardsTest, AutoPolicyFillsSpareThreadsWithShards) {
+TEST_F(ConfiguredShardsTest, AutoPolicyRunsSerial) {
   unsetenv("NIMCAST_SHARDS");
-  // Fabrics thinner than one shard's worth of hosts never shard:
-  // barrier overhead would dominate.
-  EXPECT_EQ(pick_shards(16, kMinHostsPerShard - 4, 1), 1);
-  EXPECT_EQ(pick_shards(16, 2 * kMinHostsPerShard - 1, 1), 1);
-  // Enough replications to fill the worker budget: replication
-  // parallelism wins outright.
+  // Without NIMCAST_SHARDS every replication runs the serial engine,
+  // whatever the thread budget, fabric size or replication count: the
+  // sharded engine never beat serial where it was measured.
+  EXPECT_EQ(pick_shards(16, 60, 1), 1);
   EXPECT_EQ(pick_shards(8, 1024, 8), 1);
-  EXPECT_EQ(pick_shards(8, 1024, 100), 1);
-  // Under-filled budget: spare threads become shards, bounded by the
-  // per-shard host floor — no ≥512-host cliff.
-  EXPECT_EQ(pick_shards(16, 128, 1), 2);
-  EXPECT_EQ(pick_shards(16, 256, 1), 4);
-  EXPECT_EQ(pick_shards(8, 1024, 1), 8);
-  EXPECT_EQ(pick_shards(8, 1024, 4), 2);
-  EXPECT_EQ(pick_shards(64, 1024, 1), kMaxAutoShards);  // capped
-  // A single spare thread per replication stays serial.
-  EXPECT_EQ(pick_shards(9, 1024, 8), 1);
+  EXPECT_EQ(pick_shards(16, 256, 1), 1);
+  EXPECT_EQ(pick_shards(8, 1024, 1), 1);
+  EXPECT_EQ(pick_shards(64, 1024, 1), 1);
+  EXPECT_EQ(pick_shards(1, 2048, 1), 1);
 }
 
 class ConfiguredSelectionTest : public ::testing::Test {

@@ -18,6 +18,7 @@
 #include "mcast/multicast_engine.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 #include "topology/irregular.hpp"
 
 namespace nimcast {
@@ -64,6 +65,45 @@ TEST(Goldens, CommunicatorBroadcast) {
   const auto comm = api::Communicator::irregular();
   const auto r = comm.broadcast(0, 1024);
   EXPECT_EQ(r.latency.count_ns(), 188'300);
+}
+
+// Dispatch-order goldens: the FNV digest of every dispatched event's
+// (time, hi, lo) firing key, in dispatch order, for whole measured points.
+// Any change to the event core's ordering — not just one that moves a
+// latency — shifts the digest. Recorded on the heap-only event queue that
+// preceded the delay-lane queue.
+
+sim::Simulator::DispatchDigest digest_dispatches(
+    const harness::Testbed& bed, std::int32_t n, std::int32_t m) {
+  sim::Simulator::DispatchDigest digest;
+  sim::Simulator::set_dispatch_digest(&digest);
+  // threads = 1 and the default serial engine (NIMCAST_SHARDS unset):
+  // every replication dispatches on this thread, in order.
+  (void)bed.measure(n, m, harness::TreeSpec::optimal(),
+                    mcast::NiStyle::kSmartFpfs, harness::OrderingKind::kCco,
+                    1);
+  sim::Simulator::set_dispatch_digest(nullptr);
+  return digest;
+}
+
+TEST(Goldens, PaperRigDispatchOrder) {
+  // The paper's Section 5.2 rig (64 hosts, 16 switches, 10 topologies x
+  // 30 destination sets), n = 64, m = 4.
+  const harness::Testbed bed{harness::TestbedSpec::make_irregular(64)};
+  const auto digest = digest_dispatches(bed, 64, 4);
+  EXPECT_EQ(digest.events, UINT64_C(376308));
+  EXPECT_EQ(digest.fnv, UINT64_C(0xce77800cf68ad03f));
+}
+
+TEST(Goldens, FatTree1024BroadcastDispatchOrder) {
+  // One 1024-host broadcast, m = 16, on the 32x32-over-16 fat tree.
+  harness::TestbedSpec spec = harness::TestbedSpec::make_fat_tree(1024);
+  spec.num_topologies = 1;
+  spec.sets_per_topology = 1;
+  const harness::Testbed bed{spec};
+  const auto digest = digest_dispatches(bed, 1024, 16);
+  EXPECT_EQ(digest.events, UINT64_C(69409));
+  EXPECT_EQ(digest.fnv, UINT64_C(0x340f3cc9c054e803));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -108,6 +109,9 @@ TEST(EventQueue, CancelFreesSlotImmediately) {
   EXPECT_EQ(q.size(), 0u);
   // One live event at a time -> one slot, ever.
   EXPECT_EQ(q.slot_capacity(), 1u);
+  // The recurring delay rides a lane; each cancel drops the lane's tail
+  // at once, so the lane never outgrows its first ring.
+  EXPECT_LE(q.lane_capacity(), 8u);
 }
 
 TEST(EventQueue, ChurnWithPendingFloorKeepsSlabBounded) {
@@ -123,6 +127,8 @@ TEST(EventQueue, ChurnWithPendingFloorKeepsSlabBounded) {
   }
   EXPECT_EQ(q.size(), 64u);
   EXPECT_LE(q.slot_capacity(), 65u);
+  // Every delay here occurs once: none earns a lane.
+  EXPECT_EQ(q.lane_capacity(), 0u);
   for (const EventId id : pending) EXPECT_TRUE(q.cancel(id));
   EXPECT_TRUE(q.empty());
 }
@@ -245,6 +251,225 @@ TEST(EventQueue, FuzzAgainstMultimapModel) {
     model.erase(front);
   }
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
+  // Simulator-shaped interleavings: pop the earliest event, then schedule
+  // at now plus a delay drawn mostly from a few fixed costs (delay lanes)
+  // and sometimes at random (heap), cancel lane heads, middles and tails,
+  // and replay a reserved FIFO key at distinct times the way a
+  // coordinator chain does. Checked against a std::multimap ordered by
+  // the full (time, hi, lo) firing key.
+  using Key = std::tuple<Time::rep, std::uint64_t, std::uint64_t>;
+  constexpr std::array<Time::rep, 5> kFixed{100, 500, 2000, 3000, 12500};
+  Rng rng{20261017};
+  EventQueue q;
+  std::multimap<Key, int> model;
+  struct Live {
+    EventId id;
+    Key key;
+  };
+  std::vector<Live> live;  // in schedule order
+  std::vector<int> fired;
+  std::uint64_t counter = 1;  // mirrors the queue's insertion counter
+  Time::rep now = 0;
+  int next_tag = 0;
+  std::uint64_t chain_key = 0;
+  bool chain_pending = false;
+  std::size_t peak = 0;
+
+  const auto erase_live = [&](const Key& key) {
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i].key == key) {
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        return;
+      }
+    }
+    FAIL() << "key not live";
+  };
+  const auto schedule = [&](Time::rep when) {
+    const int tag = next_tag++;
+    const Key key{when, 0, counter++};
+    const EventId id =
+        q.schedule(Time::ns(when), [tag, &fired] { fired.push_back(tag); });
+    model.emplace(key, tag);
+    live.push_back(Live{id, key});
+  };
+  const auto cancel_at = [&](std::size_t pick) {
+    const Live victim = live[pick];
+    ASSERT_TRUE(q.cancel(victim.id));
+    ASSERT_FALSE(q.cancel(victim.id)) << "double cancel succeeded";
+    auto it = model.find(victim.key);
+    ASSERT_TRUE(it != model.end());
+    model.erase(it);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (std::get<2>(victim.key) == chain_key) chain_pending = false;
+  };
+
+  for (int step = 0; step < 40'000; ++step) {
+    if (!model.empty()) {
+      ASSERT_EQ(q.size(), model.size());
+      ASSERT_EQ(q.next_time(), Time::ns(std::get<0>(model.begin()->first)));
+      const auto front = model.begin();
+      auto ev = q.pop();
+      ASSERT_EQ(ev.time, Time::ns(std::get<0>(front->first)));
+      ASSERT_EQ(ev.hi, std::get<1>(front->first));
+      ASSERT_EQ(ev.lo, std::get<2>(front->first));
+      ev.cb();
+      ASSERT_EQ(fired.back(), front->second);
+      now = std::get<0>(front->first);
+      if (ev.lo == chain_key) chain_pending = false;
+      const Key key = front->first;
+      model.erase(front);
+      erase_live(key);
+    }
+    // Keep the pending depth wandering between ~50 and ~400.
+    const std::uint64_t want =
+        model.size() < 50 ? 3 : (model.size() > 400 ? 0 : rng.next_below(3));
+    for (std::uint64_t k = 0; k < want; ++k) {
+      const std::uint64_t roll = rng.next_below(20);
+      Time::rep delay = kFixed[rng.next_below(kFixed.size())];
+      if (roll == 0) {
+        delay = 0;
+      } else if (roll < 4) {
+        delay = static_cast<Time::rep>(rng.next_below(20'000));
+      }
+      schedule(now + delay);
+    }
+    if (!chain_pending && rng.next_below(8) == 0) {
+      // Coordinator chain: one reserved key replayed at successive times.
+      if (chain_key == 0 || rng.next_below(4) == 0) {
+        chain_key = q.reserve_order();
+        ASSERT_EQ(chain_key, counter++);
+      }
+      const Time::rep when =
+          now + static_cast<Time::rep>(rng.next_below(4)) * 500;
+      const int tag = next_tag++;
+      const Key key{when, 0, chain_key};
+      const EventId id = q.schedule_keyed(
+          Time::ns(when), 0, chain_key, [tag, &fired] { fired.push_back(tag); });
+      model.emplace(key, tag);
+      live.push_back(Live{id, key});
+      chain_pending = true;
+    }
+    if (!live.empty() && rng.next_below(4) == 0) {
+      switch (rng.next_below(3)) {
+        case 0:  // the newest event: a lane's tail
+          cancel_at(live.size() - 1);
+          break;
+        case 1: {  // the earliest event: a lane's head
+          const Key first = model.begin()->first;
+          for (std::size_t i = 0; i < live.size(); ++i) {
+            if (live[i].key == first) {
+              cancel_at(i);
+              break;
+            }
+          }
+          break;
+        }
+        default:  // anywhere, mostly mid-lane
+          cancel_at(rng.next_below(live.size()));
+          break;
+      }
+    }
+    peak = std::max(peak, model.size());
+  }
+
+  while (!model.empty()) {
+    ASSERT_EQ(q.size(), model.size());
+    const auto front = model.begin();
+    auto ev = q.pop();
+    ASSERT_EQ(ev.time, Time::ns(std::get<0>(front->first)));
+    ASSERT_EQ(ev.lo, std::get<2>(front->first));
+    ev.cb();
+    ASSERT_EQ(fired.back(), front->second);
+    model.erase(front);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_LE(q.slot_capacity(), peak + 4);
+}
+
+TEST(EventQueue, RetryTimerChurnKeepsLaneStorageBounded) {
+  // The reliable NI's pattern: every send arms a retransmit timer one RTO
+  // ahead and the acks cancel nearly all of them long before they fire —
+  // the newest at once (a lane's tail), older ones from mid-lane. An RTO
+  // window here spans ~80k armed timers; lane storage must track the
+  // ~64 live ones, not everything cancelled since the oldest.
+  constexpr Time::rep kHop = 100;
+  constexpr Time::rep kRto = 1'000'000;
+  constexpr std::size_t kLiveTimers = 64;
+  Rng rng{7};
+  EventQueue q;
+  bool traffic = false;
+  for (int i = 0; i < 8; ++i) {
+    q.schedule(Time::ns(kHop), [&traffic] { traffic = true; });
+  }
+  std::vector<EventId> timers;
+  std::size_t capacity_after_warmup = 0;
+  for (int step = 0; step < 200'000; ++step) {
+    traffic = false;
+    auto ev = q.pop();
+    ev.cb();
+    ASSERT_TRUE(traffic) << "a retransmit timer fired";
+    const Time now = ev.time;
+    q.schedule(now + Time::ns(kHop), [&traffic] { traffic = true; });
+    timers.push_back(q.schedule(now + Time::ns(kRto), [] {}));
+    if (rng.next_below(4) == 0) {
+      ASSERT_TRUE(q.cancel(timers.back()));
+      timers.pop_back();
+    } else if (timers.size() > kLiveTimers) {
+      const std::size_t pick = rng.next_below(timers.size() - 1);
+      ASSERT_TRUE(q.cancel(timers[pick]));
+      timers[pick] = timers.back();
+      timers.pop_back();
+    }
+    if (step == 20'000) capacity_after_warmup = q.lane_capacity();
+  }
+  EXPECT_EQ(q.size(), 8 + timers.size());
+  EXPECT_LE(q.slot_capacity(), 8 + kLiveTimers + 2);
+  // Dead entries never outnumber live ones in a lane, so each ring holds
+  // at most ~2x its live events, rounded up to a power of two.
+  EXPECT_LE(q.lane_capacity(), 8 * (8 + kLiveTimers));
+  EXPECT_EQ(q.lane_capacity(), capacity_after_warmup);
+  for (const EventId id : timers) EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(q.size(), 8u);
+}
+
+TEST(EventQueue, DrainedLaneIsHandedToANewDelay) {
+  // Occupy every lane the queue will create with far-future delays, then
+  // show (1) a further recurring delay finds no lane while they are busy,
+  // and (2) it gets one — in order — once they drain.
+  EventQueue q;
+  std::vector<EventId> parked;
+  for (Time::rep d = 0; d < 64; ++d) {
+    for (int twice = 0; twice < 2; ++twice) {
+      parked.push_back(q.schedule(Time::ns(1'000'000 + d), [] {}));
+    }
+  }
+  const std::size_t occupied = q.lane_capacity();
+  ASSERT_GT(occupied, 0u);
+
+  // All lanes busy: the new delay stays on the heap, lane storage is flat.
+  std::vector<int> fired;
+  for (int i = 0; i < 40; ++i) {
+    q.schedule(Time::ns(10), [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_EQ(q.lane_capacity(), occupied);
+  for (int i = 0; i < 40; ++i) q.pop().cb();
+  EXPECT_EQ(fired.size(), 40u);
+
+  // Drain every lane; a new recurring delay now takes one over, and its
+  // 40 events grow that lane's ring past the 8 entries it started with.
+  for (const EventId id : parked) EXPECT_TRUE(q.cancel(id));
+  EXPECT_TRUE(q.empty());
+  fired.clear();
+  for (int i = 0; i < 40; ++i) {
+    q.schedule(Time::ns(10 + 777), [&fired, i] { fired.push_back(i); });
+  }
+  EXPECT_GT(q.lane_capacity(), occupied);
+  while (!q.empty()) q.pop().cb();
+  ASSERT_EQ(fired.size(), 40u);
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
 }  // namespace
