@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the library's hot paths: tree
-// construction, the Theorem 3 solver, the step-model executor, the event
+// construction, the Theorem 3 solver and optimal-k table at Communicator
+// sizes, participant arrangement, the step-model executor, the event
 // queue (batch churn and a 1024-host run's fixed-delay mix), route
 // construction (irregular wiring, the up*/down* BFS, eager and
 // compressed route tables), one FPFS receive-and-forward through an NI,
@@ -18,6 +19,7 @@
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
 #include "core/optimal_k.hpp"
+#include "core/ordering.hpp"
 #include "harness/testbed.hpp"
 #include "mcast/step_model.hpp"
 #include "netif/smart_ni.hpp"
@@ -51,11 +53,32 @@ void BM_OptimalK(benchmark::State& state) {
 BENCHMARK(BM_OptimalK)->Arg(64)->Arg(1024);
 
 void BM_OptimalKTableBuild(benchmark::State& state) {
+  // {num_hosts, 512} is the table every api::Communicator builds.
+  const auto max_n = static_cast<std::int32_t>(state.range(0));
+  const auto max_m = static_cast<std::int32_t>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::OptimalKTable{64, 32});
+    benchmark::DoNotOptimize(core::OptimalKTable{max_n, max_m});
   }
 }
-BENCHMARK(BM_OptimalKTableBuild);
+BENCHMARK(BM_OptimalKTableBuild)
+    ->Args({64, 32})
+    ->Args({64, 512})
+    ->Args({1024, 512})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ArrangeParticipants(benchmark::State& state) {
+  // A broadcast's participant arrangement: every host but the source,
+  // in a shuffled chain.
+  const auto hosts = static_cast<std::int32_t>(state.range(0));
+  sim::Rng rng{7};
+  const core::Chain chain = core::random_ordering(hosts, rng);
+  std::vector<topo::HostId> dests;
+  for (topo::HostId h = 1; h < hosts; ++h) dests.push_back(h);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::arrange_participants(chain, 0, dests));
+  }
+}
+BENCHMARK(BM_ArrangeParticipants)->Arg(1024);
 
 void BM_StepSchedule(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));

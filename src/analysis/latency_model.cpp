@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/coverage.hpp"
+
 namespace nimcast::analysis {
 
 LatencyModel LatencyModel::from_network(netif::SystemParams params,
@@ -35,8 +37,7 @@ sim::Time LatencyModel::smart_linear(std::int32_t n, std::int32_t m) const {
 
 sim::Time LatencyModel::smart_optimal(std::int32_t n, std::int32_t m) const {
   if (n == 1) return params_.t_s + params_.t_r;
-  const core::OptimalChoice c =
-      core::optimal_k(n, m, cov_);
+  const core::OptimalChoice c = core::optimal_k(n, m);
   return smart(c.t1, c.k, m);
 }
 
@@ -57,11 +58,12 @@ LatencyModel::CalibratedChoice LatencyModel::calibrated_optimal(
     best.latency = params_.t_s + params_.t_r;
     return best;
   }
+  core::CoverageTable cov;
   bool have = false;
   const std::int32_t k_max = std::max<std::int32_t>(
       1, core::ceil_log2(static_cast<std::uint64_t>(n)));
   for (std::int32_t k = 1; k <= k_max; ++k) {
-    const std::int32_t t1 = cov_.min_steps(static_cast<std::uint64_t>(n), k);
+    const std::int32_t t1 = cov.min_steps(static_cast<std::uint64_t>(n), k);
     const sim::Time latency = pipelined_estimate(t1, k, m);
     if (!have || latency < best.latency) {
       best = CalibratedChoice{k, t1, latency};

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "core/coverage.hpp"
 #include "core/optimal_k.hpp"
 #include "netif/system_params.hpp"
 #include "network/network_config.hpp"
@@ -80,7 +79,6 @@ class LatencyModel {
  private:
   netif::SystemParams params_;
   sim::Time t_step_;
-  mutable core::CoverageTable cov_;
 };
 
 }  // namespace nimcast::analysis

@@ -18,10 +18,11 @@ struct OptimalChoice {
 /// total multicast steps t_1(n, k) + (m - 1) * k for a multicast set of
 /// size `n` (source included, n >= 1) and `m` >= 1 packets.
 ///
-/// No closed form exists (Section 4.3.1); the interval is scanned. Ties
-/// are broken toward the *larger* k, which (a) matches the paper's
-/// observation that the plain binomial tree (k = ceil(log2 n)) is optimal
-/// at m = 1 and (b) only arises when the extra fan-out is free in steps.
+/// No closed form exists (Section 4.3.1); the interval is scanned, one
+/// t_1 lookup per k. Ties are broken toward the *larger* k, which (a)
+/// matches the paper's observation that the plain binomial tree
+/// (k = ceil(log2 n)) is optimal at m = 1 and (b) only arises when the
+/// extra fan-out is free in steps.
 [[nodiscard]] OptimalChoice optimal_k(std::int32_t n, std::int32_t m,
                                       CoverageTable& cov);
 
@@ -33,6 +34,13 @@ struct OptimalChoice {
 /// carry (Section 4.3.1). Exploits the paper's observation that the
 /// optimal k is identical over ranges of m by storing, per n, the
 /// breakpoints where k changes.
+///
+/// m enters the objective only through the lines
+/// f_k(m) = t_1(n, k) + (m - 1) * k, so the breakpoints are those of
+/// their lower envelope: per n the builder computes t_1(n, k) once per k
+/// and walks the envelope from k = ceil(log2 n) at m = 1 down to smaller
+/// slopes, O(log^2 n) per n and independent of max_m. Lookups binary
+/// search the n's segments.
 class OptimalKTable {
  public:
   OptimalKTable(std::int32_t max_n, std::int32_t max_m);
@@ -54,7 +62,10 @@ class OptimalKTable {
 
   std::int32_t max_n_;
   std::int32_t max_m_;
-  std::vector<std::vector<Segment>> per_n_;  ///< indexed by n
+  /// All n's segments back to back, each n's ascending in m_from ...
+  std::vector<Segment> segments_;
+  /// ... n's being segments_[first_[n] .. first_[n + 1]).
+  std::vector<std::uint32_t> first_;
 };
 
 }  // namespace nimcast::core

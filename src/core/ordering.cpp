@@ -1,9 +1,9 @@
 #include "core/ordering.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace nimcast::core {
 
@@ -74,22 +74,48 @@ Chain random_ordering(std::int32_t num_hosts, sim::Rng& rng) {
 
 Chain arrange_participants(const Chain& chain, topo::HostId source,
                            const std::vector<topo::HostId>& dests) {
-  std::unordered_set<topo::HostId> want{dests.begin(), dests.end()};
-  if (want.size() != dests.size()) {
+  // One mark byte per host id the chain can hold. Ids outside that range
+  // cannot be participants; they are only checked for the input errors.
+  topo::HostId chain_end = 0;
+  for (topo::HostId h : chain) chain_end = std::max(chain_end, h + 1);
+  const auto outside = [chain_end](topo::HostId h) {
+    return h < 0 || h >= chain_end;
+  };
+  std::vector<std::uint8_t> want(static_cast<std::size_t>(chain_end), 0);
+  std::vector<topo::HostId> strays;
+  bool duplicate = false;
+  for (topo::HostId h : dests) {
+    if (outside(h)) {
+      strays.push_back(h);
+      continue;
+    }
+    auto& mark = want[static_cast<std::size_t>(h)];
+    duplicate = duplicate || mark != 0;
+    mark = 1;
+  }
+  std::sort(strays.begin(), strays.end());
+  if (duplicate ||
+      std::adjacent_find(strays.begin(), strays.end()) != strays.end()) {
     throw std::invalid_argument("arrange_participants: duplicate destination");
   }
-  if (want.contains(source)) {
+  if (outside(source)
+          ? std::binary_search(strays.begin(), strays.end(), source)
+          : want[static_cast<std::size_t>(source)] != 0) {
     throw std::invalid_argument("arrange_participants: source in dests");
   }
-  want.insert(source);
+  if (outside(source) || !strays.empty()) {
+    throw std::invalid_argument(
+        "arrange_participants: participant missing from chain");
+  }
+  want[static_cast<std::size_t>(source)] = 1;
 
   // Participants in chain order.
   Chain members;
-  members.reserve(want.size());
+  members.reserve(dests.size() + 1);
   for (topo::HostId h : chain) {
-    if (want.contains(h)) members.push_back(h);
+    if (h >= 0 && want[static_cast<std::size_t>(h)] != 0) members.push_back(h);
   }
-  if (members.size() != want.size()) {
+  if (members.size() != dests.size() + 1) {
     throw std::invalid_argument(
         "arrange_participants: participant missing from chain");
   }

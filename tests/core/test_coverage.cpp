@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace nimcast::core {
 namespace {
 
@@ -69,6 +72,58 @@ TEST(Coverage, SaturatesInsteadOfOverflowing) {
   EXPECT_EQ(cov.coverage(63, 63), kCoverageInfinity);
 }
 
+TEST(Coverage, MatchesSaturatingRecurrenceForEveryFanout) {
+  // The recurrence with saturation, evaluated directly, for fan-outs
+  // past the k >= 62 shared row and steps past every row's saturation.
+  CoverageTable cov;
+  for (std::int32_t k = 1; k <= 70; ++k) {
+    std::vector<std::uint64_t> n;
+    for (std::int32_t s = 0; s <= 130; ++s) {
+      std::uint64_t v = s >= 62 ? kCoverageInfinity : (UINT64_C(1) << s);
+      if (s > k) {
+        v = 1;
+        for (std::int32_t i = 1; i <= k; ++i) {
+          v = std::min(kCoverageInfinity,
+                       v + n[static_cast<std::size_t>(s - i)]);
+        }
+      }
+      n.push_back(v);
+      ASSERT_EQ(cov.coverage(s, k), v) << "s=" << s << " k=" << k;
+    }
+  }
+}
+
+TEST(Coverage, AnswersDoNotDependOnQueryOrder) {
+  // Rows grow only as far as calls ask; a table that grew them in a
+  // different order answers the same.
+  for (std::int32_t k = 2; k <= 8; ++k) {
+    CoverageTable up;
+    CoverageTable down;
+    CoverageTable mixed;
+    for (std::int32_t s = 0; s <= 100; ++s) (void)up.coverage(s, k);
+    for (std::int32_t s = 100; s >= 0; --s) {
+      ASSERT_EQ(down.coverage(s, k), up.coverage(s, k)) << "k=" << k;
+    }
+    for (std::uint64_t n = UINT64_C(1) << 40; n >= 1; n /= 3) {
+      const std::int32_t s = mixed.min_steps(n, k);
+      ASSERT_GE(up.coverage(s, k), n) << "k=" << k << " n=" << n;
+      if (s > 0) {
+        ASSERT_LT(up.coverage(s - 1, k), n) << "k=" << k;
+      }
+      ASSERT_EQ(mixed.coverage(s, k), up.coverage(s, k));
+    }
+  }
+}
+
+TEST(Coverage, ColdTableAnswersDeepStepsDirectly) {
+  // No recursion: a fresh table answers far-out steps at once.
+  EXPECT_EQ(CoverageTable{}.coverage(1 << 20, 1), (UINT64_C(1) << 20) + 1);
+  EXPECT_EQ(CoverageTable{}.coverage(1'000'000, 2), kCoverageInfinity);
+  EXPECT_EQ(CoverageTable{}.coverage(INT32_MAX, 1),
+            static_cast<std::uint64_t>(INT32_MAX) + 1);
+  EXPECT_EQ(CoverageTable{}.coverage(INT32_MAX, INT32_MAX), kCoverageInfinity);
+}
+
 TEST(Coverage, RejectsBadArguments) {
   CoverageTable cov;
   EXPECT_THROW((void)cov.coverage(-1, 2), std::invalid_argument);
@@ -103,6 +158,33 @@ TEST(MinSteps, LinearIsNMinusOne) {
   }
 }
 
+TEST(MinSteps, LargeSetsUseClosedFormsOrFullRows) {
+  CoverageTable cov;
+  EXPECT_EQ(cov.min_steps(1'000'002, 1), 1'000'001);
+  EXPECT_EQ(cov.min_steps(UINT64_C(1) << 31, 1), INT32_MAX);
+  EXPECT_EQ(cov.min_steps(UINT64_C(1) << 24, 24), 24);
+  // N(s, 2) = F(s + 3) - 1 (Fibonacci, F(1) = F(2) = 1): F(32) = 2178309.
+  EXPECT_EQ(cov.min_steps(2'178'308, 2), 29);
+  EXPECT_EQ(cov.min_steps(2'178'309, 2), 30);
+  // The longest row: N(s, 2) first saturates at s = 88.
+  EXPECT_EQ(cov.min_steps(kCoverageInfinity, 2), 88);
+  for (std::int32_t k : {2, 3, 40, 62, 1000}) {
+    const std::int32_t s = cov.min_steps(kCoverageInfinity, k);
+    EXPECT_EQ(cov.coverage(s, k), kCoverageInfinity) << "k=" << k;
+    EXPECT_LT(cov.coverage(s - 1, k), kCoverageInfinity) << "k=" << k;
+  }
+}
+
+TEST(MinSteps, RejectsUnrepresentableAnswers) {
+  CoverageTable cov;
+  EXPECT_THROW((void)cov.min_steps((UINT64_C(1) << 31) + 1, 1),
+               std::out_of_range);
+  EXPECT_THROW((void)cov.min_steps(kCoverageInfinity + 1, 2),
+               std::out_of_range);
+  EXPECT_THROW((void)cov.min_steps(0, 2), std::invalid_argument);
+  EXPECT_THROW((void)cov.min_steps(4, 0), std::invalid_argument);
+}
+
 TEST(CeilLog2, KnownValues) {
   EXPECT_EQ(ceil_log2(1), 0);
   EXPECT_EQ(ceil_log2(2), 1);
@@ -112,6 +194,8 @@ TEST(CeilLog2, KnownValues) {
   EXPECT_EQ(ceil_log2(64), 6);
   EXPECT_EQ(ceil_log2(65), 7);
   EXPECT_EQ(ceil_log2(UINT64_C(1) << 40), 40);
+  EXPECT_EQ(ceil_log2((UINT64_C(1) << 40) + 1), 41);
+  EXPECT_EQ(ceil_log2(UINT64_MAX), 64);
 }
 
 TEST(CeilLog2, RejectsZero) {

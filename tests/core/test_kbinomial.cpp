@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 namespace nimcast::core {
@@ -123,6 +126,87 @@ TEST(KBinomial, LargeKEqualsBinomial) {
     const RankTree b = make_binomial(n);
     EXPECT_EQ(a.children, b.children);
   }
+}
+
+/// FNV-1a digests of every k-binomial tree for n = 1..1024, per k,
+/// recorded from the recursive, unordered_map-memoised builder this
+/// library started with: one over the parent arrays, one over the
+/// children lists in send order (their sizes and entries). Any change to
+/// a tree's shape or send order changes a digest.
+struct KBinomialGolden {
+  std::int32_t k;
+  std::uint64_t parents;
+  std::uint64_t shape;
+};
+
+void PrintTo(const KBinomialGolden& g, std::ostream* os) {
+  *os << "k=" << g.k;
+}
+
+class KBinomialGoldens : public ::testing::TestWithParam<KBinomialGolden> {};
+
+TEST_P(KBinomialGoldens, DigestsForEveryNUpTo1024) {
+  const KBinomialGolden& g = GetParam();
+  const auto mix = [](std::uint64_t& h, std::int32_t x) {
+    const auto v = static_cast<std::uint32_t>(x);
+    for (std::int32_t b = 0; b < 4; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= UINT64_C(0x100000001b3);
+    }
+  };
+  std::uint64_t parents = UINT64_C(0xcbf29ce484222325);
+  std::uint64_t shape = parents;
+  for (std::int32_t n = 1; n <= 1024; ++n) {
+    const RankTree t = make_kbinomial(n, g.k);
+    for (std::int32_t p : t.parent) mix(parents, p);
+    for (std::int32_t p : t.parent) mix(shape, p);
+    for (const auto& kids : t.children) {
+      mix(shape, static_cast<std::int32_t>(kids.size()));
+      for (std::int32_t c : kids) mix(shape, c);
+    }
+  }
+  EXPECT_EQ(parents, g.parents);
+  EXPECT_EQ(shape, g.shape);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FanoutsOneToTen, KBinomialGoldens,
+    ::testing::Values(
+        KBinomialGolden{1, UINT64_C(0x1a807ce59139c225),
+                        UINT64_C(0x99a7a16d0daabf25)},
+        KBinomialGolden{2, UINT64_C(0x811c0056d8997f61),
+                        UINT64_C(0xdee3004b3750085f)},
+        KBinomialGolden{3, UINT64_C(0xa76f6f32eca24d2b),
+                        UINT64_C(0xc72f5678b7cc3939)},
+        KBinomialGolden{4, UINT64_C(0x081a21ae55e4d56e),
+                        UINT64_C(0xe5684efc659698da)},
+        KBinomialGolden{5, UINT64_C(0x72a31063eedc7e04),
+                        UINT64_C(0xb98a99738a315c98)},
+        KBinomialGolden{6, UINT64_C(0xa6a7e762d4fa7b89),
+                        UINT64_C(0xd631fc0d4602b4db)},
+        KBinomialGolden{7, UINT64_C(0xd876d9d3276bda92),
+                        UINT64_C(0xc60b29a136629396)},
+        KBinomialGolden{8, UINT64_C(0x5780502abbc452f6),
+                        UINT64_C(0x19a3e33bc0965d38)},
+        KBinomialGolden{9, UINT64_C(0x4eafc6f7919e9ed3),
+                        UINT64_C(0xf562c5a55933b5cb)},
+        KBinomialGolden{10, UINT64_C(0x5f367b1f29163d25),
+                        UINT64_C(0xc64b9f847c564f25)}),
+    [](const ::testing::TestParamInfo<KBinomialGolden>& pinfo) {
+      std::string name = "k";
+      name += std::to_string(pinfo.param.k);
+      return name;
+    });
+
+TEST(KBinomial, DeepChainsBuildWithoutRecursion) {
+  // The linear tree is n - 1 levels deep; building it must not need
+  // n - 1 stack frames.
+  constexpr std::int32_t n = 1 << 18;
+  const RankTree t = make_linear(n);
+  for (std::int32_t r = 1; r < n; ++r) {
+    ASSERT_EQ(t.parent[static_cast<std::size_t>(r)], r - 1) << "r=" << r;
+  }
+  EXPECT_TRUE(t.children.back().empty());
 }
 
 TEST(KBinomial, RejectsBadArguments) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
+#include <unordered_set>
 
 #include "sim/rng.hpp"
 #include "topology/irregular.hpp"
@@ -130,6 +133,102 @@ TEST(ArrangeParticipants, RejectsHostMissingFromChain) {
   const Chain chain{0, 1, 2};
   EXPECT_THROW((void)arrange_participants(chain, 0, {5}),
                std::invalid_argument);
+}
+
+/// arrange_participants as specified: set membership, checked in the
+/// order duplicate destination, source in dests, participant missing.
+Chain reference_arrange(const Chain& chain, topo::HostId source,
+                        const std::vector<topo::HostId>& dests) {
+  std::unordered_set<topo::HostId> want{dests.begin(), dests.end()};
+  if (want.size() != dests.size()) {
+    throw std::invalid_argument("arrange_participants: duplicate destination");
+  }
+  if (want.contains(source)) {
+    throw std::invalid_argument("arrange_participants: source in dests");
+  }
+  want.insert(source);
+  Chain members;
+  for (topo::HostId h : chain) {
+    if (want.contains(h)) members.push_back(h);
+  }
+  if (members.size() != want.size()) {
+    throw std::invalid_argument(
+        "arrange_participants: participant missing from chain");
+  }
+  std::rotate(members.begin(),
+              std::find(members.begin(), members.end(), source),
+              members.end());
+  return members;
+}
+
+/// The result, or the invalid_argument message.
+struct Outcome {
+  std::optional<Chain> chain;
+  std::string error;
+  bool operator==(const Outcome&) const = default;
+};
+
+template <typename F>
+Outcome outcome_of(F&& f) {
+  try {
+    return Outcome{f(), {}};
+  } catch (const std::invalid_argument& e) {
+    return Outcome{std::nullopt, e.what()};
+  }
+}
+
+TEST(ArrangeParticipants, MatchesSetBasedReferenceOnRandomInputs) {
+  // Chains are permutations of a random subset of 0..hosts-1 (so some
+  // participants can be missing); requests occasionally repeat a
+  // destination, name the source as a destination, or use ids no chain
+  // holds (negative or >= hosts).
+  sim::Rng rng{2024};
+  std::int32_t errors[3] = {0, 0, 0};
+  std::int32_t successes = 0;
+  for (std::int32_t trial = 0; trial < 4000; ++trial) {
+    const auto hosts = static_cast<std::int32_t>(rng.next_in(1, 48));
+    Chain chain;
+    const double keep = rng.next_bool(0.5) ? 1.0 : 0.9;
+    for (topo::HostId h = 0; h < hosts; ++h) {
+      if (rng.next_bool(keep)) chain.push_back(h);
+    }
+    rng.shuffle(chain);
+    const auto pick = [&] {
+      if (rng.next_bool(0.02)) return static_cast<topo::HostId>(-1);
+      if (rng.next_bool(0.02)) return hosts + static_cast<topo::HostId>(
+                                                  rng.next_below(3));
+      return static_cast<topo::HostId>(rng.next_below(
+          static_cast<std::uint64_t>(hosts)));
+    };
+    const topo::HostId source = pick();
+    std::vector<topo::HostId> dests;
+    for (topo::HostId h = 0; h < hosts; ++h) {
+      if (h != source && rng.next_bool(0.4)) dests.push_back(h);
+    }
+    rng.shuffle(dests);
+    if (rng.next_bool(0.1)) dests.push_back(pick());
+    if (!dests.empty() && rng.next_bool(0.05)) dests.push_back(dests[0]);
+    if (rng.next_bool(0.05)) dests.push_back(source);
+
+    const Outcome want =
+        outcome_of([&] { return reference_arrange(chain, source, dests); });
+    const Outcome got =
+        outcome_of([&] { return arrange_participants(chain, source, dests); });
+    ASSERT_TRUE(got == want)
+        << "trial " << trial << ": " << want.error << " vs " << got.error;
+    if (want.chain) {
+      ++successes;
+    } else if (want.error.ends_with("duplicate destination")) {
+      ++errors[0];
+    } else if (want.error.ends_with("source in dests")) {
+      ++errors[1];
+    } else {
+      ++errors[2];
+    }
+  }
+  // Every path was exercised.
+  EXPECT_GT(successes, 100);
+  for (std::int32_t count : errors) EXPECT_GT(count, 50);
 }
 
 }  // namespace
