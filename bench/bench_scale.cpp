@@ -3,10 +3,8 @@
 // hosts x m in {1, 16} packets it measures broadcast latency over random
 // destination sets and reports simulator events/sec, peak RSS, and
 // route-table build time/footprint, then compares the compressed (lazy)
-// RouteTable against an eager all-pairs build of the same largest fabric,
-// and sweeps the intra-run sharding grid (n x threads, plus an
-// eager-vs-overlapped merge barrier comparison). Emits BENCH_scale.json
-// and BENCH_sharded.json (see docs/perf.md).
+// RouteTable against an eager all-pairs build of the same largest fabric.
+// Emits BENCH_scale.json (see docs/perf.md).
 //
 // Flags:
 //   --quick           smoke sizing (also triggered by NIMCAST_QUICK=1);
@@ -21,13 +19,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -208,233 +204,6 @@ StorageCompare compare_storage(std::int32_t hosts) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-run sharding grid: the identical fat-tree broadcast run through
-// the same engine code at n in {256, 1024} hosts x threads in
-// {1, 2, 4, 8} (one shard per thread; threads == 1 is the serial
-// engine), with a bit-identity check at every point. The speedup column
-// is what the sharded engine buys a *single* replication when
-// replication-level parallelism cannot fill the machine (see
-// docs/perf.md); it only materializes when the box has cores to spare,
-// so the monotonicity and >= 2x shape checks arm only on 8+ hardware
-// threads and the JSON records whatever this machine actually measured.
-// A separate eager-vs-overlapped pass isolates the window-barrier cost
-// the merge worker removed (NIMCAST_EAGER_MERGE=1 restores the PR 4
-// merge-inside-the-barrier behaviour).
-
-struct ShardedPoint {
-  std::int32_t hosts = 0;
-  std::int32_t threads = 0;
-  std::int32_t shards = 0;
-  std::int32_t reps = 0;
-  double wall_ms = 0.0;
-  double events_per_sec = 0.0;
-  double speedup = 0.0;            ///< serial wall / this wall, same n
-  std::int64_t window_ns = 0;      ///< conservative window (0 = serial)
-  std::int64_t barrier_wall_ns = 0;  ///< mean window-planning wall per rep
-  std::int64_t windows_planned = 0;
-  bool identical = false;
-};
-
-struct BarrierCompare {
-  std::int64_t eager_ns = 0;       ///< merge joined inside the barrier
-  std::int64_t overlapped_ns = 0;  ///< merge overlapped with next drain
-  double reduction = 0.0;          ///< 1 - overlapped/eager
-  bool identical = false;
-};
-
-struct ShardedGrid {
-  unsigned hw_threads = 0;
-  std::int32_t m = 0;
-  std::int32_t reps = 0;
-  std::vector<ShardedPoint> points;
-  BarrierCompare barrier;
-};
-
-bool same_multi(const mcast::MultiMulticastResult& a,
-                const mcast::MultiMulticastResult& b) {
-  if (a.makespan != b.makespan ||
-      a.total_channel_block_time != b.total_channel_block_time ||
-      a.retransmissions != b.retransmissions ||
-      a.events_dispatched != b.events_dispatched ||
-      a.operations.size() != b.operations.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.operations.size(); ++i) {
-    if (a.operations[i].latency != b.operations[i].latency ||
-        a.operations[i].completions != b.operations[i].completions ||
-        a.operations[i].packets_delivered !=
-            b.operations[i].packets_delivered) {
-      return false;
-    }
-  }
-  return true;
-}
-
-ShardedGrid measure_sharded_grid(bool quick) {
-  constexpr std::int32_t kPackets = 16;
-  ShardedGrid g;
-  g.hw_threads = std::thread::hardware_concurrency();
-  g.m = kPackets;
-  g.reps = quick ? 1 : 3;
-
-  std::printf("\nintra-run sharding grid (fat-tree full broadcast, m=%d, "
-              "%d rep(s), %u hw threads)\n",
-              g.m, g.reps, g.hw_threads);
-
-  for (const std::int32_t hosts : {256, 1024}) {
-    const harness::TestbedSpec spec =
-        harness::TestbedSpec::make_fat_tree(hosts);
-    const topo::Topology topology = topo::make_fat_tree(spec.fat_tree);
-    const auto router = std::make_shared<const routing::UpDownRouter>(
-        topology.switches(), topo::fat_tree_levels(spec.fat_tree));
-    const routing::RouteTable routes{topology, router};
-    const core::Chain cco = core::cco_ordering(topology, *router);
-
-    // Full broadcast from host 0 in CCO order — the same traffic shape
-    // the scale sweep above measured.
-    const core::RankTree rank_tree =
-        harness::TreeSpec::optimal().build(hosts, kPackets);
-    std::vector<topo::HostId> dests;
-    dests.reserve(static_cast<std::size_t>(hosts) - 1);
-    for (std::int32_t h = 1; h < hosts; ++h) dests.push_back(h);
-    const core::Chain members = core::arrange_participants(cco, 0, dests);
-    const std::vector<mcast::MulticastSpec> specs{mcast::MulticastSpec{
-        core::HostTree::bind(rank_tree, members), kPackets,
-        sim::Time::zero()}};
-
-    const mcast::MulticastEngine::Config base_cfg{
-        spec.params, spec.network, mcast::NiStyle::kSmartFpfs};
-    mcast::MultiMulticastResult serial_res;
-    double serial_wall_ms = 0.0;
-
-    for (const std::int32_t threads : {1, 2, 4, 8}) {
-      mcast::MulticastEngine::Config cfg = base_cfg;
-      cfg.shards = threads;  // one shard per thread
-      cfg.shard_threads = threads;
-      const mcast::MulticastEngine engine{topology, routes, cfg};
-
-      // One untimed run first: page in the arenas and routes so the
-      // timed loop measures steady-state dispatch, not first-touch cost.
-      mcast::MultiMulticastResult res = engine.run_many(specs);
-      std::int64_t barrier_ns = 0;
-      const auto start = Clock::now();
-      for (std::int32_t rep = 0; rep < g.reps; ++rep) {
-        res = engine.run_many(specs);
-        barrier_ns += res.barrier_wall_ns;
-      }
-
-      ShardedPoint p;
-      p.hosts = hosts;
-      p.threads = threads;
-      p.shards = threads;
-      p.reps = g.reps;
-      p.wall_ms = ms_since(start);
-      p.events_per_sec = static_cast<double>(res.events_dispatched) *
-                         g.reps / (p.wall_ms / 1000.0);
-      p.window_ns = res.window_ns;
-      p.barrier_wall_ns = barrier_ns / g.reps;
-      p.windows_planned = res.windows_planned;
-      if (threads == 1) {
-        serial_res = res;
-        serial_wall_ms = p.wall_ms;
-        p.identical = true;
-      } else {
-        p.identical = same_multi(serial_res, res);
-        bench::expect_shape(
-            p.window_ns > 0,
-            "n=" + std::to_string(hosts) + " threads=" +
-                std::to_string(threads) + " actually ran sharded");
-      }
-      p.speedup = serial_wall_ms / p.wall_ms;
-      std::printf("  n=%-5d threads=%d shards=%d %9.1f ms %10.3g "
-                  "events/sec %5.2fx window %4" PRId64 " ns barrier "
-                  "%8" PRId64 " ns (%s)\n",
-                  p.hosts, p.threads, p.shards, p.wall_ms,
-                  p.events_per_sec, p.speedup, p.window_ns,
-                  p.barrier_wall_ns,
-                  p.identical ? "bit-identical" : "DIVERGED");
-      bench::expect_shape(p.identical,
-                          "sharded n=" + std::to_string(hosts) +
-                              " threads=" + std::to_string(threads) +
-                              " broadcast bit-identical to serial");
-      g.points.push_back(p);
-    }
-
-    // Isolate the window-barrier cost: the same n=1024 4-shard run with
-    // the merge joined inside the barrier (PR 4 behaviour) vs the
-    // overlapped merge worker. Both must stay bit-identical to serial.
-    if (hosts == 1024) {
-      mcast::MulticastEngine::Config cfg = base_cfg;
-      cfg.shards = 4;
-      cfg.shard_threads = 4;
-      const mcast::MulticastEngine engine{topology, routes, cfg};
-
-      setenv("NIMCAST_EAGER_MERGE", "1", 1);
-      mcast::MultiMulticastResult eager = engine.run_many(specs);  // warm
-      std::int64_t eager_ns = 0;
-      for (std::int32_t rep = 0; rep < g.reps; ++rep) {
-        eager = engine.run_many(specs);
-        eager_ns += eager.barrier_wall_ns;
-      }
-      unsetenv("NIMCAST_EAGER_MERGE");
-
-      mcast::MultiMulticastResult over = engine.run_many(specs);  // warm
-      std::int64_t over_ns = 0;
-      for (std::int32_t rep = 0; rep < g.reps; ++rep) {
-        over = engine.run_many(specs);
-        over_ns += over.barrier_wall_ns;
-      }
-
-      g.barrier.eager_ns = eager_ns / g.reps;
-      g.barrier.overlapped_ns = over_ns / g.reps;
-      g.barrier.reduction =
-          g.barrier.eager_ns > 0
-              ? 1.0 - static_cast<double>(g.barrier.overlapped_ns) /
-                          static_cast<double>(g.barrier.eager_ns)
-              : 0.0;
-      g.barrier.identical =
-          same_multi(eager, over) && same_multi(serial_res, over);
-      std::printf("  barrier @ n=1024 shards=4: eager %" PRId64
-                  " ns vs overlapped %" PRId64 " ns (%.0f%% less, %s)\n",
-                  g.barrier.eager_ns, g.barrier.overlapped_ns,
-                  g.barrier.reduction * 100.0,
-                  g.barrier.identical ? "bit-identical" : "DIVERGED");
-      bench::expect_shape(g.barrier.identical,
-                          "eager and overlapped merges bit-identical");
-    }
-  }
-
-  if (g.hw_threads >= 8) {
-    double best_1024 = 0.0;
-    const ShardedPoint* prev = nullptr;
-    for (const ShardedPoint& p : g.points) {
-      if (p.hosts != 1024) continue;
-      if (prev != nullptr) {
-        bench::expect_shape(
-            p.events_per_sec >= 0.95 * prev->events_per_sec,
-            "n=1024 events/sec non-decreasing from threads=" +
-                std::to_string(prev->threads) + " to " +
-                std::to_string(p.threads));
-      }
-      prev = &p;
-      best_1024 = std::max(best_1024, p.speedup);
-    }
-    bench::expect_shape(best_1024 >= 2.0,
-                        "sharded n=1024 run >= 2x over serial on an "
-                        "8+-thread machine");
-    bench::expect_shape(g.barrier.overlapped_ns <=
-                            g.barrier.eager_ns * 11 / 10,
-                        "overlapped merge does not cost more barrier "
-                        "time than the eager merge");
-  } else {
-    std::printf("  (only %u hardware thread(s): speedup recorded but "
-                "monotonicity/2x checks not armed)\n",
-                g.hw_threads);
-  }
-  return g;
-}
-
-// ---------------------------------------------------------------------------
 // Perf gate: the recorded BENCH_sim_core.json holds the 64-host serial
 // sweep wall time and the seed-queue churn events/sec
 // (events_per_sec_seed_baseline) of the machine that recorded it.
@@ -562,8 +331,6 @@ int main(int argc, char** argv) {
   // runs; the full run does the headline n=1024 comparison.
   const StorageCompare storage = compare_storage(quick ? 256 : 1024);
 
-  const ShardedGrid grid = measure_sharded_grid(quick);
-
   GateResult gate_result;
   if (gate) gate_result = run_gate(baseline_path);
 
@@ -627,60 +394,6 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path);
   } else {
     bench::expect_shape(false, std::string("could not write ") + out_path);
-  }
-
-  // The intra-run sharding grid gets its own artifact so the CI leg (and
-  // anyone comparing machines) can diff the thread-scaling shape without
-  // parsing the sweep JSON.
-  const char* sharded_path = std::getenv("NIMCAST_BENCH_SHARDED_OUT");
-  if (sharded_path == nullptr) sharded_path = "BENCH_sharded.json";
-  if (FILE* out = std::fopen(sharded_path, "w")) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"sharded\",\n"
-                 "  \"config\": {\n"
-                 "    \"quick\": %s,\n"
-                 "    \"grid\": \"fat_tree full broadcast, m=%d, n in "
-                 "{256,1024} hosts x threads in {1,2,4,8}, one shard "
-                 "per thread; threads=1 is the serial engine\"\n"
-                 "  },\n"
-                 "  \"hw_threads\": %u,\n"
-                 "  \"reps\": %d,\n"
-                 "  \"points\": [\n",
-                 quick ? "true" : "false", grid.m, grid.hw_threads,
-                 grid.reps);
-    for (std::size_t i = 0; i < grid.points.size(); ++i) {
-      const ShardedPoint& p = grid.points[i];
-      std::fprintf(out,
-                   "    {\"hosts\": %d, \"threads\": %d, \"shards\": %d, "
-                   "\"wall_ms\": %.2f, \"events_per_sec\": %.1f, "
-                   "\"speedup\": %.3f, \"window_ns\": %" PRId64 ", "
-                   "\"barrier_wall_ns\": %" PRId64 ", "
-                   "\"windows_planned\": %" PRId64 ", "
-                   "\"bit_identical\": %s}%s\n",
-                   p.hosts, p.threads, p.shards, p.wall_ms,
-                   p.events_per_sec, p.speedup, p.window_ns,
-                   p.barrier_wall_ns, p.windows_planned,
-                   p.identical ? "true" : "false",
-                   i + 1 < grid.points.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n"
-                 "  \"barrier_compare\": {\"hosts\": 1024, \"shards\": 4, "
-                 "\"eager_barrier_ns\": %" PRId64 ", "
-                 "\"overlapped_barrier_ns\": %" PRId64 ", "
-                 "\"reduction\": %.3f, \"bit_identical\": %s},\n"
-                 "  \"git_rev\": \"%s\"\n"
-                 "}\n",
-                 grid.barrier.eager_ns, grid.barrier.overlapped_ns,
-                 grid.barrier.reduction,
-                 grid.barrier.identical ? "true" : "false",
-                 bench::git_rev().c_str());
-    std::fclose(out);
-    std::printf("wrote %s\n", sharded_path);
-  } else {
-    bench::expect_shape(false,
-                        std::string("could not write ") + sharded_path);
   }
 
   return bench::finish("bench_scale");

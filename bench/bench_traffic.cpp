@@ -44,8 +44,8 @@
 // <= 1.02x instead); FIFO's p99 tail at saturation has actually blown
 // up (>= 1.5x its single-group value) while the paced scheduler was
 // deferring real work. Output: results/BENCH_traffic.json
-// (byte-identical across runs and across serial/sharded; CI double-runs
-// and cmps it).
+// (byte-identical across runs and thread counts; CI double-runs and cmps
+// it).
 
 #include <cstdio>
 #include <cstdlib>

@@ -35,8 +35,6 @@ WALL_METRICS = {"wall_ms", "events_per_sec", "build_ms"}
 BENCH_KEYS = {
     "scale": (("fabric", "hosts", "m"),
               ("wall_ms", "events_per_sec", "latency_us_mean")),
-    "sharded": (("hosts", "shards", "threads"),
-                ("wall_ms", "speedup")),
     "streaming_broadcast": (("rig", "rotation", "stream_packets"),
                             ("flits_per_us", "makespan_us", "p99_gap_us")),
     "traffic": (("rig", "ops_per_ms", "policy"),

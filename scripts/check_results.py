@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Byte-identity oracle for results/: rerun every bench and compare.
 
-Usage: check_results.py [--build-dir DIR] [--update] [--only NAME ...]
-                        [--keep DIR]
+Usage: check_results.py [--build-dir DIR] [--update]
 
 Every file in results/ is produced by one bench binary run in one mode:
 full (the recorded sweep) or quick (NIMCAST_QUICK=1). The RECIPES table
@@ -13,9 +12,8 @@ and compares each output byte for byte against its results/ copy. Any
 difference fails the check and prints a short diff.
 
 --update rewrites the results/ files from the fresh runs instead of
-comparing (review the git diff afterwards). --only restricts the run to
-the named benches. The whole list takes well under a minute on a Release
-build.
+comparing (review the git diff afterwards). The whole list takes well
+under a minute on a Release build.
 
 Files whose content is wall time (EXCLUDED) are never compared. A file in
 results/ that no recipe produces and EXCLUDED does not name is an error:
@@ -72,8 +70,6 @@ EXCLUDED = {
     "BENCH_scale.json": "bench_scale: wall time, events/sec and speedups",
     "BENCH_sim_core.json": "bench_sim_core_throughput: events/sec and wall "
                            "time",
-    "BENCH_sharded.json": "bench_scale: sharded-engine wall time and "
-                          "speedups",
 }
 
 GIT_REV = re.compile(rb'"git_rev": "[^"]*"')
@@ -105,7 +101,6 @@ def run_recipe(binary, mode, args, outputs, workdir):
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                           check=False)
     elapsed = time.monotonic() - start
-    (workdir / "stdout.txt").write_bytes(proc.stdout)
     if proc.returncode != 0:
         tail = proc.stdout.decode(errors="replace").splitlines()[-20:]
         return False, (f"exit code {proc.returncode} after {elapsed:.1f} s:\n"
@@ -135,16 +130,11 @@ def main():
     parser.add_argument("--build-dir", default=str(repo / "build"),
                         help="CMake build tree holding bench/ (default: "
                              "build)")
-    parser.add_argument("--results-dir", default=str(repo / "results"))
-    parser.add_argument("--only", nargs="+", metavar="NAME", default=None,
-                        help="bench binaries to run (default: the list)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite results/ from the reruns")
-    parser.add_argument("--keep", metavar="DIR", default=None,
-                        help="keep each run's outputs and stdout under DIR")
     opts = parser.parse_args()
 
-    results = pathlib.Path(opts.results_dir).resolve()
+    results = repo / "results"
     bench_dir = pathlib.Path(opts.build_dir).resolve() / "bench"
     failures = []
 
@@ -156,16 +146,9 @@ def main():
         if not (results / name).is_file():
             failures.append(f"results/{name}: listed in a recipe but missing")
 
-    recipes = RECIPES
-    if opts.only:
-        unknown = set(opts.only) - {r[0] for r in RECIPES}
-        if unknown:
-            parser.error(f"unknown bench(es): {', '.join(sorted(unknown))}")
-        recipes = [r for r in RECIPES if r[0] in opts.only]
-
     scratch = tempfile.TemporaryDirectory(prefix="check_results_")
-    root = pathlib.Path(opts.keep or scratch.name).resolve()
-    for binary, mode, args, outputs in recipes:
+    root = pathlib.Path(scratch.name)
+    for binary, mode, args, outputs in RECIPES:
         exe = bench_dir / binary
         if not exe.is_file():
             failures.append(f"{binary}: not built ({exe})")

@@ -145,6 +145,12 @@ ChaosSoak::ChaosSoak(ChaosConfig config) : config_{config} {
 CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
                                    std::int32_t index, std::int32_t shards,
                                    std::int32_t shard_threads) {
+  if (shards != 1 || shard_threads != 0) {
+    throw std::invalid_argument(
+        "ChaosSoak::campaign: shards must be 1 and shard_threads 0 (the "
+        "sharded engine was removed; campaigns run on the serial "
+        "simulator)");
+  }
   CampaignResult out;
   out.index = index;
   sim::Rng rng{config.seed ^ (UINT64_C(0x9e3779b97f4a7c15) *
@@ -224,8 +230,6 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
         ecfg.style = op == ChaosOp::kMulticastReliable
                          ? mcast::NiStyle::kReliableFpfs
                          : mcast::NiStyle::kSmartFpfs;
-        ecfg.shards = shards;
-        ecfg.shard_threads = shard_threads;
         const mcast::MulticastEngine engine{*topology, routes, ecfg};
         if (op == ChaosOp::kStreaming) {
           core::RotationConfig rc;
@@ -322,24 +326,14 @@ ChaosReport ChaosSoak::run() const {
   report.campaigns = config_.campaigns;
   std::uint64_t soak_digest = 0;
   for (std::int32_t c = 0; c < config_.campaigns; ++c) {
-    CampaignResult r =
-        campaign(config_, c, config_.shards, config_.shard_threads);
+    CampaignResult r = campaign(config_, c, 1, 0);
 
     // Byte-determinism: the same campaign rerun must fold to the same
-    // digest; every shard_check_every-th campaign is also cross-checked
-    // against a 2-shard engine.
-    const CampaignResult rerun =
-        campaign(config_, c, config_.shards, config_.shard_threads);
+    // digest.
+    const CampaignResult rerun = campaign(config_, c, 1, 0);
     if (rerun.digest != r.digest) {
       r.violations.push_back("rerun digest mismatch (campaign " +
                              std::to_string(c) + ")");
-    }
-    if (config_.shard_check_every > 0 && c % config_.shard_check_every == 0) {
-      const CampaignResult sharded = campaign(config_, c, 2, 0);
-      if (sharded.digest != r.digest) {
-        r.violations.push_back("sharded digest mismatch (campaign " +
-                               std::to_string(c) + ")");
-      }
     }
 
     if (r.outcome == "complete") ++report.complete;

@@ -37,15 +37,6 @@ struct ChaosConfig {
   /// Probability a campaign's failed links flap back up (kLinkUp
   /// revival) instead of staying down.
   double link_flap_prob = 0.5;
-
-  /// Intra-run sharding of the multicast-engine campaigns (collectives
-  /// always run serial). The soak separately cross-checks that a
-  /// sharded rerun is byte-identical (shard_check_every).
-  std::int32_t shards = 1;
-  std::int32_t shard_threads = 0;
-  /// Every how many campaigns the determinism check also reruns the
-  /// campaign on a 2-shard engine and compares digests (0 disables).
-  std::int32_t shard_check_every = 4;
 };
 
 /// Outcome of one campaign. `digest` folds every observable of the run
@@ -89,7 +80,7 @@ struct ChaosReport {
   /// First few violation messages, for diagnostics.
   std::vector<std::string> violation_messages;
   /// Fold of every campaign digest — the soak's byte-determinism
-  /// fingerprint (equal across reruns, thread and shard counts).
+  /// fingerprint (equal across reruns and thread counts).
   std::uint64_t digest = 0;
   std::vector<CampaignResult> results;
 };
@@ -100,20 +91,21 @@ struct ChaosReport {
 /// reachable participants always delivered unless the payload died with
 /// the root (outcome kFailed), no duplicate completions, outcome
 /// consistent with the delivery count, and byte-determinism of every
-/// campaign across reruns and engine shard counts. Worm-pool hygiene is
+/// campaign across reruns. Worm-pool hygiene is
 /// enforced by the engines themselves (a leaked or stuck worm fails
 /// their drain check and surfaces here as a violation).
 class ChaosSoak {
  public:
   explicit ChaosSoak(ChaosConfig config);
 
-  /// Runs the full soak: every campaign twice (rerun digest check), plus
-  /// a 2-shard rerun every shard_check_every campaigns.
+  /// Runs the full soak: every campaign twice (rerun digest check).
   [[nodiscard]] ChaosReport run() const;
 
-  /// One campaign, pure in (config, index, shards, shard_threads) —
-  /// exposed so tests can cross-check determinism across shard and
-  /// thread counts directly.
+  /// One campaign, pure in (config, index) — exposed so tests can
+  /// cross-check determinism directly. `shards` and `shard_threads`
+  /// must be 1 and 0 (anything else throws std::invalid_argument); the
+  /// two parameters are kept only because the benchmark in perfbench/
+  /// still passes them, and go when that benchmark is next revised.
   [[nodiscard]] static CampaignResult campaign(const ChaosConfig& config,
                                                std::int32_t index,
                                                std::int32_t shards,

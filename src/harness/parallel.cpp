@@ -42,28 +42,9 @@ int configured_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int configured_shards() {
-  if (const char* env = std::getenv("NIMCAST_SHARDS")) {
-    if (const auto n = parse_env_int(env); n && *n >= 1) {
-      return static_cast<int>(std::min<long>(*n, kMaxThreads));
-    }
-  }
-  return 0;  // auto
-}
-
-std::int64_t configured_window_ns() {
-  if (const char* env = std::getenv("NIMCAST_WINDOW")) {
-    if (const auto n = parse_env_int(env); n && *n >= 1) {
-      return std::min<std::int64_t>(*n, kMaxWindowNs);
-    }
-    // Malformed, zero or negative: behave as if unset.
-  }
-  return 0;  // auto
-}
-
 int pick_shards(int /*threads*/, std::int32_t /*hosts*/,
                 std::size_t /*replications*/) {
-  return std::max(configured_shards(), 1);
+  return 1;
 }
 
 SelectionOverride configured_selection() {
@@ -86,8 +67,8 @@ SelectionOverride configured_selection() {
   return SelectionOverride::kUnset;
 }
 
-void log_parallel_plan(int threads, int shards, std::int64_t window_ns,
-                       const char* selection, std::int32_t rotation_trees) {
+void log_parallel_plan(int threads, const char* selection,
+                       std::int32_t rotation_trees) {
   const char* env = std::getenv("NIMCAST_VERBOSE");
   if (env == nullptr || *env == '\0' ||
       (env[0] == '0' && env[1] == '\0')) {
@@ -95,10 +76,7 @@ void log_parallel_plan(int threads, int shards, std::int64_t window_ns,
   }
   static std::once_flag logged;
   std::call_once(logged, [&] {
-    std::string line = "nimcast: threads=" + std::to_string(threads) +
-                       " shards=" + std::to_string(shards) + " window=" +
-                       (window_ns > 0 ? std::to_string(window_ns) + "ns"
-                                      : std::string{"auto"});
+    std::string line = "nimcast: threads=" + std::to_string(threads);
     if (selection != nullptr) {
       line += " selection=";
       line += selection;

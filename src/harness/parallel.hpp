@@ -27,29 +27,9 @@ namespace nimcast::harness {
 /// Upper bound configured_threads() clamps to.
 inline constexpr int kMaxThreads = 512;
 
-/// Shards per simulation requested via NIMCAST_SHARDS (same strict
-/// parsing as NIMCAST_THREADS). 0 means "unset / auto" — let
-/// pick_shards() decide; 1 forces the serial engine; values above
-/// kMaxThreads clamp to it.
-[[nodiscard]] int configured_shards();
-
-/// Conservative-window override (nanoseconds) requested via
-/// NIMCAST_WINDOW, with the same strict parsing as NIMCAST_THREADS:
-/// malformed, zero and negative values behave as if the variable were
-/// unset. 0 means "auto" — the engine adapts the window to the
-/// configuration; positive values are clamped to kMaxWindowNs and can
-/// only narrow the engine's safe bound, never widen it.
-[[nodiscard]] std::int64_t configured_window_ns();
-
-inline constexpr std::int64_t kMaxWindowNs = 1'000'000'000;
-
-/// Intra-run shard count for one testbed replication: NIMCAST_SHARDS
-/// when set, else 1 (the serial engine). The sharded engine has lost to
-/// serial at every measured point — its t_hop lookahead plans windows of
-/// a few dozen events, so barrier time alone exceeds a whole serial run
-/// (docs/perf.md) — so nothing turns it on by default. Sharding never
-/// changes results, only wall clock. The thread budget, host count and
-/// replication count no longer affect the answer.
+/// Always 1: every simulation runs on one serial simulator. Reads no
+/// environment variable. Kept only because the benchmark in perfbench/
+/// still calls it; it goes when that benchmark is next revised.
 [[nodiscard]] int pick_shards(int threads, std::int32_t hosts,
                               std::size_t replications);
 
@@ -60,12 +40,11 @@ enum class SelectionOverride : std::uint8_t { kUnset, kStatic, kAdaptive };
 [[nodiscard]] SelectionOverride configured_selection();
 
 /// Under NIMCAST_VERBOSE (any non-empty value other than "0"), prints
-/// the chosen (threads, shards, window) triple to stderr — once per
-/// process, from whichever harness entry point runs first. Streaming
-/// entry points pass the member-selection mode and rotation-set size;
-/// the defaults omit the streaming fields from the line.
-void log_parallel_plan(int threads, int shards, std::int64_t window_ns,
-                       const char* selection = nullptr,
+/// the worker-thread count to stderr — once per process, from whichever
+/// harness entry point runs first. Streaming entry points pass the
+/// member-selection mode and rotation-set size; the defaults omit the
+/// streaming fields from the line.
+void log_parallel_plan(int threads, const char* selection = nullptr,
                        std::int32_t rotation_trees = 0);
 
 /// A small fixed-size worker pool (std::jthread + work queue) for the

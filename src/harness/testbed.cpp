@@ -128,17 +128,9 @@ MeasurePoint measure_point(const topo::Topology& topology,
 
   const core::RankTree rank_tree = spec.build(n, m);
   // Thread budget: replication parallelism (embarrassingly parallel).
-  // Intra-run sharding only when NIMCAST_SHARDS asks for it — the
-  // sharded engine is bit-identical to the serial one, so it never
-  // changes the measured numbers.
   const int budget = threads >= 1 ? threads : configured_threads();
-  const int shards =
-      pick_shards(budget, num_hosts, static_cast<std::size_t>(repetitions));
-  const std::int64_t window_ns = configured_window_ns();
-  log_parallel_plan(budget, shards, window_ns);
-  mcast::MulticastEngine::Config ecfg{params, network, style};
-  ecfg.shards = shards;
-  ecfg.window = sim::Time::ns(window_ns);
+  log_parallel_plan(budget);
+  const mcast::MulticastEngine::Config ecfg{params, network, style};
   const mcast::MulticastEngine engine{topology, routes, ecfg};
 
   std::vector<RepSample> samples(static_cast<std::size_t>(repetitions));
@@ -149,7 +141,7 @@ MeasurePoint measure_point(const topo::Topology& topology,
             run_replication(engine, base_chain, num_hosts, n, rank_tree, m,
                             ordering, static_cast<std::int32_t>(rep), seed);
       },
-      std::max(1, budget / shards));
+      budget);
 
   // Fold in repetition order: bit-identical to the serial loop.
   MeasurePoint point;
@@ -251,21 +243,16 @@ Testbed::Point Testbed::measure(std::int32_t n, std::int32_t m,
   validate_point(hosts, n, m, spec_.sets_per_topology);
 
   const core::RankTree rank_tree = spec.build(n, m);
-  // Same budget split as measure_point: replications fill the worker
-  // budget; NIMCAST_SHARDS alone shards each simulation (identical
-  // results either way).
+  // As in measure_point: replications fill the worker budget.
   const auto sets = static_cast<std::size_t>(spec_.sets_per_topology);
   const std::size_t replications = instances_.size() * sets;
   const int budget = threads >= 1 ? threads : configured_threads();
-  const int shards = pick_shards(budget, hosts, replications);
-  const std::int64_t window_ns = configured_window_ns();
-  log_parallel_plan(budget, shards, window_ns);
+  log_parallel_plan(budget);
   std::vector<mcast::MulticastEngine> engines;
   engines.reserve(instances_.size());
   for (const Instance& inst : instances_) {
-    mcast::MulticastEngine::Config ecfg{spec_.params, spec_.network, style};
-    ecfg.shards = shards;
-    ecfg.window = sim::Time::ns(window_ns);
+    const mcast::MulticastEngine::Config ecfg{spec_.params, spec_.network,
+                                              style};
     engines.emplace_back(*inst.topology, *inst.routes, ecfg);
   }
 
@@ -284,7 +271,7 @@ Testbed::Point Testbed::measure(std::int32_t n, std::int32_t m,
                                        n, rank_tree, m, ordering,
                                        static_cast<std::int32_t>(rep), seed);
       },
-      std::max(1, budget / shards));
+      budget);
 
   Point point;
   for (std::size_t t = 0; t < instances_.size(); ++t) {
@@ -335,17 +322,12 @@ StreamingPoint Testbed::measure_streaming(
   const auto sets = static_cast<std::size_t>(spec_.sets_per_topology);
   const std::size_t replications = instances_.size() * sets;
   const int budget = threads >= 1 ? threads : configured_threads();
-  const int shards = pick_shards(budget, hosts, replications);
-  const std::int64_t window_ns = configured_window_ns();
-  log_parallel_plan(budget, shards, window_ns,
-                    mcast::to_string(selection), rotation_trees);
+  log_parallel_plan(budget, mcast::to_string(selection), rotation_trees);
   std::vector<mcast::MulticastEngine> engines;
   engines.reserve(instances_.size());
   for (const Instance& inst : instances_) {
     mcast::MulticastEngine::Config ecfg{spec_.params, spec_.network,
                                         mcast::NiStyle::kSmartFpfs};
-    ecfg.shards = shards;
-    ecfg.window = sim::Time::ns(window_ns);
     ecfg.rotation_trees = rotation_trees;
     ecfg.selection = selection;
     engines.emplace_back(*inst.topology, *inst.routes, ecfg);
@@ -401,7 +383,7 @@ StreamingPoint Testbed::measure_streaming(
                          static_cast<double>(r.rotation_used), imbalance,
                          static_cast<double>(r.telemetry_snapshots)};
       },
-      std::max(1, budget / shards));
+      budget);
 
   StreamingPoint point;
   for (std::size_t t = 0; t < instances_.size(); ++t) {
@@ -438,12 +420,7 @@ TrafficPoint Testbed::measure_traffic(
   const auto sets = static_cast<std::size_t>(spec_.sets_per_topology);
   const std::size_t replications = instances_.size() * sets;
   const int budget = threads >= 1 ? threads : configured_threads();
-  // One pick for the whole call: every replication runs its entire mix
-  // on one shared fabric with this shard count (the traffic engine
-  // asserts its window choice is stable across the mix).
-  const int shards = pick_shards(budget, hosts, replications);
-  const std::int64_t window_ns = configured_window_ns();
-  log_parallel_plan(budget, shards, window_ns);
+  log_parallel_plan(budget);
   std::vector<traffic::TrafficEngine> engines;
   engines.reserve(instances_.size());
   for (const Instance& inst : instances_) {
@@ -451,8 +428,6 @@ TrafficPoint Testbed::measure_traffic(
     tcfg.params = spec_.params;
     tcfg.network = spec_.network;
     tcfg.scheduler = scheduler;
-    tcfg.shards = shards;
-    tcfg.window = sim::Time::ns(window_ns);
     engines.emplace_back(*inst.topology, *inst.routes, tcfg);
   }
 
@@ -483,7 +458,7 @@ TrafficPoint Testbed::measure_traffic(
         s.digest = r.digest;
         samples[job] = std::move(s);
       },
-      std::max(1, budget / shards));
+      budget);
 
   TrafficPoint point;
   for (std::size_t t = 0; t < instances_.size(); ++t) {

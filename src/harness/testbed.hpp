@@ -163,7 +163,7 @@ class Testbed {
   /// source per replication to every other host, dispatched round-robin
   /// over `rotation_trees` channel-decorrelated k-binomial trees of
   /// fan-out `fanout_bound` (core::plan_rotation). Replication seeding,
-  /// thread-budget split and fold order follow measure(), so results
+  /// thread budget and fold order follow measure(), so results
   /// are bit-identical for every thread count; rotation_trees = 1 is
   /// the paper's fixed-tree configuration. `selection` picks the
   /// per-packet member policy (NIMCAST_SELECTION overrides it).
@@ -175,10 +175,9 @@ class Testbed {
   /// Multi-tenant traffic: one generated workload mix per (topology,
   /// set) replication — `workload` with the replication's derived seed —
   /// run end to end through traffic::TrafficEngine under `scheduler`.
-  /// Thread-budget split (pick_shards, once per call for the shared
-  /// fabric), per-replication seeding and the topology-major fold order
-  /// follow measure(), so the point — including its completion digest —
-  /// is bit-identical for every thread and shard count.
+  /// Thread budget, per-replication seeding and the topology-major fold
+  /// order follow measure(), so the point — including its completion
+  /// digest — is bit-identical for every thread count.
   [[nodiscard]] TrafficPoint measure_traffic(
       const traffic::WorkloadConfig& workload,
       const traffic::SchedulerConfig& scheduler, int threads = 0) const;

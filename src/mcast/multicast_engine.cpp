@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "core/kbinomial.hpp"
-#include "mcast/fabric.hpp"
 #include "mcast/tree_repair.hpp"
 #include "netif/conventional_ni.hpp"
 #include "netif/reliable_ni.hpp"
@@ -105,22 +104,12 @@ double MulticastResult::max_buffer_integral() const {
 MulticastEngine::MulticastEngine(const topo::Topology& topology,
                                  const routing::RouteTable& routes,
                                  Config config, sim::Trace* trace)
-    : topology_{topology}, routes_{routes}, config_{config}, trace_{trace} {}
-
-sim::Time MulticastEngine::pick_window(std::size_t max_hops) const {
-  return Fabric::conservative_window(config_.network, max_hops,
-                                     config_.window);
-}
-
-std::vector<std::uint64_t> MulticastEngine::partition_weights() const {
-  std::lock_guard lock{load_cache_->mutex};
-  return load_cache_->load;
-}
-
-void MulticastEngine::record_switch_load(
-    const std::vector<std::uint64_t>& load) const {
-  std::lock_guard lock{load_cache_->mutex};
-  load_cache_->load = load;
+    : topology_{topology}, routes_{routes}, config_{config}, trace_{trace} {
+  if (config_.shards != 1) {
+    throw std::invalid_argument(
+        "MulticastEngine: Config::shards must be 1 (the sharded engine was "
+        "removed; every run uses the serial simulator)");
+  }
 }
 
 MulticastResult MulticastEngine::run(const core::HostTree& tree,
@@ -158,47 +147,11 @@ MultiMulticastResult MulticastEngine::run_many(
 
   const bool faulty = !config_.network.faults.empty();
 
-  // Engine selection. The sharded engine reproduces the serial engine
-  // bit for bit, so callers opt into speed, never into different
-  // results; it only falls back to the serial path when no positive
-  // conservative window exists (pipelined release on paths too long for
-  // the serialization time — under a fault plan repair can route any
-  // pair, so the bound is the longest simple path) or when a trace is
-  // attached (trace records are a global order).
-  sim::Time window = sim::Time::zero();
-  if (config_.shards > 1 && trace_ == nullptr) {
-    std::size_t max_hops = 0;
-    if (config_.network.release_model == net::ReleaseModel::kPipelined) {
-      if (faulty) {
-        max_hops = static_cast<std::size_t>(
-            std::max(topology_.num_switches() - 1, 1));
-      } else {
-        for (const auto& spec : specs) {
-          for (topo::HostId h : spec.tree.nodes) {
-            for (topo::HostId c : spec.tree.children.at(h)) {
-              // Both directions: ACKs retrace the edge the other way.
-              max_hops = std::max({max_hops, routes_.hops(h, c),
-                                   routes_.hops(c, h)});
-            }
-          }
-        }
-      }
-    }
-    window = pick_window(max_hops);
-  }
-  // Every per-host actor (NI, host, its timers and receive events) lives
-  // on the shard owning that host's switch; in serial mode everything
-  // shares the one simulator.
-  Fabric fabric{topology_,      routes_, config_.network,     config_.shards,
-                window,         partition_weights(),          trace_};
-  const bool sharded_mode = fabric.sharded();
-  const std::int32_t num_shards = fabric.num_shards();
-  net::WormholeNetwork& network = fabric.network();
-  const auto sim_for_host = [&](topo::HostId h) -> sim::Simulator& {
-    return fabric.sim_for_host(h);
-  };
-  const auto run_sim = [&] { fabric.run(config_.shard_threads); };
-  const auto end_time = [&] { return fabric.end_time(); };
+  // One simulator drives the network, every NI, every host and their
+  // timers.
+  sim::Simulator simctx;
+  net::WormholeNetwork network{simctx, topology_, routes_, config_.network,
+                               trace_};
 
   // Fault-time route repair: rebuild up*/down* on the surviving subgraph
   // and rebind. The hook fires on *every* fault event — failures AND
@@ -254,27 +207,26 @@ MultiMulticastResult MulticastEngine::run_many(
       nis;
   std::unordered_map<topo::HostId, std::unique_ptr<netif::Host>> hosts;
   for (topo::HostId h : participants) {
-    sim::Simulator& hsim = sim_for_host(h);
     switch (config_.style) {
       case NiStyle::kConventional:
         nis.emplace(h, std::make_unique<netif::ConventionalNi>(
-                           hsim, network, config_.params, h, trace_));
+                           simctx, network, config_.params, h, trace_));
         break;
       case NiStyle::kSmartFcfs:
         nis.emplace(h, std::make_unique<netif::FcfsNi>(
-                           hsim, network, config_.params, h, trace_));
+                           simctx, network, config_.params, h, trace_));
         break;
       case NiStyle::kSmartFpfs:
         nis.emplace(h, std::make_unique<netif::FpfsNi>(
-                           hsim, network, config_.params, h, trace_));
+                           simctx, network, config_.params, h, trace_));
         break;
       case NiStyle::kReliableFpfs:
         nis.emplace(h, std::make_unique<netif::ReliableFpfsNi>(
-                           hsim, network, config_.params, reliability, h,
+                           simctx, network, config_.params, reliability, h,
                            trace_));
         break;
     }
-    hosts.emplace(h, std::make_unique<netif::Host>(hsim, h, config_.params));
+    hosts.emplace(h, std::make_unique<netif::Host>(simctx, h, config_.params));
   }
 
   // Forwarding state: one message id per operation.
@@ -299,28 +251,17 @@ MultiMulticastResult MulticastEngine::run_many(
   for (std::size_t op = 0; op < specs.size(); ++op) msg_op[op] = op;
   // Destinations whose NI has completed the operation (under any of its
   // message ids) — guards against a repair resend double-counting a host
-  // that made it through after all. Flat per-host bytes, not a set: each
-  // slot is touched only by its owner shard's thread.
+  // that made it through after all. Flat per-host bytes, not a set.
   std::vector<std::vector<std::uint8_t>> arrived(
       specs.size(),
       std::vector<std::uint8_t>(static_cast<std::size_t>(topology_.num_hosts()),
                                 0));
 
-  // Completion records, buffered per shard during the run (each shard's
-  // worker appends only to its own log) and merged afterwards. Both
-  // engines assemble results from these, sorted by (time, host, op) —
-  // the one place the sharded engine has no dispatch order to inherit —
-  // so serial and sharded reports are bit-identical.
-  struct CompletionLog {
-    /// (op, dest, time) at NI completion (before the host receive t_r).
-    std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> ni_done;
-    /// (op, dest, time) at host-level completion.
-    std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_done;
-  };
-  std::vector<std::unique_ptr<CompletionLog>> logs;
-  for (std::int32_t s = 0; s < num_shards; ++s) {
-    logs.push_back(std::make_unique<CompletionLog>());
-  }
+  // Completion records, sorted by (time, host, op) once the run is over.
+  // (op, dest, time) at NI completion (before the host receive t_r).
+  std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> ni_done;
+  // (op, dest, time) at host-level completion.
+  std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_done;
 
   for (auto& [h, ni] : nis) {
     ni->on_message_at_ni = [&](topo::HostId dest, net::MessageId msg) {
@@ -328,13 +269,10 @@ MultiMulticastResult MulticastEngine::run_many(
       auto& seen = arrived[op][static_cast<std::size_t>(dest)];
       if (seen != 0) return;
       seen = 1;
-      sim::Simulator& hsim = sim_for_host(dest);
-      CompletionLog& log = *logs[static_cast<std::size_t>(
-          sharded_mode ? network.shard_of_host(dest) : 0)];
-      log.ni_done.emplace_back(op, dest, hsim.now());
+      ni_done.emplace_back(op, dest, simctx.now());
       auto& host = *hosts.at(dest);
-      host.software_receive([&, logp = &log, dest, msg, op] {
-        logp->host_done.emplace_back(op, dest, sim_for_host(dest).now());
+      host.software_receive([&, dest, msg, op] {
+        host_done.emplace_back(op, dest, simctx.now());
         nis.at(dest)->after_host_receive(msg, *hosts.at(dest));
       });
     };
@@ -343,13 +281,11 @@ MultiMulticastResult MulticastEngine::run_many(
   for (std::size_t op = 0; op < specs.size(); ++op) {
     const auto message = static_cast<net::MessageId>(op + 1);
     const topo::HostId root = specs[op].tree.root;
-    sim_for_host(root).schedule_at(specs[op].start,
-                                   [&nis, &hosts, root, message] {
-                                     nis.at(root)->start_from_host(
-                                         message, *hosts.at(root));
-                                   });
+    simctx.schedule_at(specs[op].start, [&nis, &hosts, root, message] {
+      nis.at(root)->start_from_host(message, *hosts.at(root));
+    });
   }
-  run_sim();
+  simctx.run();
 
   if (network.in_flight() != 0) {
     throw std::runtime_error(
@@ -427,15 +363,13 @@ MultiMulticastResult MulticastEngine::run_many(
         ++batch.operations[op].repairs;
         const sim::Time wait =
             config_.repair.backoff * (sim::Time::rep{1} << (round - 1));
-        sim_for_host(root).schedule_at(end_time() + wait,
-                                       [&nis, &hosts, root, message] {
-                                         nis.at(root)->start_from_host(
-                                             message, *hosts.at(root));
-                                       });
+        simctx.schedule_at(simctx.now() + wait, [&nis, &hosts, root, message] {
+          nis.at(root)->start_from_host(message, *hosts.at(root));
+        });
         scheduled_any = true;
       }
       if (!scheduled_any) break;
-      run_sim();
+      simctx.run();
       if (network.in_flight() != 0) {
         throw std::runtime_error(
             "MulticastEngine: network deadlock (worms still in flight)");
@@ -443,28 +377,19 @@ MultiMulticastResult MulticastEngine::run_many(
     }
   }
 
-  // Merge the per-shard completion logs. Sorted by (time, host, op) in
-  // both modes: the serial engine's historical order was dispatch order,
-  // which for distinct completion events is time order with rare
-  // same-instant ties — fixing the tie-break keeps the two engines (and
-  // any two thread counts) bit-identical.
+  // Report order: completions sorted by (time, host, op). Dispatch order
+  // already sorts distinct completion events by time; the sort fixes the
+  // order of same-instant ties.
   {
-    std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> ni_all;
-    std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_all;
-    for (const auto& log : logs) {
-      ni_all.insert(ni_all.end(), log->ni_done.begin(), log->ni_done.end());
-      host_all.insert(host_all.end(), log->host_done.begin(),
-                      log->host_done.end());
-    }
     const auto by_time_host_op = [](const auto& a, const auto& b) {
       return std::make_tuple(std::get<2>(a), std::get<1>(a), std::get<0>(a)) <
              std::make_tuple(std::get<2>(b), std::get<1>(b), std::get<0>(b));
     };
-    std::sort(host_all.begin(), host_all.end(), by_time_host_op);
-    for (const auto& [op, h, t] : host_all) {
+    std::sort(host_done.begin(), host_done.end(), by_time_host_op);
+    for (const auto& [op, h, t] : host_done) {
       batch.operations[op].completions.emplace_back(h, t);
     }
-    for (const auto& [op, h, t] : ni_all) {
+    for (const auto& [op, h, t] : ni_done) {
       batch.operations[op].ni_latency =
           std::max(batch.operations[op].ni_latency, t - specs[op].start);
     }
@@ -513,13 +438,8 @@ MultiMulticastResult MulticastEngine::run_many(
   batch.total_channel_block_time = network.total_block_time();
   batch.packets_killed = network.packets_killed();
   batch.faults_applied = network.faults_applied();
-  batch.events_dispatched = fabric.events_dispatched();
-  if (sharded_mode) {
-    batch.window_ns = window.count_ns();
-    batch.barrier_wall_ns = fabric.barrier_wall_ns();
-    batch.windows_planned = fabric.windows_planned();
-    record_switch_load(network.switch_load());
-  }
+  batch.events_dispatched =
+      static_cast<std::int64_t>(simctx.events_dispatched());
   if (config_.style == NiStyle::kReliableFpfs) {
     for (const auto& [h, ni] : nis) {
       const auto* rni = static_cast<const netif::ReliableFpfsNi*>(ni.get());
@@ -583,45 +503,9 @@ StreamingResult MulticastEngine::run_streaming(
   // An R = 1 plan degrades adaptive to static: nothing to choose.
   const bool adaptive = config_.selection == Selection::kAdaptive && R > 1;
 
-  // Engine selection — identical rules to run_many (see there); the
-  // pipelined path bound additionally covers every rotation member's
-  // tree on its own route class table.
-  sim::Time window = sim::Time::zero();
-  if (config_.shards > 1 && trace_ == nullptr) {
-    std::size_t max_hops = 0;
-    if (config_.network.release_model == net::ReleaseModel::kPipelined) {
-      if (faulty) {
-        max_hops = static_cast<std::size_t>(
-            std::max(topology_.num_switches() - 1, 1));
-      } else {
-        for (std::int32_t r = 0; r < R; ++r) {
-          const auto& member = plan.members[static_cast<std::size_t>(r)];
-          const routing::RouteTable& table =
-              member.table ? *member.table : routes_;
-          for (topo::HostId h : member.tree.nodes) {
-            for (topo::HostId c : member.tree.children.at(h)) {
-              max_hops =
-                  std::max({max_hops, table.hops(h, c), table.hops(c, h)});
-            }
-          }
-        }
-        for (const auto& flow : config_.background) {
-          max_hops = std::max(max_hops, routes_.hops(flow.src, flow.dst));
-        }
-      }
-    }
-    window = pick_window(max_hops);
-  }
-  Fabric fabric{topology_,      routes_, config_.network,     config_.shards,
-                window,         partition_weights(),          trace_};
-  const bool sharded_mode = fabric.sharded();
-  const std::int32_t num_shards = fabric.num_shards();
-  net::WormholeNetwork& network = fabric.network();
-  const auto sim_for_host = [&](topo::HostId h) -> sim::Simulator& {
-    return fabric.sim_for_host(h);
-  };
-  const auto run_sim = [&] { fabric.run(config_.shard_threads); };
-  const auto end_time = [&] { return fabric.end_time(); };
+  sim::Simulator simctx;
+  net::WormholeNetwork network{simctx, topology_, routes_, config_.network,
+                               trace_};
 
   // Rotation members ride their decorrelated routes via route classes;
   // member 0 (and any member planned on the primary table) stays on
@@ -655,19 +539,15 @@ StreamingResult MulticastEngine::run_streaming(
   std::unordered_map<topo::HostId, std::unique_ptr<netif::NetworkInterface>>
       nis;
   std::unordered_map<topo::HostId, std::unique_ptr<netif::Host>> hosts;
-  for (topo::HostId h : base.nodes) {
-    sim::Simulator& hsim = sim_for_host(h);
-    nis.emplace(h, std::make_unique<netif::FpfsNi>(hsim, network,
+  const auto add_host = [&](topo::HostId h) {
+    nis.emplace(h, std::make_unique<netif::FpfsNi>(simctx, network,
                                                    config_.params, h, trace_));
-    hosts.emplace(h, std::make_unique<netif::Host>(hsim, h, config_.params));
-  }
+    hosts.emplace(h, std::make_unique<netif::Host>(simctx, h, config_.params));
+  };
+  for (topo::HostId h : base.nodes) add_host(h);
   for (const auto& flow : config_.background) {
     for (topo::HostId h : {flow.src, flow.dst}) {
-      if (nis.contains(h)) continue;
-      sim::Simulator& hsim = sim_for_host(h);
-      nis.emplace(h, std::make_unique<netif::FpfsNi>(
-                         hsim, network, config_.params, h, trace_));
-      hosts.emplace(h, std::make_unique<netif::Host>(hsim, h, config_.params));
+      if (!nis.contains(h)) add_host(h);
     }
   }
 
@@ -725,8 +605,7 @@ StreamingResult MulticastEngine::run_streaming(
     msg_stream.push_back(MsgMap{1, 0, {}, true});
   }
 
-  // Per-destination reassembly state. Flat per-host arrays: each slot is
-  // touched only by its owner shard's thread.
+  // Per-destination reassembly state, in flat per-host arrays.
   std::vector<std::vector<std::uint8_t>> seen(
       static_cast<std::size_t>(topology_.num_hosts()));
   std::vector<std::int32_t> seen_count(
@@ -736,18 +615,11 @@ StreamingResult MulticastEngine::run_streaming(
         static_cast<std::size_t>(S), 0);
   }
 
-  // Per-shard append-only logs, merged and sorted afterwards — the same
-  // determinism contract as run_many's CompletionLog.
-  struct StreamLog {
-    /// (dest, stream index, time) at first receive-processing.
-    std::vector<std::tuple<topo::HostId, std::int32_t, sim::Time>> packets;
-    /// (dest, time) at host-level completion of the whole stream.
-    std::vector<std::pair<topo::HostId, sim::Time>> host_done;
-  };
-  std::vector<std::unique_ptr<StreamLog>> logs;
-  for (std::int32_t s = 0; s < num_shards; ++s) {
-    logs.push_back(std::make_unique<StreamLog>());
-  }
+  // Completion records, sorted after the run like run_many's.
+  // (dest, stream index, time) at first receive-processing.
+  std::vector<std::tuple<topo::HostId, std::int32_t, sim::Time>> packets_all;
+  // (dest, time) at host-level completion of the whole stream.
+  std::vector<std::pair<topo::HostId, sim::Time>> host_all;
 
   for (auto& [h, ni] : nis) {
     ni->on_packet_at_ni = [&](topo::HostId dest, const net::Packet& p) {
@@ -761,13 +633,10 @@ StreamingResult MulticastEngine::run_streaming(
           seen[static_cast<std::size_t>(dest)][static_cast<std::size_t>(g)];
       if (bit != 0) return;  // repair resend of a packet already seen
       bit = 1;
-      StreamLog& log = *logs[static_cast<std::size_t>(
-          sharded_mode ? network.shard_of_host(dest) : 0)];
-      log.packets.emplace_back(dest, g, sim_for_host(dest).now());
+      packets_all.emplace_back(dest, g, simctx.now());
       if (++seen_count[static_cast<std::size_t>(dest)] == S) {
-        hosts.at(dest)->software_receive([&, logp = &log, dest] {
-          logp->host_done.emplace_back(dest, sim_for_host(dest).now());
-        });
+        hosts.at(dest)->software_receive(
+            [&, dest] { host_all.emplace_back(dest, simctx.now()); });
       }
     };
   }
@@ -947,22 +816,18 @@ StreamingResult MulticastEngine::run_streaming(
 
   // Telemetry snapshots: a self-rescheduling chain with one steady-state
   // packet period between samples — long enough for fresh block-time
-  // deltas, short enough to react within a handful of packets. Serial
-  // and sharded engines see identical data at each instant: the sharded
-  // chain rides globals (all shards parked at the barrier, same-time
-  // shard events not yet fired), the serial chain replays one
-  // setup-reserved FIFO key (firing before any same-time runtime event)
-  // — both orderings put the sample before the instant's dispatches.
-  // The chain stops once the stream has fully issued or the root died;
-  // at most one trailing no-op snapshot fires, identically in both
-  // engines, so end_time() parity holds.
+  // deltas, short enough to react within a handful of packets. The chain
+  // replays one FIFO key reserved during setup, so each sample fires
+  // before every same-instant event the run schedules and sees the state
+  // as of the start of that instant. It stops once the stream has fully
+  // issued or the root died, after at most one trailing no-op snapshot.
   const sim::Time snap_period = sim::Time::ns(w_pkt);
   std::function<void()> snapshot_tick;
   sim::Time next_snap = snap_period;
   std::uint64_t snap_key = 0;
-  if (adaptive) snap_key = fabric.reserve_coordination_key();
+  if (adaptive) snap_key = simctx.reserve_order();
   const auto schedule_snapshot = [&] {
-    fabric.schedule_coordinated(next_snap, snap_key, snapshot_tick);
+    simctx.schedule_at_keyed(next_snap, snap_key, snapshot_tick);
   };
   snapshot_tick = [&] {
     if (sel.issued >= S || !network.host_alive(root)) return;
@@ -977,7 +842,7 @@ StreamingResult MulticastEngine::run_streaming(
     stream_messages.push_back(static_cast<net::MessageId>(r + 1));
   }
   if (adaptive) {
-    sim_for_host(root).schedule_at(
+    simctx.schedule_at(
         sim::Time::zero(),
         [&nis, &hosts, &select_member, stream_messages, root, S] {
           static_cast<netif::FpfsNi&>(*nis.at(root))
@@ -985,7 +850,7 @@ StreamingResult MulticastEngine::run_streaming(
                                         select_member);
         });
   } else {
-    sim_for_host(root).schedule_at(
+    simctx.schedule_at(
         sim::Time::zero(), [&nis, &hosts, stream_messages, root] {
           static_cast<netif::FpfsNi&>(*nis.at(root))
               .start_streaming(stream_messages, *hosts.at(root));
@@ -994,12 +859,11 @@ StreamingResult MulticastEngine::run_streaming(
   for (std::int32_t f = 0; f < F; ++f) {
     const auto& flow = config_.background[static_cast<std::size_t>(f)];
     const auto message = static_cast<net::MessageId>(R + 1 + f);
-    sim_for_host(flow.src).schedule_at(
-        flow.start, [&nis, &hosts, src = flow.src, message] {
-          nis.at(src)->start_from_host(message, *hosts.at(src));
-        });
+    simctx.schedule_at(flow.start, [&nis, &hosts, src = flow.src, message] {
+      nis.at(src)->start_from_host(message, *hosts.at(src));
+    });
   }
-  run_sim();
+  simctx.run();
   if (network.in_flight() != 0) {
     throw std::runtime_error(
         "MulticastEngine: network deadlock (worms still in flight)");
@@ -1053,7 +917,7 @@ StreamingResult MulticastEngine::run_streaming(
          ++round) {
       const sim::Time wait =
           config_.repair.backoff * (sim::Time::rep{1} << (round - 1));
-      const sim::Time start_at = end_time() + wait;
+      const sim::Time start_at = simctx.now() + wait;
       bool scheduled = false;
       const auto launch = [&](topo::HostId initiator,
                               const std::vector<topo::HostId>& order,
@@ -1075,11 +939,9 @@ StreamingResult MulticastEngine::run_streaming(
         }
         result.packets_resent += count;
         msg_stream.push_back(MsgMap{1, 0, std::move(share)});
-        sim_for_host(initiator)
-            .schedule_at(start_at, [&nis, &hosts, initiator, message] {
-              nis.at(initiator)->start_from_host(message,
-                                                 *hosts.at(initiator));
-            });
+        simctx.schedule_at(start_at, [&nis, &hosts, initiator, message] {
+          nis.at(initiator)->start_from_host(message, *hosts.at(initiator));
+        });
         return true;
       };
       if (network.host_alive(root)) {
@@ -1192,7 +1054,7 @@ StreamingResult MulticastEngine::run_streaming(
         }
       }
       if (!scheduled) break;
-      run_sim();
+      simctx.run();
       if (network.in_flight() != 0) {
         throw std::runtime_error(
             "MulticastEngine: network deadlock (worms still in flight)");
@@ -1201,16 +1063,8 @@ StreamingResult MulticastEngine::run_streaming(
   }
   result.effective_root = eff_root;
 
-  // Merge per-shard logs; (time, host, index) keys are unique, so the
-  // sort gives one total order regardless of shard or thread count.
-  std::vector<std::tuple<topo::HostId, std::int32_t, sim::Time>> packets_all;
-  std::vector<std::pair<topo::HostId, sim::Time>> host_all;
-  for (const auto& log : logs) {
-    packets_all.insert(packets_all.end(), log->packets.begin(),
-                       log->packets.end());
-    host_all.insert(host_all.end(), log->host_done.begin(),
-                    log->host_done.end());
-  }
+  // (time, host, index) keys are unique, so the sorts give one total
+  // order.
   std::sort(packets_all.begin(), packets_all.end(),
             [](const auto& a, const auto& b) {
               return std::make_tuple(std::get<2>(a), std::get<0>(a),
@@ -1330,13 +1184,8 @@ StreamingResult MulticastEngine::run_streaming(
   result.telemetry_snapshots = adaptive ? sel.snapshots : 0;
   result.telemetry_digest = adaptive ? sel.digest : 0;
   result.total_channel_block_time = network.total_block_time();
-  result.events_dispatched = fabric.events_dispatched();
-  if (sharded_mode) {
-    result.window_ns = window.count_ns();
-    result.barrier_wall_ns = fabric.barrier_wall_ns();
-    result.windows_planned = fabric.windows_planned();
-    record_switch_load(network.switch_load());
-  }
+  result.events_dispatched =
+      static_cast<std::int64_t>(simctx.events_dispatched());
   return result;
 }
 

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/host_tree.hpp"
@@ -163,14 +161,9 @@ struct MultiMulticastResult {
   /// Simulator events this batch consumed — the denominator-free side of
   /// the events/sec throughput metric bench_scale reports.
   std::int64_t events_dispatched = 0;
-  /// Sharded-engine instrumentation, all zero in serial mode: the
-  /// conservative window width the engine picked, the wall-clock time
-  /// the single-threaded inter-window phase consumed, and the number of
-  /// windows planned. bench_scale reports these to quantify the barrier
-  /// cost (compare NIMCAST_EAGER_MERGE=1 against the overlapped merge).
-  std::int64_t window_ns = 0;
+  /// Always 0. Kept only because the benchmark in perfbench/ still reads
+  /// it; it goes when that benchmark is next revised.
   std::int64_t barrier_wall_ns = 0;
-  std::int64_t windows_planned = 0;
 };
 
 /// Result of one streaming broadcast (run_streaming): a sustained stream
@@ -221,10 +214,6 @@ struct StreamingResult {
   std::int64_t packets_delivered = 0;
   sim::Time total_channel_block_time;
   std::int64_t events_dispatched = 0;
-  /// Sharded-engine instrumentation; see MultiMulticastResult.
-  std::int64_t window_ns = 0;
-  std::int64_t barrier_wall_ns = 0;
-  std::int64_t windows_planned = 0;
 
   /// Effective per-packet policy this run (an R = 1 plan degrades
   /// adaptive to static — there is nothing to choose between).
@@ -245,7 +234,7 @@ struct StreamingResult {
   /// the static path schedules no snapshot events at all).
   std::int64_t telemetry_snapshots = 0;
   /// FNV-1a digest over every snapshot's member score vector — the
-  /// serial-vs-sharded snapshot-equality witness (0 when static).
+  /// snapshot-equality witness across reruns (0 when static).
   std::uint64_t telemetry_digest = 0;
 };
 
@@ -265,26 +254,10 @@ class MulticastEngine {
     netif::ReliabilityParams reliability = {};
     /// Only consulted when `network.faults` is non-empty.
     RepairPolicy repair = {};
-    /// Intra-run parallelism: > 1 partitions the fabric's switches into
-    /// (up to) that many shards and runs the whole simulation — network,
-    /// NIs and hosts — on a conservative-parallel sharded engine whose
-    /// results are bit-identical to the serial one (see docs/perf.md,
-    /// "Sharded engine"). Lossy and pipelined-release configurations
-    /// shard too; the engine falls back to the serial path only when it
-    /// cannot pick a positive conservative window (pipelined release on
-    /// paths too long for the serialization time, or under a fault plan
-    /// whose repairs could create such paths) or when a trace is
-    /// attached.
+    /// Must be 1: the constructor throws std::invalid_argument otherwise.
+    /// Kept only because the benchmark in perfbench/ still sets it; it
+    /// goes when that benchmark is next revised.
     std::int32_t shards = 1;
-    /// OS threads driving the sharded engine; 0 means one per shard.
-    std::int32_t shard_threads = 0;
-    /// Conservative window (lookahead) override for the sharded engine;
-    /// zero means auto — the engine adapts the window to the
-    /// configuration (t_hop, tightened when pipelined release needs
-    /// headroom). Values wider than the safe bound are clamped down, so
-    /// the override can only narrow the window. The harness plumbs
-    /// NIMCAST_WINDOW (nanoseconds) into this field.
-    sim::Time window = sim::Time::zero();
     /// Rotation members (R) a streaming broadcast plans. Consulted by
     /// the layers that plan on the engine's behalf (api::Communicator,
     /// harness::Testbed); run_streaming itself takes the plan
@@ -292,7 +265,7 @@ class MulticastEngine {
     std::int32_t rotation_trees = 1;
     /// Per-packet member policy for run_streaming (run()/run_many()
     /// ignore it). Static keeps the g mod R rotation; adaptive scores
-    /// members against barrier-consistent telemetry snapshots.
+    /// members against periodic telemetry snapshots.
     Selection selection = Selection::kStatic;
     /// Background unicast flows run_streaming injects alongside the
     /// stream (contended-fabric scenarios): `packets` fixed-size
@@ -309,6 +282,7 @@ class MulticastEngine {
     std::vector<BackgroundFlow> background{};
   };
 
+  /// Throws std::invalid_argument when `config.shards` is not 1.
   MulticastEngine(const topo::Topology& topology,
                   const routing::RouteTable& routes, Config config,
                   sim::Trace* trace = nullptr);
@@ -347,35 +321,10 @@ class MulticastEngine {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  /// Conservative window for a run whose longest packet path crosses
-  /// `max_hops` switch links: t_hop, tightened for pipelined release
-  /// (the earliest staggered release of a (max_hops + 2)-channel worm
-  /// fires serialization_time - max_hops * t_hop after its drain is
-  /// scheduled, and the release mail must clear the window), further
-  /// narrowed by Config::window. Returns zero when no positive window
-  /// exists — the caller falls back to the serial engine.
-  [[nodiscard]] sim::Time pick_window(std::size_t max_hops) const;
-  /// Switch weights for load-aware partitioning: the previous sharded
-  /// run's per-switch channel-acquisition counts (empty before the
-  /// first run). Copied under load_mutex_ — replications may run
-  /// concurrently; since results are partition-independent (bit-identity
-  /// holds for every partition), racing replications merely read a
-  /// possibly-older load profile.
-  [[nodiscard]] std::vector<std::uint64_t> partition_weights() const;
-  void record_switch_load(const std::vector<std::uint64_t>& load) const;
-
-  /// Heap-allocated so the engine stays movable (Testbed keeps engines
-  /// in a vector) despite the mutex.
-  struct LoadCache {
-    std::mutex mutex;
-    std::vector<std::uint64_t> load;
-  };
-
   const topo::Topology& topology_;
   const routing::RouteTable& routes_;
   Config config_;
   sim::Trace* trace_;
-  std::unique_ptr<LoadCache> load_cache_ = std::make_unique<LoadCache>();
 };
 
 }  // namespace nimcast::mcast

@@ -30,9 +30,10 @@ struct Packet {
   std::int32_t route_class = 0;
   /// Retransmission attempt number (0 = first transmission). The lossy
   /// fabric draws a packet's fate as a pure hash of its identity — so
-  /// loss is lookahead-safe under sharding — and the attempt counter is
-  /// part of that identity: a retransmitted copy (and the ACK it
-  /// provokes) gets an independent draw instead of the original's.
+  /// the draw does not depend on the order events run in — and the
+  /// attempt counter is part of that identity: a retransmitted copy (and
+  /// the ACK it provokes) gets an independent draw instead of the
+  /// original's.
   std::int32_t attempt = 0;
 };
 

@@ -3,14 +3,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "network/network_config.hpp"
 #include "network/packet.hpp"
 #include "routing/route_table.hpp"
 #include "sim/rng.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
@@ -51,56 +49,22 @@ class DeliverySink {
 /// one physical link carry flits simultaneously (a standard lightweight
 /// simplification, noted in DESIGN.md).
 ///
-/// Storage: worms live in per-shard deque arenas (stable addresses, so
-/// `Worm*` survives growth) with intrusive free lists; a recycled slot
-/// keeps its vectors' capacity, so steady-state traffic allocates
-/// nothing. Channel state is three flat arrays indexed by channel id
-/// (busy flag, waiter-FIFO head/tail), with the FIFO linked through the
-/// worms themselves.
+/// Storage: worms live in a deque arena (stable addresses, so `Worm*`
+/// survives growth) with an intrusive free list; a recycled slot keeps
+/// its vectors' capacity, so steady-state traffic allocates nothing.
+/// Channel state is three flat arrays indexed by channel id (busy flag,
+/// waiter-FIFO head/tail), with the FIFO linked through the worms
+/// themselves.
 ///
-/// ## Sharded execution
-///
-/// The second constructor binds the network to a sim::ShardedSimulator
-/// and a switch partition: every channel is owned by the shard of its
-/// upstream switch (injection/ejection channels by the host's switch),
-/// and all events touching a channel run on its owner shard. A hop that
-/// crosses the partition travels as cross-shard mail timed `t_hop` ahead
-/// — which is why the driver's lookahead must not exceed `t_hop`. Channel
-/// releases that the serial engine performs inline at delivery are mailed
-/// to the owning shards as synthetic events at the same simulated
-/// instant. Fault application, and the teardown of any worm whose header
-/// would run into a fault-condemned channel, execute in the
-/// single-threaded barrier phase at the exact instant the serial engine
-/// would have executed them (via keyed global events), because a teardown
-/// releases channels on several shards at once. The dispatched event
-/// sequence is a pure function of the workload — independent of thread
-/// count — and matches the serial engine event for event; see
-/// docs/perf.md ("Sharded engine") for the exact contract.
-///
-/// Lossy configs shard freely: a packet's fate is a pure hash of its
-/// identity (loss_seed, message, packet index, attempt, sender, dest), so
-/// the draw is the same on every shard in every window — no RNG stream to
-/// serialize. Pipelined release also shards: each staggered release is an
-/// ordinary logical event mailed to the channel's owner when remote, and
-/// schedule_drain() enforces per worm that every release clears the
-/// driver's lookahead (the engine picks a window narrow enough, or falls
-/// back to serial when no positive window fits). Sharded mode still
-/// requires no trace sink (trace records are a global order).
+/// Loss is a pure hash of a packet's identity (loss_seed, message,
+/// packet index, attempt, sender, dest), not a draw from an RNG stream,
+/// so whether a packet is lost does not depend on the order in which
+/// events happen to run.
 class WormholeNetwork {
  public:
   WormholeNetwork(sim::Simulator& simctx, const topo::Topology& topology,
                   const routing::RouteTable& routes, NetworkConfig config,
                   sim::Trace* trace = nullptr);
-
-  /// Sharded-mode constructor: `switch_shard[s]` names the owning shard
-  /// of switch `s` (one entry per switch, values in
-  /// [0, sharded.num_shards())). Throws std::invalid_argument when the
-  /// partition is malformed or the configuration cannot be sharded (see
-  /// class comment).
-  WormholeNetwork(sim::ShardedSimulator& sharded,
-                  const topo::Topology& topology,
-                  const routing::RouteTable& routes, NetworkConfig config,
-                  std::vector<std::int32_t> switch_shard);
 
   WormholeNetwork(const WormholeNetwork&) = delete;
   WormholeNetwork& operator=(const WormholeNetwork&) = delete;
@@ -117,9 +81,7 @@ class WormholeNetwork {
   /// channel. Packets whose sender or destination sits on a dead switch,
   /// or whose pair is unreachable in the route table their route_class
   /// selects (0 = primary, see bind_route_class), are dropped at
-  /// injection (counted in packets_dropped()). In sharded mode this
-  /// must be called from the sender's owner-shard context (an NI event)
-  /// or outside run().
+  /// injection (counted in packets_dropped()).
   void send(const Packet& packet);
 
   /// Binds the route table packets of `route_class == cls` (cls >= 1)
@@ -136,8 +98,7 @@ class WormholeNetwork {
   /// mask is updated and every worm caught on a dying channel has been
   /// truncated. Fires for recoveries (kLinkUp) too — the multicast engine
   /// hooks this to rebuild routes on the *current* surviving subgraph,
-  /// whichever direction it just changed. In sharded mode the hook runs
-  /// in the single-threaded barrier phase.
+  /// whichever direction it just changed.
   std::function<void(const FaultEvent&)> on_fault;
 
   /// Swaps the route table consulted for future injections — the
@@ -159,35 +120,31 @@ class WormholeNetwork {
   /// Both endpoints alive and connected under the bound route table.
   [[nodiscard]] bool reachable(topo::HostId src, topo::HostId dst) const;
 
-  /// Shard owning `h`'s injection/ejection channels (0 in serial mode).
-  [[nodiscard]] std::int32_t shard_of_host(topo::HostId h) const;
-
   /// Worms currently traversing the network (or blocked inside it). A
   /// simulator that goes idle while this is non-zero has hit a routing
   /// deadlock — possible with torus dimension-ordered routes, impossible
-  /// with up*/down*. Sharded mode: only meaningful between runs or at a
-  /// barrier (summed over shards).
-  [[nodiscard]] std::int32_t in_flight() const;
+  /// with up*/down*.
+  [[nodiscard]] std::int32_t in_flight() const { return in_flight_; }
 
-  [[nodiscard]] std::int64_t packets_delivered() const;
+  [[nodiscard]] std::int64_t packets_delivered() const { return delivered_; }
 
   /// Packets dropped by the loss process (loss_rate > 0) or by faults
   /// (truncated worms, injections into a dead fabric segment). Dropped
   /// packets consumed wire time but never reached their delivery
   /// callback.
-  [[nodiscard]] std::int64_t packets_dropped() const;
+  [[nodiscard]] std::int64_t packets_dropped() const { return dropped_; }
 
   /// Worms truncated mid-flight by a fault: their acquired channels were
   /// freed, the tail was killed, and the receiver saw a CRC-style drop.
   /// A subset of packets_dropped().
-  [[nodiscard]] std::int64_t packets_killed() const;
+  [[nodiscard]] std::int64_t packets_killed() const { return killed_; }
 
   /// Fault events applied so far.
   [[nodiscard]] std::int32_t faults_applied() const { return faults_applied_; }
 
   /// Cumulative time worms spent blocked on busy channels; the
   /// contention metric reported by the ordering ablation.
-  [[nodiscard]] sim::Time total_block_time() const;
+  [[nodiscard]] sim::Time total_block_time() const { return total_block_; }
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
@@ -196,36 +153,22 @@ class WormholeNetwork {
   /// t_step.
   [[nodiscard]] sim::Time uncontended_latency(std::size_t hops) const;
 
-  /// Pool high-water mark: worm slots ever allocated (summed over shard
-  /// arenas). Equals the peak number of simultaneously live worms in
-  /// serial mode — the pool leak/reuse invariant the worm-pool tests pin.
-  [[nodiscard]] std::size_t worm_pool_slots() const;
+  /// Pool high-water mark: worm slots ever allocated. Equals the peak
+  /// number of simultaneously live worms — the pool leak/reuse invariant
+  /// the worm-pool tests pin.
+  [[nodiscard]] std::size_t worm_pool_slots() const { return arena_.size(); }
 
-  /// Slots currently on the free lists (== worm_pool_slots() when the
+  /// Slots currently on the free list (== worm_pool_slots() when the
   /// network is idle and nothing leaked).
-  [[nodiscard]] std::size_t worm_pool_free() const;
+  [[nodiscard]] std::size_t worm_pool_free() const { return free_count_; }
 
-  /// Maximum in_flight() ever observed. Exact in serial mode; in sharded
-  /// mode an upper bound (the sum of per-shard peaks — shards don't
-  /// share a cycle-exact global counter mid-window).
-  [[nodiscard]] std::int32_t peak_in_flight() const;
-
-  /// Per-switch channel-acquisition counts (one entry per switch; a
-  /// host's injection/ejection traffic accrues to its switch). The
-  /// engine's load-aware repartitioning reads this after a warmup run to
-  /// weight topo::partition_switches. In sharded mode each counter is
-  /// written only by the owning shard, so read it between runs or at a
-  /// barrier.
-  [[nodiscard]] const std::vector<std::uint64_t>& switch_load() const {
-    return switch_load_;
-  }
+  /// Maximum in_flight() ever observed.
+  [[nodiscard]] std::int32_t peak_in_flight() const { return peak_in_flight_; }
 
   /// Per-channel congestion telemetry, maintained on the existing
   /// channel-acquisition/release path (two array increments — no
   /// per-flit allocation, no extra events). Counters are cumulative and
-  /// monotone over the network's lifetime; like switch_load(), each
-  /// index is written only by its owner shard mid-window, so sample them
-  /// between runs, at a barrier, or from a single-threaded global.
+  /// monotone over the network's lifetime.
   /// Total channels (switch + injection + ejection); valid ids are
   /// [0, num_channels()).
   [[nodiscard]] std::int32_t num_channels() const {
@@ -258,50 +201,21 @@ class WormholeNetwork {
     Packet packet;
     std::vector<std::int32_t> path;      ///< channel ids, injection..ejection
     std::vector<sim::Time> acquired_at;  ///< per-channel acquisition times
-    /// Pipelined mode: staggered releases not yet fired. Sharded mode:
-    /// the remote (cross-shard) at-delivery releases mailed by
-    /// schedule_drain. Either way: cancel-and-release on kill.
+    /// Pipelined mode: staggered releases not yet fired — cancelled and
+    /// released on kill.
     std::vector<PendingRelease> pending_releases;
     std::size_t next = 0;        ///< next channel to acquire
     sim::Time block_start{};     ///< set while parked on a busy channel
-    sim::Time hop_at{};          ///< arrival time of the pending hop
     sim::EventId pending{};      ///< in-flight hop / drain-completion event
-    std::int32_t pending_shard = 0;  ///< shard whose queue holds `pending`
     /// Waiter-FIFO link while parked; free-list link while the slot is
     /// free.
     Worm* next_waiter = nullptr;
-    std::int32_t shard = 0;  ///< shard that allocated this incarnation
-    /// Bumped on every free; replay globals capture it to detect that
-    /// the worm they were scheduled for died (or was recycled) first.
-    std::uint64_t doom_epoch = 0;
-    /// Deterministic identity for replay-global tie-breaks:
-    /// (birth arena << 32) | slot index within it. Never changes.
-    std::uint64_t replay_key = 0;
     /// Channels [0, released_below) already freed by pipelined staggered
     /// releases; they must not be freed again when the worm is killed.
     std::size_t released_below = 0;
     bool parked = false;    ///< sitting in some channel's waiter FIFO
     bool draining = false;  ///< final channel acquired, payload draining
     bool in_use = false;    ///< live worm vs free slot (fault sweep filter)
-    /// Sharded: the pending hop was replaced by a barrier-phase replay
-    /// global (its target channel is currently condemned); `pending` is
-    /// not a live event.
-    bool doomed = false;
-  };
-
-  /// Per-shard mutable state: worm arena + free list + statistics. One
-  /// instance in serial mode. Heap-allocated so shard-hot state never
-  /// false-shares across worker threads.
-  struct ShardState {
-    std::deque<Worm> arena;  ///< stable addresses; grows at injection
-    Worm* free_head = nullptr;
-    std::size_t free_count = 0;
-    std::int32_t in_flight = 0;
-    std::int32_t peak_in_flight = 0;
-    std::int64_t delivered = 0;
-    std::int64_t dropped = 0;
-    std::int64_t killed = 0;
-    sim::Time total_block = sim::Time::zero();
   };
 
   /// Channel ids: [0, 2E*V) switch channels, [2E*V, 2E*V+H) injection,
@@ -314,36 +228,19 @@ class WormholeNetwork {
   void build_path(topo::HostId src, topo::HostId dst, std::int32_t cls,
                   std::vector<std::int32_t>& out) const;
 
-  [[nodiscard]] bool is_sharded() const { return sharded_ != nullptr; }
-  [[nodiscard]] std::int32_t chan_shard(std::int32_t chan) const {
-    return is_sharded() ? chan_shard_[static_cast<std::size_t>(chan)] : 0;
-  }
-  [[nodiscard]] sim::Simulator& sim_of(std::int32_t shard) const {
-    return is_sharded() ? sharded_->shard(shard) : *serial_sim_;
-  }
-  [[nodiscard]] ShardState& state_of(std::int32_t shard) {
-    return *shard_state_[static_cast<std::size_t>(shard)];
-  }
-
-  [[nodiscard]] Worm* alloc_worm(std::int32_t shard);
-  void free_worm(Worm* w, std::int32_t shard);
+  [[nodiscard]] Worm* alloc_worm();
+  void free_worm(Worm* w);
   void push_waiter(std::int32_t chan, Worm* w);
   [[nodiscard]] Worm* pop_waiter(std::int32_t chan);
   void erase_waiter(std::int32_t chan, Worm* w);
 
   /// Advances the worm's header through free channels; parks it on the
-  /// first busy one. Runs on the owner shard of path[next] (or in the
-  /// barrier phase).
+  /// first busy one.
   void progress(Worm* w);
-  /// Schedules the header's arrival at path[next], `t_hop` from now on
-  /// shard `from`: locally, as cross-shard mail, or — when the target
-  /// channel is currently condemned — as a barrier-phase replay global
-  /// (the ensuing teardown touches many shards).
-  void schedule_hop(Worm* w, std::int32_t from);
-  void doom(Worm* w, sim::Time at);
+  /// Schedules the header's arrival at path[next], `t_hop` from now.
+  void schedule_hop(Worm* w);
   /// Called once the final channel is acquired: schedules the tail drain
-  /// (and the upstream releases: staggered in pipelined mode, mailed to
-  /// their owner shards in sharded mode).
+  /// (and, in pipelined mode, the staggered upstream releases).
   void schedule_drain(Worm* w);
   void complete(Worm* w);
   void release_channel(std::int32_t chan);
@@ -360,15 +257,12 @@ class WormholeNetwork {
            channel_dead_[static_cast<std::size_t>(chan)];
   }
 
-  void init_channels_and_faults();
-
   /// Loss draw for a delivered packet: a pure hash of (loss_seed,
   /// message, packet index, attempt, sender, dest) against loss_rate.
-  /// No state, no draw order — identical on every shard in any window.
+  /// No state and no draw order, so event order cannot change it.
   [[nodiscard]] bool packet_lost(const Packet& p) const;
 
-  sim::Simulator* serial_sim_ = nullptr;    ///< serial mode
-  sim::ShardedSimulator* sharded_ = nullptr;  ///< sharded mode
+  sim::Simulator& sim_;
   const topo::Topology& topology_;
   const routing::RouteTable* routes_;  ///< pointer: rebindable after faults
   /// Alternative tables by route class (index = class - 1); null slots
@@ -377,25 +271,24 @@ class WormholeNetwork {
   NetworkConfig config_;
   sim::Trace* trace_;
 
-  // Flat per-channel state, indexed by channel id. In sharded mode each
-  // index is touched only by its owner shard mid-window (barriers order
-  // everything else).
+  // Flat per-channel state, indexed by channel id.
   std::vector<std::uint8_t> channel_busy_;
   std::vector<Worm*> wait_head_;  ///< waiter-FIFO head, null when empty
   std::vector<Worm*> wait_tail_;
-  /// Owner shard per channel id; empty in serial mode.
-  std::vector<std::int32_t> chan_shard_;
-  /// Driving switch per channel id (injection/ejection map to the
-  /// host's switch) — the accounting key for switch_load_.
-  std::vector<topo::SwitchId> chan_switch_;
-  /// Channel acquisitions per switch; see switch_load().
-  std::vector<std::uint64_t> switch_load_;
   /// Cumulative block ns per channel; see channel_block_ns().
   std::vector<std::int64_t> chan_block_ns_;
   /// Acquisition count per channel; see channel_acquisitions().
   std::vector<std::uint64_t> chan_acq_;
 
-  std::vector<std::unique_ptr<ShardState>> shard_state_;
+  std::deque<Worm> arena_;  ///< stable addresses; grows at injection
+  Worm* free_head_ = nullptr;
+  std::size_t free_count_ = 0;
+  std::int32_t in_flight_ = 0;
+  std::int32_t peak_in_flight_ = 0;
+  std::int64_t delivered_ = 0;
+  std::int64_t dropped_ = 0;
+  std::int64_t killed_ = 0;
+  sim::Time total_block_ = sim::Time::zero();
 
   std::vector<DeliverySink*> sinks_;  ///< per host, null until bound
 

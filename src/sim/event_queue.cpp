@@ -23,9 +23,9 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void EventQueue::heap_push(Time time, std::uint64_t hi, std::uint64_t lo,
+void EventQueue::heap_push(Time time, std::uint64_t order,
                            std::uint32_t slot) {
-  heap_.push_back(HeapEntry{time, hi, lo, slot});
+  heap_.push_back(HeapEntry{time, order, slot});
   slab_[slot].heap_index =
       static_cast<std::uint32_t>(sift_up(heap_.size() - 1));
 }
@@ -122,7 +122,7 @@ void EventQueue::lane_push_slow(Lane& ln, const LaneEntry& e) {
   }
   ln.at(ln.count++) = e;
   if (ln.count == 1) {
-    heap_push(e.time, 0, e.order, e.slot);  // the lane's head entry
+    heap_push(e.time, e.order, e.slot);  // the lane's head entry
   } else {
     assert(!(e.time < ln.at(ln.count - 2).time) && "lane out of order");
     slab_[e.slot].heap_index = kInLane;
@@ -156,11 +156,6 @@ void EventQueue::compact(Lane& ln) {
   }
   ln.count = kept;
   ln.dead = 0;
-}
-
-bool EventQueue::lanes_idle() const {
-  return std::all_of(lanes_.begin(), lanes_.end(),
-                     [](const Lane& ln) { return ln.count == 0; });
 }
 
 void EventQueue::lane_cancel(std::uint32_t slot) {
@@ -225,7 +220,7 @@ EventQueue::Fired EventQueue::pop() {
   assert(live_ != 0 && "pop() on empty queue");
   const HeapEntry top = heap_.front();
   Slot& s = slab_[top.slot];
-  Fired fired{top.time, top.hi, top.lo, std::move(s.cb)};
+  Fired fired{top.time, top.order, std::move(s.cb)};
   const std::uint32_t lane = s.lane;
   release_slot(top.slot);
   // A direct caller may schedule behind the last pop; ref_ must not

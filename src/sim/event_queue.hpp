@@ -147,15 +147,11 @@ class EventCallback {
 /// schedule sends at identical times and the paper's disciplines (FCFS,
 /// FPFS) are defined by service *order*.
 ///
-/// Every event is keyed (time, hi, lo) and fires in ascending key order.
-/// The plain schedule() path uses (0, insertion counter) — pure FIFO, the
-/// historical behaviour. schedule_keyed() lets a caller supply the key
-/// explicitly; the sharded simulator passes (schedule-time, lineage key)
-/// so that events merged across shard queues keep the order a serial
-/// execution would have given them (a serial run's insertion counter is
-/// monotone in schedule time, so the two keyings agree whenever schedule
-/// times differ; rekey_lo() lets the sharded driver finalize lineage keys
-/// at window barriers once global dispatch ordinals are known).
+/// Every event is keyed (time, order) and fires in ascending key order.
+/// The plain schedule() path takes `order` from an insertion counter —
+/// pure FIFO. reserve_order() claims a counter value without scheduling,
+/// and schedule_keyed() replays a claimed value: a chain of events at
+/// distinct times keeps one fixed position in the FIFO tie-break.
 ///
 /// Implementation: delay lanes over an indexed 4-ary min-heap, on a slab
 /// of pooled event slots. The model is constant-cost — nearly every
@@ -165,12 +161,12 @@ class EventCallback {
 ///   - A plain schedule() whose delay `when - ref` recurs (ref = the
 ///     latest popped time, kept monotone) is appended to a FIFO ring for
 ///     that delay. ref and the insertion counter only grow, so each lane is
-///     sorted by (time, 0, counter) by construction.
+///     sorted by (time, order) by construction.
 ///   - Each non-empty lane's head sits in the heap as one entry. A push
 ///     onto a non-empty lane is O(1) and touches no heap; a pop sifts a
 ///     heap of (active lanes + other events) instead of every pending
-///     event. The merge is exactly by (time, hi, lo), so dispatch order
-///     is identical to a single heap over all events.
+///     event. The merge is exactly by (time, order), so dispatch order is
+///     identical to a single heap over all events.
 ///   - Lane lookup is one probe of a small direct-mapped table keyed by
 ///     delay. A delay earns a lane on its second consecutive sighting in
 ///     its table bucket, and a lane changes hands only while it is empty,
@@ -204,33 +200,28 @@ class EventQueue {
     const Time::rep delay = (when - ref_).count_ns();
     const std::uint32_t lane = delay >= 0 ? lane_for(delay) : kNoLane;
     if (lane == kNoLane) {
-      return schedule_keyed(when, 0, order, std::forward<F>(f));
+      return schedule_keyed(when, order, std::forward<F>(f));
     }
     const std::uint32_t slot = emplace_slot(std::forward<F>(f));
     lane_push(lane, LaneEntry{when, order, slot, slab_[slot].generation});
     return EventId{make_id(slot, slab_[slot].generation)};
   }
 
-  /// Schedules `f` at `when` with an explicit (hi, lo) tie-break key:
-  /// events at the same time fire in ascending (hi, lo) order. Mixing
-  /// schedule() and schedule_keyed() on one queue is allowed but the
-  /// keys then come from different spaces; callers that need a total
-  /// order must pick one keying per queue.
+  /// Schedules `f` at `when` under `order`, a FIFO position claimed by
+  /// reserve_order().
   template <typename F>
-  EventId schedule_keyed(Time when, std::uint64_t hi, std::uint64_t lo,
-                         F&& f) {
+  EventId schedule_keyed(Time when, std::uint64_t order, F&& f) {
     const std::uint32_t slot = emplace_slot(std::forward<F>(f));
-    heap_push(when, hi, lo, slot);
+    heap_push(when, order, slot);
     ++live_;
     return EventId{make_id(slot, slab_[slot].generation)};
   }
 
-  /// Claims the next plain-FIFO insertion counter without scheduling
-  /// anything. The claimed value can be replayed via
-  /// schedule_keyed(when, 0, key) at several *distinct* times — a
-  /// self-rescheduling chain keeps one stable position in the FIFO
-  /// tie-break (after everything scheduled before the claim, before
-  /// everything scheduled after it).
+  /// Claims the next FIFO insertion counter without scheduling anything.
+  /// The claimed value can be replayed via schedule_keyed(when, key) at
+  /// several *distinct* times — a self-rescheduling chain keeps one
+  /// stable position in the FIFO tie-break (after everything scheduled
+  /// before the claim, before everything scheduled after it).
   [[nodiscard]] std::uint64_t reserve_order() { return next_order_++; }
 
   /// Cancels a pending event. Returns false when the event already fired
@@ -253,39 +244,13 @@ class EventQueue {
   /// Removes and returns the earliest pending event. Queue must be
   /// non-empty. The returned callback may own pool storage; it must be
   /// destroyed before the queue (the simulator's dispatch loop does).
-  /// (hi, lo) is the tie-break key the event was scheduled with — the
-  /// sharded driver records it to reconstruct global dispatch order.
+  /// `order` is the tie-break key the event was scheduled with.
   struct Fired {
     Time time;
-    std::uint64_t hi;
-    std::uint64_t lo;
+    std::uint64_t order;
     Callback cb;
   };
   Fired pop();
-
-  /// Applies `fn(time, hi, lo) -> lo` to every pending entry and restores
-  /// the heap invariant in one pass (the heapify runs only when some key
-  /// actually changed). The sharded driver uses this to replace
-  /// provisional lineage keys with final ones — as an amortized
-  /// compaction pass and, filtered by (time, hi), when cross-shard mail
-  /// could tie a provisional key; `fn` must be order-preserving over the
-  /// entries it changes relative to the ones it leaves alone (the ordinal
-  /// assignment is). Keyed queues only: shard-order simulators schedule
-  /// exclusively through schedule_keyed(), so no event sits in a lane.
-  template <typename Fn>
-  void rekey_lo(Fn&& fn) {
-    assert(lanes_idle() && "rekey_lo() on a queue with lane events");
-    bool changed = false;
-    for (HeapEntry& e : heap_) {
-      const std::uint64_t lo = fn(e.time, e.hi, e.lo);
-      if (lo != e.lo) {
-        e.lo = lo;
-        changed = true;
-      }
-    }
-    if (!changed || heap_.size() < 2) return;
-    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
-  }
 
   /// Number of event slots allocated in the slab (live + free-listed).
   /// Exposed for tests: schedule/cancel churn must not grow this beyond
@@ -315,11 +280,11 @@ class EventQueue {
   };
   struct HeapEntry {
     Time time;
-    std::uint64_t hi;
-    std::uint64_t lo;
+    std::uint64_t order;
     std::uint32_t slot;
   };
-  /// A lane event: its key (time, 0, order) and the slot generation it
+  static_assert(sizeof(HeapEntry) == 24, "a heap entry is three words");
+  /// A lane event: its key (time, order) and the slot generation it
   /// was scheduled under — a mismatch marks it cancelled.
   struct LaneEntry {
     Time time;
@@ -353,8 +318,7 @@ class EventQueue {
   }
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
-    if (a.hi != b.hi) return a.hi < b.hi;
-    return a.lo < b.lo;
+    return a.order < b.order;
   }
   static std::uint32_t bucket_of(Time::rep delay) {
     return static_cast<std::uint32_t>(
@@ -404,18 +368,16 @@ class EventQueue {
   /// Removes the lane's head, then any cancelled entries behind it.
   void drop_front(Lane& ln);
   void compact(Lane& ln);
-  [[nodiscard]] bool lanes_idle() const;
   [[nodiscard]] bool dead(const LaneEntry& e) const {
     return slab_[e.slot].generation != e.generation;
   }
   static HeapEntry head_key(const LaneEntry& e) {
-    return HeapEntry{e.time, 0, e.order, e.slot};
+    return HeapEntry{e.time, e.order, e.slot};
   }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void heap_push(Time time, std::uint64_t hi, std::uint64_t lo,
-                 std::uint32_t slot);
+  void heap_push(Time time, std::uint64_t order, std::uint32_t slot);
   void heap_remove(std::size_t index);
   std::size_t sift_up(std::size_t index);
   void sift_down(std::size_t index);

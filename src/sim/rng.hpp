@@ -28,8 +28,8 @@ namespace nimcast::sim {
 
 /// Maps a hash word to a uniform double in [0, 1) — the stateless
 /// counterpart of Rng::next_double(). Decisions derived this way are pure
-/// functions of their key (no draw-order dependence), which is what lets
-/// the sharded engine evaluate them on any shard in any window.
+/// functions of their key: no stream is consumed, so the order in which
+/// events draw them cannot change any outcome.
 [[nodiscard]] constexpr double hash_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }

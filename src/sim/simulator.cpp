@@ -12,8 +12,8 @@ void Simulator::throw_past_schedule(Time when) const {
 void Simulator::fold_dispatch(DispatchDigest& digest,
                               const EventQueue::Fired& fired) {
   for (const std::uint64_t word :
-       {static_cast<std::uint64_t>(fired.time.count_ns()), fired.hi,
-        fired.lo}) {
+       {static_cast<std::uint64_t>(fired.time.count_ns()), std::uint64_t{0},
+        fired.order}) {
     for (int byte = 0; byte < 8; ++byte) {
       digest.fnv ^= (word >> (8 * byte)) & 0xffu;
       digest.fnv *= 0x100000001b3ull;
@@ -31,7 +31,6 @@ std::uint64_t Simulator::run(std::uint64_t event_limit) {
       throw std::runtime_error("Simulator::run: event limit exceeded");
     }
     ev.cb();
-    end_dispatch();
   }
   return fired;
 }
@@ -45,7 +44,6 @@ std::uint64_t Simulator::run_until(Time until, std::uint64_t event_limit) {
       throw std::runtime_error("Simulator::run_until: event limit exceeded");
     }
     ev.cb();
-    end_dispatch();
   }
   if (until > now_) now_ = until;
   return fired;
@@ -56,7 +54,6 @@ bool Simulator::step() {
   auto ev = queue_.pop();
   begin_dispatch(ev);
   ev.cb();
-  end_dispatch();
   return true;
 }
 

@@ -46,9 +46,8 @@ struct SchedulerConfig {
 };
 
 /// Deterministic contention ledger behind admission decisions. All state
-/// mutates only inside coordinator events (the single-threaded
-/// barrier-phase in the sharded engine), so decisions are a pure
-/// function of simulated history — bit-identical serial vs sharded.
+/// mutates only inside coordinator events, so decisions are a pure
+/// function of simulated history.
 ///
 /// Scoring: a channel is *busy* when an in-flight admitted operation's
 /// footprint covers it, or when the latest telemetry refresh saw more

@@ -1,7 +1,6 @@
 #include "traffic/traffic_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include <tuple>
 #include <utility>
 
-#include "mcast/fabric.hpp"
 #include "netif/host.hpp"
 #include "netif/smart_ni.hpp"
 #include "network/wormhole_network.hpp"
@@ -87,57 +85,6 @@ void collect_edges(const MsgPlan& m,
   }
 }
 
-/// Longest route over every edge of `plans`, per op (index = op). Both
-/// directions count: drain acknowledgements retrace the edge.
-std::vector<std::size_t> op_max_hops(const routing::RouteTable& routes,
-                                     const std::vector<MsgPlan>& plans,
-                                     std::size_t num_ops) {
-  std::vector<std::size_t> hops(num_ops, 0);
-  std::vector<std::pair<topo::HostId, topo::HostId>> edges;
-  for (const MsgPlan& m : plans) {
-    edges.clear();
-    collect_edges(m, edges);
-    for (const auto& [a, b] : edges) {
-      hops[m.op] = std::max({hops[m.op], routes.hops(a, b), routes.hops(b, a)});
-    }
-  }
-  return hops;
-}
-
-/// The conservative window for the mix under `config` (zero = serial
-/// engine).
-sim::Time plan_window(const TrafficConfig& config,
-                      const routing::RouteTable& routes,
-                      const std::vector<MsgPlan>& plans, std::size_t num_ops) {
-  if (config.shards <= 1) return sim::Time::zero();
-  // Only pipelined release narrows the window by path length.
-  const bool pipelined =
-      config.network.release_model == net::ReleaseModel::kPipelined;
-  const std::vector<std::size_t> hops =
-      pipelined ? op_max_hops(routes, plans, num_ops)
-                : std::vector<std::size_t>(num_ops, 0);
-  const std::size_t max_hops = *std::max_element(hops.begin(), hops.end());
-  const sim::Time window = mcast::Fabric::conservative_window(
-      config.network, max_hops, config.window);
-  // The ONE window choice for the whole shared fabric. A mid-mix
-  // re-shard would tear down every in-flight worm, so the global pick
-  // must already be safe for every operation: assert it equals the min
-  // over per-op conservative windows (the regression this engine
-  // replaces computed pick_window per single operation).
-  sim::Time per_op_min = window;
-  for (std::size_t h : hops) {
-    const sim::Time w =
-        mcast::Fabric::conservative_window(config.network, h, config.window);
-    per_op_min = std::min(per_op_min, w);
-  }
-  if (per_op_min != window) {
-    throw std::logic_error(
-        "TrafficEngine: shared-fabric window diverged from the per-op "
-        "minimum — the engine would have to re-shard mid-mix");
-  }
-  return window;
-}
-
 void validate_workload(const topo::Topology& topology,
                        const Workload& workload) {
   if (workload.ops.empty()) {
@@ -200,12 +147,6 @@ TrafficEngine::TrafficEngine(const topo::Topology& topology,
   }
 }
 
-sim::Time TrafficEngine::planned_window(const Workload& workload) const {
-  validate_workload(topology_, workload);
-  return plan_window(config_, routes_, build_plans(workload),
-                     workload.ops.size());
-}
-
 TrafficResult TrafficEngine::run(const Workload& workload) const {
   validate_workload(topology_, workload);
   const std::vector<MsgPlan> plans = build_plans(workload);
@@ -241,15 +182,8 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     }
   }
 
-  const sim::Time window = plan_window(config_, routes_, plans, num_ops);
-  mcast::Fabric fabric{topology_, routes_, config_.network, config_.shards,
-                       window,    {},      nullptr};
-  const bool sharded_mode = fabric.sharded();
-  const std::int32_t num_shards = fabric.num_shards();
-  net::WormholeNetwork& network = fabric.network();
-  const auto sim_for_host = [&](topo::HostId h) -> sim::Simulator& {
-    return fabric.sim_for_host(h);
-  };
+  sim::Simulator simctx;
+  net::WormholeNetwork network{simctx, topology_, routes_, config_.network};
 
   // Derived scheduler knobs. The tick period is one steady-state packet
   // service time (receive + widest forwarding fan-out of the mix) — long
@@ -279,9 +213,9 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   for (std::size_t h = 0; h < num_hosts; ++h) {
     if (participant[h] == 0) continue;
     const auto id = static_cast<topo::HostId>(h);
-    sim::Simulator& hsim = sim_for_host(id);
-    nis[h] = std::make_unique<netif::FpfsNi>(hsim, network, config_.params, id);
-    hosts[h] = std::make_unique<netif::Host>(hsim, id, config_.params);
+    nis[h] =
+        std::make_unique<netif::FpfsNi>(simctx, network, config_.params, id);
+    hosts[h] = std::make_unique<netif::Host>(simctx, id, config_.params);
   }
   const auto ni_of = [&](topo::HostId h) -> netif::FpfsNi& {
     return *nis[static_cast<std::size_t>(h)];
@@ -315,31 +249,20 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   }
 
   // Per-(message, destination) NI-completion flags, one flat plans x
-  // hosts byte matrix: each byte is written only by its destination's
-  // owner shard.
+  // hosts byte matrix.
   std::vector<std::uint8_t> arrived(plans.size() * num_hosts, 0);
-  // Destinations each message still waits for. Decremented by whichever
-  // shard completes a destination, hence atomic; exactly one sink sees
-  // the count reach zero and logs the message as done.
-  std::vector<std::atomic<std::int32_t>> remaining(plans.size());
+  // Destinations each message still waits for; the sink that brings a
+  // count to zero logs the message as done.
+  std::vector<std::int32_t> remaining(plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    remaining[i].store(plans[i].expected);
+    remaining[i] = plans[i].expected;
   }
 
-  // Per-shard append-only logs, written by the owner shard's thread
-  // during a window and read by the coordinator only at barrier
-  // instants. host_done: host-level completion records, merged after the
-  // run and sorted by (time, host, message) — bit-identical serial vs
-  // sharded, as in MulticastEngine. done_msgs: messages whose last
-  // destination completed since the coordinator last drained the log.
-  struct CompletionLog {
-    std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_done;
-    std::vector<std::size_t> done_msgs;
-  };
-  std::vector<std::unique_ptr<CompletionLog>> logs;
-  for (std::int32_t s = 0; s < num_shards; ++s) {
-    logs.push_back(std::make_unique<CompletionLog>());
-  }
+  // host_done: host-level completion records, sorted by (time, host,
+  // message) after the run. done_msgs: messages whose last destination
+  // completed since the coordinator last drained the list.
+  std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_done;
+  std::vector<std::size_t> done_msgs;
 
   for (const auto& ni : nis) {
     if (!ni) continue;
@@ -348,21 +271,16 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
       auto& seen = arrived[mi * num_hosts + static_cast<std::size_t>(dest)];
       if (seen != 0) return;
       seen = 1;
-      CompletionLog& log = *logs[static_cast<std::size_t>(
-          sharded_mode ? network.shard_of_host(dest) : 0)];
-      if (remaining[mi].fetch_sub(1) == 1) {
-        log.done_msgs.push_back(mi);
-      }
-      host_of(dest).software_receive([&, logp = &log, dest, msg, mi] {
-        logp->host_done.emplace_back(mi, dest, sim_for_host(dest).now());
+      if (--remaining[mi] == 0) done_msgs.push_back(mi);
+      host_of(dest).software_receive([&, dest, msg, mi] {
+        host_done.emplace_back(mi, dest, simctx.now());
         ni_of(dest).after_host_receive(msg, host_of(dest));
       });
     };
   }
 
-  // ---- Coordinator state. Mutated ONLY inside coordinated events (the
-  // single-threaded barrier phase in sharded mode), so every admission
-  // decision is a pure function of simulated history.
+  // ---- Coordinator state. Mutated ONLY inside coordinated events, so
+  // every admission decision is a pure function of simulated history.
   struct OpState {
     bool phase1_launched = false;
     std::int32_t waited = 0;
@@ -410,16 +328,14 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
       sched.refresh_telemetry(block_scratch);
     }
     finished.clear();
-    for (const auto& log : logs) {
-      for (std::size_t i : log->done_msgs) {
-        const MsgPlan& m = plans[i];
-        OpState& s = st[m.op];
-        if (--(m.phase == 0 ? s.left0 : s.left1) == 0) {
-          finished.push_back(m.op);
-        }
+    for (std::size_t i : done_msgs) {
+      const MsgPlan& m = plans[i];
+      OpState& s = st[m.op];
+      if (--(m.phase == 0 ? s.left0 : s.left1) == 0) {
+        finished.push_back(m.op);
       }
-      log->done_msgs.clear();
     }
+    done_msgs.clear();
     std::sort(finished.begin(), finished.end());
     for (std::size_t op : finished) {
       const OpState& s = st[op];
@@ -454,22 +370,22 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     return !deferred.empty() || awaiting_phase1 > 0;
   };
 
-  // Coordination keys: one per arrival in op order, the tick chain's
-  // last — matching sharded registration order (arrivals register at
-  // setup, ticks during the run), so same-instant arrival-before-tick
-  // ordering agrees between the engines.
+  // Coordination keys, reserved before anything else is scheduled: one
+  // per arrival in op order, the tick chain's last. Every coordinated
+  // event fires before the same-instant events the run schedules, and an
+  // arrival fires before a same-instant tick.
   std::vector<std::uint64_t> arrival_keys(num_ops, 0);
   for (std::size_t op = 0; op < num_ops; ++op) {
-    arrival_keys[op] = fabric.reserve_coordination_key();
+    arrival_keys[op] = simctx.reserve_order();
   }
-  const std::uint64_t tick_key = fabric.reserve_coordination_key();
+  const std::uint64_t tick_key = simctx.reserve_order();
 
   std::function<void()> tick_fn;
   const auto ensure_tick = [&](sim::Time now) {
     if (tick_active || !need_ticks()) return;
     tick_active = true;
     next_tick = now + scfg.tick;
-    fabric.schedule_coordinated(next_tick, tick_key, tick_fn);
+    simctx.schedule_at_keyed(next_tick, tick_key, tick_fn);
   };
   tick_fn = [&] {
     tick_active = false;
@@ -488,13 +404,13 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     if (need_ticks()) {
       tick_active = true;
       next_tick = next_tick + scfg.tick;
-      fabric.schedule_coordinated(next_tick, tick_key, tick_fn);
+      simctx.schedule_at_keyed(next_tick, tick_key, tick_fn);
     }
   };
 
   for (std::size_t op = 0; op < num_ops; ++op) {
     const sim::Time at = workload.ops[op].arrival;
-    fabric.schedule_coordinated(at, arrival_keys[op], [&, op, at] {
+    simctx.schedule_at_keyed(at, arrival_keys[op], [&, op, at] {
       drain();
       const bool now_ok =
           !paced || (deferred.empty() && sched.would_admit(op_foot[op], 0));
@@ -507,21 +423,15 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     });
   }
 
-  fabric.run(config_.shard_threads);
+  simctx.run();
   if (network.in_flight() != 0) {
     throw std::runtime_error(
         "TrafficEngine: network deadlock (worms still in flight)");
   }
 
-  // Merge the per-shard completion logs into one total order. Keys
-  // (time, host, message) are unique, so the sort is engine- and
-  // thread-count-independent.
-  std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_all;
-  for (const auto& log : logs) {
-    host_all.insert(host_all.end(), log->host_done.begin(),
-                    log->host_done.end());
-  }
-  std::sort(host_all.begin(), host_all.end(),
+  // One total order for the completion records: (time, host, message)
+  // keys are unique.
+  std::sort(host_done.begin(), host_done.end(),
             [](const auto& a, const auto& b) {
               return std::make_tuple(std::get<2>(a), std::get<1>(a),
                                      std::get<0>(a)) <
@@ -538,7 +448,7 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
       digest *= 1099511628211ull;  // FNV-1a prime
     }
   };
-  for (const auto& [mi, h, t] : host_all) {
+  for (const auto& [mi, h, t] : host_done) {
     ++msg_completions[mi];
     msg_last[mi] = std::max(msg_last[mi], t);
     fnv(static_cast<std::uint64_t>(t.count_ns()));
@@ -591,11 +501,8 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     result.flits_per_us = flits / result.makespan.as_us();
   }
   result.total_channel_block_time = network.total_block_time();
-  result.events_dispatched = fabric.events_dispatched();
-  result.shards_used = fabric.num_shards();
-  result.window_ns = window.count_ns();
-  result.barrier_wall_ns = fabric.barrier_wall_ns();
-  result.windows_planned = fabric.windows_planned();
+  result.events_dispatched =
+      static_cast<std::int64_t>(simctx.events_dispatched());
   result.digest = digest;
   return result;
 }

@@ -21,15 +21,6 @@ struct TrafficConfig {
   netif::SystemParams params;
   net::NetworkConfig network;
   SchedulerConfig scheduler;
-  /// Intra-run parallelism, exactly as mcast::MulticastEngine::Config:
-  /// > 1 runs the whole mix on the sharded engine, bit-identical to
-  /// serial. Computed ONCE for the shared fabric (see TrafficResult::
-  /// window_ns) — a mid-mix re-shard would tear down every in-flight
-  /// worm, so the engine asserts the choice is stable across the run.
-  std::int32_t shards = 1;
-  std::int32_t shard_threads = 0;
-  /// Conservative-window override (narrowing only), NIMCAST_WINDOW.
-  sim::Time window = sim::Time::zero();
 };
 
 /// Per-operation completion record.
@@ -72,16 +63,8 @@ struct TrafficResult {
   std::int64_t deferral_ticks = 0;
   sim::Time total_channel_block_time;
   std::int64_t events_dispatched = 0;
-  /// The single engine choice for the whole mix: shards actually used
-  /// and the conservative window (0 = serial engine). The engine throws
-  /// std::logic_error if the per-op recomputation could ever disagree
-  /// mid-mix (the re-shard regression this replaces).
-  std::int32_t shards_used = 1;
-  std::int64_t window_ns = 0;
-  std::int64_t barrier_wall_ns = 0;
-  std::int64_t windows_planned = 0;
-  /// FNV-1a digest over the merged, sorted host-completion stream — the
-  /// serial-vs-sharded and double-run byte-identity witness.
+  /// FNV-1a digest over the sorted host-completion stream — the
+  /// double-run byte-identity witness.
   std::uint64_t digest = 0;
 };
 
@@ -89,18 +72,19 @@ struct TrafficResult {
 /// collective operations over ONE shared wormhole fabric, admitted and
 /// paced by the contention-aware GroupScheduler.
 ///
-/// Arrivals and coordinator ticks ride coordinated events
-/// (mcast::Fabric::schedule_coordinated), so every scheduler decision
-/// observes barrier-consistent state and the whole mix is bit-identical
-/// between the serial and sharded engines. Compound operations
-/// (collective gather -> broadcast, churn prefix -> re-bound suffix)
-/// launch their second phase at the first tick after phase 1 completes.
+/// Arrivals and coordinator ticks are coordinated events: each replays a
+/// FIFO key reserved before the run (sim::Simulator::reserve_order), so
+/// it fires before every same-instant event the run schedules and every
+/// scheduler decision sees the state as of the start of its instant.
+/// Compound operations (collective gather -> broadcast, churn prefix ->
+/// re-bound suffix) launch their second phase at the first tick after
+/// phase 1 completes.
 ///
 /// Coordinator work is event-driven, not a rescan of the mix: each
 /// message counts the destinations it still waits for, the NI
 /// completion sink decrements the count, and the sink that reaches zero
-/// appends the message to its shard's log. A coordinated instant drains
-/// those logs into per-op phase counters and acts only on the ops whose
+/// appends the message to a done list. A coordinated instant drains that
+/// list into per-op phase counters and acts only on the ops whose
 /// phase just finished — releases, then phase-1 launches, in op order.
 /// The tick chain's "anything left to drive" test is two counters.
 class TrafficEngine {
@@ -116,12 +100,6 @@ class TrafficEngine {
   /// destination fails to complete (the fabric is pristine, so anything
   /// less is a bug).
   [[nodiscard]] TrafficResult run(const Workload& workload) const;
-
-  /// The conservative window run() will pick for this workload under
-  /// the configured shards (zero = serial engine). Exposed so tests can
-  /// assert the once-per-mix choice equals the min over per-op safe
-  /// windows.
-  [[nodiscard]] sim::Time planned_window(const Workload& workload) const;
 
  private:
   const topo::Topology& topology_;

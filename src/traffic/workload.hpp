@@ -21,7 +21,7 @@ enum class OpClass : std::uint8_t {
 
 /// One tenant operation of the multi-tenant mix. Every field is fixed at
 /// generation time, so a workload is a pure function of its config — the
-/// engine replays it identically serial and sharded.
+/// engine replays it identically on every run.
 struct TrafficOp {
   OpClass cls = OpClass::kMulticast;
   /// Open-loop arrival: when the group offers the operation, regardless

@@ -1,12 +1,15 @@
 // Chaos soak: seeded randomized campaigns of (fabric x operation x fault
 // schedule) — including mid-stream root kills and link flaps — asserting
 // the robustness invariants end to end, plus byte-determinism of every
-// campaign across reruns and engine shard counts. Registered under the
+// campaign across reruns. Registered under the
 // `soak` ctest label; NIMCAST_QUICK=1 shrinks the campaign count.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "harness/chaos.hpp"
 
@@ -26,9 +29,8 @@ TEST(ChaosSoak, SoakIsCleanAndByteDeterministic) {
   ASSERT_EQ(report.campaigns, config.campaigns);
   EXPECT_EQ(report.complete + report.partial + report.failed,
             report.campaigns);
-  // run() already reran every campaign (and a 2-shard variant of every
-  // shard_check_every-th) and folded any digest mismatch into
-  // violations, so 0 here certifies both the invariants and the
+  // run() already reran every campaign and folded any digest mismatch
+  // into violations, so 0 here certifies both the invariants and the
   // byte-determinism of the whole soak.
   EXPECT_EQ(report.violations, 0) << [&] {
     std::string all;
@@ -55,9 +57,25 @@ TEST(ChaosSoak, CampaignIsPureInConfigAndIndex) {
     const auto b = ChaosSoak::campaign(config, index, 1, 0);
     EXPECT_EQ(a.digest, b.digest) << "campaign " << index;
     EXPECT_EQ(a.outcome, b.outcome);
-    // And independent of how the simulation is sharded.
-    const auto sharded = ChaosSoak::campaign(config, index, 2, 2);
-    EXPECT_EQ(a.digest, sharded.digest) << "campaign " << index;
+  }
+}
+
+// The shard arguments survive only for the benchmark in perfbench/; any
+// value but (1, 0) asks for the removed sharded engine and must fail
+// loudly instead of silently running serial.
+TEST(ChaosSoak, CampaignRejectsShardedArguments) {
+  const ChaosConfig config;
+  for (const auto& [shards, threads] :
+       {std::pair{2, 0}, std::pair{2, 2}, std::pair{1, 2}, std::pair{0, 0}}) {
+    try {
+      (void)ChaosSoak::campaign(config, 0, shards, threads);
+      ADD_FAILURE() << "accepted shards=" << shards
+                    << " shard_threads=" << threads;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("sharded engine was removed"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -68,17 +68,16 @@ TEST(Goldens, CommunicatorBroadcast) {
 }
 
 // Dispatch-order goldens: the FNV digest of every dispatched event's
-// (time, hi, lo) firing key, in dispatch order, for whole measured points.
-// Any change to the event core's ordering — not just one that moves a
-// latency — shifts the digest. Recorded on the heap-only event queue that
-// preceded the delay-lane queue.
+// firing key, folded as (time, 0, order), in dispatch order, for whole
+// measured points. Any change to the event core's ordering — not just one
+// that moves a latency — shifts the digest. Recorded on the heap-only
+// event queue that preceded the delay-lane queue.
 
 sim::Simulator::DispatchDigest digest_dispatches(
     const harness::Testbed& bed, std::int32_t n, std::int32_t m) {
   sim::Simulator::DispatchDigest digest;
   sim::Simulator::set_dispatch_digest(&digest);
-  // threads = 1 and the default serial engine (NIMCAST_SHARDS unset):
-  // every replication dispatches on this thread, in order.
+  // threads = 1: every replication dispatches on this thread, in order.
   (void)bed.measure(n, m, harness::TreeSpec::optimal(),
                     mcast::NiStyle::kSmartFpfs, harness::OrderingKind::kCco,
                     1);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "collectives/collective_engine.hpp"
@@ -21,6 +22,7 @@
 #include "core/optimal_k.hpp"
 #include "core/ordering.hpp"
 #include "core/rotation.hpp"
+#include "harness/parallel.hpp"
 #include "mcast/multicast_engine.hpp"
 #include "network/fault_plan.hpp"
 #include "routing/up_down.hpp"
@@ -196,35 +198,35 @@ TEST(RootFailover, RootDeathWithAllParticipantsDeadFailsCleanly) {
   }
 }
 
-TEST(RootFailover, HandoffIsDeterministicAcrossShardsAndThreads) {
+TEST(RootFailover, HandoffIsDeterministicAcrossRerunsAndThreads) {
   const IrregularRig rig;
   const auto tree = tree_over(rig.cco, 16, 4);
-  auto run_with = [&](std::int32_t shards, std::int32_t threads) {
-    net::FaultPlan plan;
-    // 36us sits inside the handoff window (see the sweep test above),
-    // so the elected initiator — not just the failure path — must be
-    // identical across shard and thread counts.
-    plan.host_down(sim::Time::us(36.0), tree.root);
-    mcast::MulticastEngine::Config cfg;
-    cfg.network.faults = plan;
-    cfg.shards = shards;
-    cfg.shard_threads = threads;
-    const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
-    return engine.run(tree, 4);
+  net::FaultPlan plan;
+  // 36us sits inside the handoff window (see the sweep test above), so
+  // the elected initiator — not just the failure path — must be
+  // identical across reruns, including reruns on worker threads.
+  plan.host_down(sim::Time::us(36.0), tree.root);
+  mcast::MulticastEngine::Config cfg;
+  cfg.network.faults = plan;
+  const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
+  const auto serial = engine.run(tree, 4);
+  ASSERT_EQ(serial.root_handoffs, 1);
+  const auto expect_same = [&](const mcast::MulticastResult& r,
+                               const std::string& label) {
+    EXPECT_EQ(serial.outcome, r.outcome) << label;
+    EXPECT_EQ(serial.latency, r.latency) << label;
+    EXPECT_EQ(serial.root_handoffs, r.root_handoffs) << label;
+    EXPECT_EQ(serial.effective_root, r.effective_root) << label;
+    EXPECT_EQ(serial.completions, r.completions) << label;
   };
-  const auto serial = run_with(1, 0);
-  for (const auto& [shards, threads] :
-       std::vector<std::pair<std::int32_t, std::int32_t>>{{2, 1}, {2, 2}}) {
-    const auto sharded = run_with(shards, threads);
-    EXPECT_EQ(serial.outcome, sharded.outcome);
-    EXPECT_EQ(serial.latency, sharded.latency);
-    EXPECT_EQ(serial.root_handoffs, sharded.root_handoffs);
-    EXPECT_EQ(serial.effective_root, sharded.effective_root);
-    ASSERT_EQ(serial.completions.size(), sharded.completions.size());
-    for (std::size_t i = 0; i < serial.completions.size(); ++i) {
-      EXPECT_EQ(serial.completions[i], sharded.completions[i])
-          << "shards=" << shards << " threads=" << threads;
-    }
+  expect_same(engine.run(tree, 4), "rerun");
+  // The same const engine driven concurrently from a worker pool, as
+  // the parallel testbed drives its replications.
+  std::vector<mcast::MulticastResult> runs(4);
+  harness::parallel_for_each(
+      runs.size(), [&](std::size_t i) { runs[i] = engine.run(tree, 4); }, 2);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    expect_same(runs[i], "pooled run " + std::to_string(i));
   }
 }
 

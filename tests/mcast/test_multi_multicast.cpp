@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
 #include "mcast/multicast_engine.hpp"
@@ -137,6 +140,27 @@ TEST(MultiMulticast, RejectsEmptyBatchAndBadSpecs) {
   EXPECT_THROW(
       (void)rig.engine.run_many({MulticastSpec{tree_over({0, 1}), 0}}),
       std::invalid_argument);
+}
+
+// Config::shards survives only for the benchmark in perfbench/; any value
+// but 1 asks for the removed sharded engine and must fail loudly instead
+// of silently running serial.
+TEST(MultiMulticast, EngineRejectsShardCountsOtherThanOne) {
+  StarRig rig;
+  for (const std::int32_t shards : {2, 4, 0, -1}) {
+    MulticastEngine::Config cfg;
+    cfg.shards = shards;
+    try {
+      const MulticastEngine engine{rig.topology, rig.routes, cfg};
+      ADD_FAILURE() << "accepted shards=" << shards;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("sharded engine was removed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(MulticastEngine(rig.topology, rig.routes,
+                                  MulticastEngine::Config{}));
 }
 
 }  // namespace

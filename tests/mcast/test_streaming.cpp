@@ -1,8 +1,7 @@
 // Streaming broadcast on the full simulated system
 // (MulticastEngine::run_streaming): equivalence of the R = 1 plan with
 // the pre-streaming run() path, delivery accounting under rotation,
-// sharded-engine bit-identity, saturation throughput, and repair under
-// scheduled faults.
+// saturation throughput, and repair under scheduled faults.
 
 #include <gtest/gtest.h>
 
@@ -45,11 +44,9 @@ struct Rig {
   }
 
   [[nodiscard]] MulticastEngine engine(
-      std::int32_t shards = 1,
       net::FaultPlan faults = net::FaultPlan{}) const {
     MulticastEngine::Config cfg;
     cfg.style = NiStyle::kSmartFpfs;
-    cfg.shards = shards;
     cfg.network.faults = std::move(faults);
     return MulticastEngine{topology, routes, cfg};
   }
@@ -99,19 +96,6 @@ TEST(Streaming, RotationDeliversTheFullStreamEverywhere) {
   EXPECT_GT(sr.flits_per_us, 0.0);
 }
 
-TEST(Streaming, ShardedEngineIsBitIdenticalToSerial) {
-  const Rig rig;
-  const auto plan = rig.plan(4);
-  const StreamingResult serial = rig.engine(1).run_streaming(plan, 32);
-  const StreamingResult sharded = rig.engine(4).run_streaming(plan, 32);
-  EXPECT_EQ(serial.makespan, sharded.makespan);
-  EXPECT_EQ(serial.ni_makespan, sharded.ni_makespan);
-  EXPECT_EQ(serial.p99_gap, sharded.p99_gap);
-  EXPECT_EQ(serial.packets_delivered, sharded.packets_delivered);
-  EXPECT_EQ(serial.flits_per_us, sharded.flits_per_us);
-  EXPECT_EQ(serial.total_channel_block_time, sharded.total_channel_block_time);
-}
-
 TEST(Streaming, RotationBeatsTheFixedTreeAtSaturation) {
   // The planner's load-balanced binding caps every host's cumulative NI
   // work near the k-limited floor, so a long stream sustains well above
@@ -131,7 +115,7 @@ TEST(Streaming, RepairRecoversReachableDestinationsAfterLinkFault) {
   for (const topo::LinkId link : {0, num_links / 2, num_links - 1}) {
     net::FaultPlan faults;
     faults.link_down(sim::Time::us(40.0), link);
-    const auto engine = rig.engine(1, std::move(faults));
+    const auto engine = rig.engine(std::move(faults));
     StreamingResult sr;
     ASSERT_NO_THROW(sr = engine.run_streaming(plan, 16)) << "link " << link;
     EXPECT_NE(sr.outcome, Outcome::kFailed);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "network/fault_plan.hpp"
 #include "network/wormhole_network.hpp"
 #include "routing/repair.hpp"
@@ -207,6 +209,65 @@ TEST(FaultInjection, LinkRecoversAndCarriesTrafficAgain) {
   EXPECT_EQ(rig.net.faults_applied(), 2);
   EXPECT_FALSE(rig.net.fault_state().any_dead());
   EXPECT_EQ(rig.net.packets_killed(), 0);
+}
+
+/// Line of four switches 0-1-2-3 with host i on switch i; link i joins
+/// switches i and i+1. A worm 0->3 is mid-hop toward link 2's forward
+/// channel from 0.2 to 0.3 us, so a fault on link 2 at 0.25 lands between
+/// the hop's scheduling and the header's arrival.
+struct Line4Rig {
+  topo::Topology topology{topo::Graph{4, {{0, 1}, {1, 2}, {2, 3}}},
+                          {0, 1, 2, 3},
+                          "line4"};
+  routing::UpDownRouter router{topology.switches()};
+  routing::RouteTable routes{topology, router};
+  sim::Simulator simctx;
+  WormholeNetwork net;
+  std::vector<sim::Time> delivered_at;
+  CallbackSink sink{[this](const Packet&) {
+    delivered_at.push_back(simctx.now());
+  }};
+
+  explicit Line4Rig(FaultPlan plan)
+      : net{simctx, topology, routes, with_faults(std::move(plan))} {
+    bind_all_hosts(net, 4, &sink);
+  }
+
+  void send_0_to_3() {
+    Packet p;
+    p.message = 1;
+    p.packet_count = 8;
+    p.sender = 0;
+    p.dest = 3;
+    net.send(p);
+    simctx.run();
+  }
+};
+
+TEST(FaultInjection, HopIntoChannelDyingMidHopIsKilledOnArrival) {
+  // Link 2 dies at 0.25 while the header is on its way to it: the hop
+  // still fires and the worm is killed when the header arrives at 0.3,
+  // not when the fault fires.
+  FaultPlan plan;
+  plan.link_down(sim::Time::us(0.25), 2);
+  Line4Rig rig{plan};
+  rig.send_0_to_3();
+  EXPECT_TRUE(rig.delivered_at.empty());
+  EXPECT_EQ(rig.net.packets_killed(), 1);
+  EXPECT_EQ(rig.net.in_flight(), 0);
+  EXPECT_EQ(rig.simctx.now(), sim::Time::us(0.3));
+}
+
+TEST(FaultInjection, ChannelRecoveringBeforeArrivalSparesTheWorm) {
+  // Same hop, but link 2 recovers at 0.28, before the 0.3 arrival: the
+  // header lands on a live channel and the worm is delivered on time.
+  FaultPlan plan;
+  plan.link_down(sim::Time::us(0.25), 2).link_up(sim::Time::us(0.28), 2);
+  Line4Rig rig{plan};
+  rig.send_0_to_3();
+  EXPECT_EQ(rig.net.packets_killed(), 0);
+  EXPECT_EQ(rig.delivered_at, std::vector<sim::Time>{sim::Time::us(0.9)});
+  EXPECT_EQ(rig.simctx.now(), sim::Time::us(0.9));
 }
 
 TEST(FaultInjection, SwitchDownKillsHolderAndStrandedWaiterAlike) {

@@ -259,8 +259,8 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
   // and sometimes at random (heap), cancel lane heads, middles and tails,
   // and replay a reserved FIFO key at distinct times the way a
   // coordinator chain does. Checked against a std::multimap ordered by
-  // the full (time, hi, lo) firing key.
-  using Key = std::tuple<Time::rep, std::uint64_t, std::uint64_t>;
+  // the full (time, order) firing key.
+  using Key = std::tuple<Time::rep, std::uint64_t>;
   constexpr std::array<Time::rep, 5> kFixed{100, 500, 2000, 3000, 12500};
   Rng rng{20261017};
   EventQueue q;
@@ -289,7 +289,7 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
   };
   const auto schedule = [&](Time::rep when) {
     const int tag = next_tag++;
-    const Key key{when, 0, counter++};
+    const Key key{when, counter++};
     const EventId id =
         q.schedule(Time::ns(when), [tag, &fired] { fired.push_back(tag); });
     model.emplace(key, tag);
@@ -303,7 +303,7 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
     ASSERT_TRUE(it != model.end());
     model.erase(it);
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    if (std::get<2>(victim.key) == chain_key) chain_pending = false;
+    if (std::get<1>(victim.key) == chain_key) chain_pending = false;
   };
 
   for (int step = 0; step < 40'000; ++step) {
@@ -313,12 +313,11 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
       const auto front = model.begin();
       auto ev = q.pop();
       ASSERT_EQ(ev.time, Time::ns(std::get<0>(front->first)));
-      ASSERT_EQ(ev.hi, std::get<1>(front->first));
-      ASSERT_EQ(ev.lo, std::get<2>(front->first));
+      ASSERT_EQ(ev.order, std::get<1>(front->first));
       ev.cb();
       ASSERT_EQ(fired.back(), front->second);
       now = std::get<0>(front->first);
-      if (ev.lo == chain_key) chain_pending = false;
+      if (ev.order == chain_key) chain_pending = false;
       const Key key = front->first;
       model.erase(front);
       erase_live(key);
@@ -345,9 +344,9 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
       const Time::rep when =
           now + static_cast<Time::rep>(rng.next_below(4)) * 500;
       const int tag = next_tag++;
-      const Key key{when, 0, chain_key};
+      const Key key{when, chain_key};
       const EventId id = q.schedule_keyed(
-          Time::ns(when), 0, chain_key, [tag, &fired] { fired.push_back(tag); });
+          Time::ns(when), chain_key, [tag, &fired] { fired.push_back(tag); });
       model.emplace(key, tag);
       live.push_back(Live{id, key});
       chain_pending = true;
@@ -380,7 +379,7 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
     const auto front = model.begin();
     auto ev = q.pop();
     ASSERT_EQ(ev.time, Time::ns(std::get<0>(front->first)));
-    ASSERT_EQ(ev.lo, std::get<2>(front->first));
+    ASSERT_EQ(ev.order, std::get<1>(front->first));
     ev.cb();
     ASSERT_EQ(fired.back(), front->second);
     model.erase(front);

@@ -80,8 +80,7 @@ TEST(Simulator, RunUntilIncludesEventsAtBoundary) {
 
 // run_until is *inclusive*: an event re-entrantly scheduled at exactly
 // the boundary (zero delay from a boundary event) must still fire in the
-// same call. Window barriers in the sharded engine rely on this — a
-// window [T, W] must drain every event chain that stays <= W.
+// same call — run_until(W) drains every event chain that stays <= W.
 TEST(Simulator, RunUntilRunsReentrantEventsAtBoundary) {
   Simulator s;
   std::vector<int> seen;
@@ -137,50 +136,6 @@ TEST(Simulator, RunUntilOnEmptyQueueAdvancesClockMonotonically) {
   EXPECT_EQ(s.now(), Time::us(3.0));
   EXPECT_EQ(s.run_until(Time::us(1.0)), 0u);  // until < now: no-op
   EXPECT_EQ(s.now(), Time::us(3.0));
-}
-
-TEST(Simulator, AdvanceToMovesClockWithoutDispatching) {
-  Simulator s;
-  int fired = 0;
-  s.schedule_at(Time::us(2.0), [&] { ++fired; });
-  s.advance_to(Time::us(1.0));
-  EXPECT_EQ(s.now(), Time::us(1.0));
-  EXPECT_EQ(fired, 0);
-  EXPECT_THROW(s.advance_to(Time::us(0.5)), std::logic_error);
-  s.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Simulator, LastEventTimeTracksDispatchNotClock) {
-  Simulator s;
-  EXPECT_EQ(s.last_event_time(), Time::zero());
-  s.schedule_at(Time::us(2.0), [] {});
-  s.run_until(Time::us(7.0));
-  EXPECT_EQ(s.now(), Time::us(7.0));
-  EXPECT_EQ(s.last_event_time(), Time::us(2.0));
-}
-
-// Shard-order keying must be order-identical to the default FIFO keying
-// within a single simulator (the serial-equivalence property the sharded
-// engine's determinism contract is built on).
-TEST(Simulator, ShardOrderKeyingMatchesFifoWithinOneSimulator) {
-  const auto trace = [](bool sharded) {
-    Simulator s;
-    if (sharded) s.enable_shard_order();
-    std::vector<int> seen;
-    s.schedule_at(Time::us(4.0), [&s, &seen] {
-      seen.push_back(10);
-      s.schedule_in(Time::zero(), [&seen] { seen.push_back(11); });
-    });
-    s.schedule_at(Time::us(4.0), [&seen] { seen.push_back(20); });
-    s.schedule_at(Time::us(2.0), [&s, &seen] {
-      seen.push_back(30);
-      s.schedule_in(Time::us(2.0), [&seen] { seen.push_back(31); });
-    });
-    s.run();
-    return seen;
-  };
-  EXPECT_EQ(trace(false), trace(true));
 }
 
 TEST(Simulator, StepRunsOneEvent) {

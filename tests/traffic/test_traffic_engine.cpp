@@ -41,10 +41,9 @@ Rig make_rig(std::uint64_t seed, std::int32_t hosts = 32) {
   return rig;
 }
 
-TrafficConfig engine_config(Policy policy, std::int32_t shards = 1) {
+TrafficConfig engine_config(Policy policy) {
   TrafficConfig cfg;
   cfg.scheduler.policy = policy;
-  cfg.shards = shards;
   return cfg;
 }
 
@@ -187,80 +186,25 @@ TEST(TrafficEngine, PacedDefersOverlappingBurst) {
   EXPECT_TRUE(any_later);
 }
 
-TEST(TrafficEngine, SerialAndShardedAreBitIdentical) {
-  const Rig rig = make_rig(17, 64);
-  WorkloadConfig wcfg = mix_config(20.0, 24);
-  wcfg.churn_probability = 0.8;
-  const Workload wl = generate_workload(64, rig.cco, wcfg);
-  const TrafficEngine serial{*rig.topology, *rig.routes,
-                             engine_config(Policy::kPaced, 1)};
-  const TrafficResult rs = serial.run(wl);
-  for (std::int32_t shards : {2, 4}) {
-    const TrafficEngine sharded{*rig.topology, *rig.routes,
-                                engine_config(Policy::kPaced, shards)};
-    const TrafficResult rx = sharded.run(wl);
-    EXPECT_GT(rx.shards_used, 1) << shards;
-    expect_same_result(rs, rx);
-  }
-}
-
-TEST(TrafficEngine, AdmissionOrderDeterministicAcrossSeedsAndShards) {
+TEST(TrafficEngine, AdmissionOrderDeterministicAcrossSeedsAndReruns) {
   const Rig rig = make_rig(19, 64);
+  const TrafficEngine engine{*rig.topology, *rig.routes,
+                             engine_config(Policy::kPaced)};
   for (std::uint64_t seed : {101u, 202u, 303u}) {
     WorkloadConfig wcfg = mix_config(25.0, 16);
     wcfg.seed = seed;
     const Workload wl = generate_workload(64, rig.cco, wcfg);
-    std::vector<sim::Time> reference;
-    for (std::int32_t shards : {1, 2, 4}) {
-      const TrafficEngine engine{*rig.topology, *rig.routes,
-                                 engine_config(Policy::kPaced, shards)};
-      const TrafficResult r = engine.run(wl);
-      std::vector<sim::Time> admitted;
-      admitted.reserve(r.ops.size());
-      for (const OpRecord& rec : r.ops) admitted.push_back(rec.admitted);
-      if (shards == 1) {
-        reference = admitted;
-      } else {
-        EXPECT_EQ(admitted, reference) << "seed " << seed << " shards "
-                                       << shards;
-      }
-    }
+    const TrafficResult first = engine.run(wl);
+    const TrafficResult again = engine.run(wl);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_same_result(first, again);
   }
-}
-
-TEST(TrafficEngine, SharedFabricWindowIsStableAcrossTheMix) {
-  const Rig rig = make_rig(23, 64);
-  WorkloadConfig wcfg = mix_config(10.0, 20);
-  const Workload wl = generate_workload(64, rig.cco, wcfg);
-  TrafficConfig tcfg = engine_config(Policy::kPaced, 4);
-  tcfg.network.release_model = net::ReleaseModel::kPipelined;
-  const TrafficEngine engine{*rig.topology, *rig.routes, tcfg};
-  // The one shared-fabric window equals the min over per-op safe
-  // windows (the per-op recomputation the traffic engine replaced):
-  // every single-op sub-mix must plan a window at least as wide.
-  const sim::Time shared = engine.planned_window(wl);
-  sim::Time per_op_min;
-  bool first = true;
-  for (const TrafficOp& op : wl.ops) {
-    Workload single;
-    single.ops.push_back(op);
-    const sim::Time w = engine.planned_window(single);
-    per_op_min = first ? w : std::min(per_op_min, w);
-    first = false;
-    EXPECT_GE(w, shared);
-  }
-  EXPECT_EQ(per_op_min, shared);
-  // And the run itself must use exactly that window (no mid-mix
-  // re-shard; the engine throws std::logic_error if the choice could
-  // diverge).
-  const TrafficResult r = engine.run(wl);
-  EXPECT_EQ(r.window_ns, shared.count_ns());
 }
 
 TEST(TrafficEngine, MixedWorkloadMatchesRecordedGoldens) {
   // Pins the coordinator's observable schedule: collectives (gather then
   // broadcast), churn streams (prefix then re-bound suffix) and paced
-  // deferrals, serial and sharded. The values were recorded with the
+  // deferrals. The values were recorded with the
   // original sweep-every-instant coordinator; any change to when phase-1
   // launches, releases or admissions happen moves them.
   const Rig rig = make_rig(37, 64);
@@ -283,18 +227,14 @@ TEST(TrafficEngine, MixedWorkloadMatchesRecordedGoldens) {
       {Policy::kPaced, 5532902317239142017u, 1583998, 135, 331},
   };
   for (const Golden& g : goldens) {
-    for (std::int32_t shards : {1, 2}) {
-      const TrafficEngine engine{*rig.topology, *rig.routes,
-                                 engine_config(g.policy, shards)};
-      const TrafficResult r = engine.run(wl);
-      SCOPED_TRACE(std::string{to_string(g.policy)} + " shards " +
-                   std::to_string(shards));
-      EXPECT_EQ(r.shards_used, shards);
-      EXPECT_EQ(r.digest, g.digest);
-      EXPECT_EQ(r.makespan.count_ns(), g.makespan_ns);
-      EXPECT_EQ(r.ticks, g.ticks);
-      EXPECT_EQ(r.deferral_ticks, g.deferral_ticks);
-    }
+    const TrafficEngine engine{*rig.topology, *rig.routes,
+                               engine_config(g.policy)};
+    const TrafficResult r = engine.run(wl);
+    SCOPED_TRACE(to_string(g.policy));
+    EXPECT_EQ(r.digest, g.digest);
+    EXPECT_EQ(r.makespan.count_ns(), g.makespan_ns);
+    EXPECT_EQ(r.ticks, g.ticks);
+    EXPECT_EQ(r.deferral_ticks, g.deferral_ticks);
   }
 }
 
