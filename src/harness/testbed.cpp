@@ -30,10 +30,7 @@ void TrafficPoint::merge(const TrafficPoint& other) {
   for (double v : other.fct_multicast_us.values()) fct_multicast_us.add(v);
   for (double v : other.fct_stream_us.values()) fct_stream_us.add(v);
   for (double v : other.fct_collective_us.values()) fct_collective_us.add(v);
-  for (std::int32_t b = 0; b < 64; b += 8) {
-    digest ^= (other.digest >> b) & 0xffu;
-    digest *= 1099511628211ull;  // FNV-1a prime
-  }
+  digest = sim::fnv1a(digest, other.digest);
 }
 
 void StreamingPoint::merge(const StreamingPoint& other) {
@@ -483,10 +480,7 @@ TrafficPoint Testbed::measure_traffic(
             break;
         }
       }
-      for (std::int32_t b = 0; b < 64; b += 8) {
-        inst_point.digest ^= (s.digest >> b) & 0xffu;
-        inst_point.digest *= 1099511628211ull;  // FNV-1a prime
-      }
+      inst_point.digest = sim::fnv1a(inst_point.digest, s.digest);
     }
     point.merge(inst_point);
   }

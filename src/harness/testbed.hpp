@@ -11,6 +11,7 @@
 #include "network/network_config.hpp"
 #include "routing/route_table.hpp"
 #include "routing/up_down.hpp"
+#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/irregular.hpp"
@@ -70,7 +71,7 @@ struct TrafficPoint {
   sim::Samples fct_collective_us;
   /// FNV-1a chain over per-replication completion digests in fold order —
   /// the byte-determinism witness for the whole sweep point.
-  std::uint64_t digest = 14695981039346656037ull;
+  std::uint64_t digest = sim::kFnv1aBasis;
 
   void merge(const TrafficPoint& other);
 };

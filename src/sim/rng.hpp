@@ -34,6 +34,22 @@ namespace nimcast::sim {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// FNV-1a offset basis: the digest of nothing.
+inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+
+/// Folds the eight bytes of `word`, least significant first, into the
+/// FNV-1a digest `h` — the order-sensitive fingerprint every determinism
+/// witness (dispatch digests, traffic and testbed digests, adaptive
+/// telemetry) is built from.
+[[nodiscard]] constexpr std::uint64_t fnv1a(std::uint64_t h,
+                                            std::uint64_t word) {
+  for (int b = 0; b < 64; b += 8) {
+    h ^= (word >> b) & 0xffu;
+    h *= 1099511628211ull;  // FNV-1a prime
+  }
+  return h;
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) { reseed(seed); }

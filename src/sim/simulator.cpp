@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/rng.hpp"
+
 namespace nimcast::sim {
 
 void Simulator::throw_past_schedule(Time when) const {
@@ -14,10 +16,7 @@ void Simulator::fold_dispatch(DispatchDigest& digest,
   for (const std::uint64_t word :
        {static_cast<std::uint64_t>(fired.time.count_ns()), std::uint64_t{0},
         fired.order}) {
-    for (int byte = 0; byte < 8; ++byte) {
-      digest.fnv ^= (word >> (8 * byte)) & 0xffu;
-      digest.fnv *= 0x100000001b3ull;
-    }
+    digest.fnv = fnv1a(digest.fnv, word);
   }
   ++digest.events;
 }
