@@ -171,7 +171,9 @@ int main(int argc, char** argv) {
           tree_spec.build(hosts, m), members);
       const collectives::CollectiveEngine engine{
           *system.topology, *system.routes,
-          collectives::CollectiveEngine::Config{}, trace_ptr};
+          collectives::CollectiveEngine::Config{netif::SystemParams{},
+                                                netcfg},
+          trace_ptr};
       const auto result = engine.run(*kind, tree, m);
       std::printf("%s: %d hosts, %lld B -> %d packets, k=%d\n", op.c_str(),
                   hosts, static_cast<long long>(bytes), m, choice.k);

@@ -207,6 +207,15 @@ TEST(Collectives, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW((void)rig.run(CollectiveKind::kGather, 4, 0),
                std::invalid_argument);
+  // The collective firmware has no retransmit: a lossy network is
+  // refused up front instead of failing after the whole simulation.
+  CollectiveEngine::Config lossy;
+  lossy.network.loss_rate = 0.5;
+  const CollectiveEngine lossy_engine{rig.topology, rig.routes, lossy};
+  const auto tree = core::HostTree::bind(core::make_kbinomial(4, 2),
+                                         core::Chain{0, 1, 2, 3});
+  EXPECT_THROW((void)lossy_engine.run(CollectiveKind::kReduce, tree, 2),
+               std::invalid_argument);
 }
 
 TEST(Collectives, KindNames) {
