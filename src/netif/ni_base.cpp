@@ -130,20 +130,7 @@ void NetworkInterface::inject_copy(net::MessageId message, std::int32_t index,
                                    std::int32_t route_class) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
                                   route_class] {
-    net::Packet p;
-    p.message = message;
-    p.packet_index = index;
-    p.packet_count = packet_count;
-    p.sender = self_;
-    p.dest = child;
-    p.route_class = route_class;
-    network_.send(p);
-    if (trace_) {
-      trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
-                     "sent msg=" + std::to_string(message) + " pkt=" +
-                         std::to_string(index) + " -> host " +
-                         std::to_string(child));
-    }
+    transmit(message, index, packet_count, child, route_class, false, nullptr);
   });
 }
 
@@ -152,21 +139,7 @@ void NetworkInterface::send_copy(net::MessageId message, std::int32_t index,
                                  std::int32_t route_class) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
                                   route_class] {
-    net::Packet p;
-    p.message = message;
-    p.packet_index = index;
-    p.packet_count = packet_count;
-    p.sender = self_;
-    p.dest = child;
-    p.route_class = route_class;
-    network_.send(p);
-    release_copy(message, index);
-    if (trace_) {
-      trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
-                     "sent msg=" + std::to_string(message) + " pkt=" +
-                         std::to_string(index) + " -> host " +
-                         std::to_string(child));
-    }
+    transmit(message, index, packet_count, child, route_class, true, nullptr);
   });
 }
 
@@ -178,23 +151,30 @@ void NetworkInterface::send_copy_then(net::MessageId message,
                                       std::function<void()> then) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
                                   route_class, then = std::move(then)] {
-    net::Packet p;
-    p.message = message;
-    p.packet_index = index;
-    p.packet_count = packet_count;
-    p.sender = self_;
-    p.dest = child;
-    p.route_class = route_class;
-    network_.send(p);
-    release_copy(message, index);
-    then();
-    if (trace_) {
-      trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
-                     "sent msg=" + std::to_string(message) + " pkt=" +
-                         std::to_string(index) + " -> host " +
-                         std::to_string(child));
-    }
+    transmit(message, index, packet_count, child, route_class, true, &then);
   });
+}
+
+void NetworkInterface::transmit(net::MessageId message, std::int32_t index,
+                                std::int32_t packet_count, topo::HostId child,
+                                std::int32_t route_class, bool release,
+                                const std::function<void()>* then) {
+  net::Packet p;
+  p.message = message;
+  p.packet_index = index;
+  p.packet_count = packet_count;
+  p.sender = self_;
+  p.dest = child;
+  p.route_class = route_class;
+  network_.send(p);
+  if (release) release_copy(message, index);
+  if (then != nullptr) (*then)();
+  if (trace_) {
+    trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
+                   "sent msg=" + std::to_string(message) + " pkt=" +
+                       std::to_string(index) + " -> host " +
+                       std::to_string(child));
+  }
 }
 
 }  // namespace nimcast::netif

@@ -175,6 +175,16 @@ class NetworkInterface : public net::DeliverySink {
     return const_cast<MessageSlot*>(std::as_const(*this).find_slot(m));
   }
 
+  /// The one send path behind inject_copy, send_copy and send_copy_then,
+  /// run inside their coprocessor completion: builds packet `index` of
+  /// `message` for `child`, hands it to the network, releases its buffer
+  /// copy when `release`, runs `then` when given, and records the "sent"
+  /// trace line — in that order.
+  void transmit(net::MessageId message, std::int32_t index,
+                std::int32_t packet_count, topo::HostId child,
+                std::int32_t route_class, bool release,
+                const std::function<void()>* then);
+
   /// Message ids are dense (1..N in every engine), so a vector indexed
   /// by id maps each installed message to its slot (index + 1; 0 = not
   /// installed). Slots live in a deque: find_entry pointers held by
