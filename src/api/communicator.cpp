@@ -61,14 +61,15 @@ struct Communicator::Impl {
     return core::optimal_k(n, m);
   }
 
+  /// The optimal k-binomial tree over `source` + `dests` in CCO order,
+  /// for a fan-out `k` the caller already chose.
   [[nodiscard]] core::HostTree tree_for(topo::HostId source,
                                         std::vector<topo::HostId> dests,
-                                        std::int32_t m) const {
+                                        std::int32_t k) const {
     const auto n = static_cast<std::int32_t>(dests.size()) + 1;
-    const core::OptimalChoice c = choose(n, m);
     const core::Chain members =
         core::arrange_participants(chain, source, dests);
-    return core::HostTree::bind(core::make_kbinomial(n, c.k), members);
+    return core::HostTree::bind(core::make_kbinomial(n, k), members);
   }
 
   [[nodiscard]] std::vector<topo::HostId> everyone_but(
@@ -153,16 +154,16 @@ Communicator::OpReport Communicator::multicast(
     throw std::invalid_argument("multicast: no destinations");
   }
   const std::int32_t m = impl_->packetize(bytes);
+  const core::OptimalChoice choice =
+      impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m);
   const core::HostTree tree =
-      impl_->tree_for(source, {dests.begin(), dests.end()}, m);
+      impl_->tree_for(source, {dests.begin(), dests.end()}, choice.k);
   const mcast::MulticastResult r = impl_->mcast_engine->run(tree, m);
   OpReport report;
   report.latency = r.latency;
   report.packets = m;
-  report.fanout_bound =
-      impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m).k;
-  report.tree_depth =
-      impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m).t1;
+  report.fanout_bound = choice.k;
+  report.tree_depth = choice.t1;
   report.packets_on_wire = r.packets_delivered;
   report.contention = r.total_channel_block_time;
   report.outcome = r.outcome;
@@ -275,17 +276,20 @@ Communicator::TrafficReport Communicator::run_traffic() const {
   return report;
 }
 
-namespace {
-
-Communicator::OpReport from_collective(const collectives::CollectiveResult& r,
-                                       std::int32_t m, std::int32_t k,
-                                       std::int32_t t1,
-                                       std::int32_t n_participants) {
-  Communicator::OpReport report;
+Communicator::OpReport Communicator::collective(
+    collectives::CollectiveKind kind, topo::HostId root,
+    std::int64_t bytes) const {
+  const std::int32_t m = impl_->packetize(bytes);
+  const auto dests = impl_->everyone_but(root);
+  const auto n_participants = static_cast<std::int32_t>(dests.size());
+  const core::OptimalChoice choice = impl_->choose(n_participants + 1, m);
+  const collectives::CollectiveResult r = impl_->coll_engine->run(
+      kind, impl_->tree_for(root, dests, choice.k), m);
+  OpReport report;
   report.latency = r.latency;
   report.packets = m;
-  report.fanout_bound = k;
-  report.tree_depth = t1;
+  report.fanout_bound = choice.k;
+  report.tree_depth = choice.t1;
   report.packets_on_wire = r.packets_injected;
   report.contention = r.total_channel_block_time;
   report.outcome = r.outcome;
@@ -300,55 +304,26 @@ Communicator::OpReport from_collective(const collectives::CollectiveResult& r,
   return report;
 }
 
-}  // namespace
-
 Communicator::OpReport Communicator::scatter(
     topo::HostId source, std::int64_t bytes_per_dest) const {
-  const std::int32_t m = impl_->packetize(bytes_per_dest);
-  const auto dests = impl_->everyone_but(source);
-  const auto choice =
-      impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m);
-  const auto tree = impl_->tree_for(source, dests, m);
-  return from_collective(
-      impl_->coll_engine->run(collectives::CollectiveKind::kScatter, tree, m),
-      m, choice.k, choice.t1, static_cast<std::int32_t>(dests.size()));
+  return collective(collectives::CollectiveKind::kScatter, source,
+                    bytes_per_dest);
 }
 
 Communicator::OpReport Communicator::gather(topo::HostId root,
                                             std::int64_t bytes_per_src) const {
-  const std::int32_t m = impl_->packetize(bytes_per_src);
-  const auto dests = impl_->everyone_but(root);
-  const auto choice =
-      impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m);
-  const auto tree = impl_->tree_for(root, dests, m);
-  return from_collective(
-      impl_->coll_engine->run(collectives::CollectiveKind::kGather, tree, m),
-      m, choice.k, choice.t1, static_cast<std::int32_t>(dests.size()));
+  return collective(collectives::CollectiveKind::kGather, root,
+                    bytes_per_src);
 }
 
 Communicator::OpReport Communicator::reduce(topo::HostId root,
                                             std::int64_t bytes) const {
-  const std::int32_t m = impl_->packetize(bytes);
-  const auto dests = impl_->everyone_but(root);
-  const auto choice =
-      impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m);
-  const auto tree = impl_->tree_for(root, dests, m);
-  return from_collective(
-      impl_->coll_engine->run(collectives::CollectiveKind::kReduce, tree, m),
-      m, choice.k, choice.t1, static_cast<std::int32_t>(dests.size()));
+  return collective(collectives::CollectiveKind::kReduce, root, bytes);
 }
 
 Communicator::OpReport Communicator::allreduce(topo::HostId root,
                                                std::int64_t bytes) const {
-  const std::int32_t m = impl_->packetize(bytes);
-  const auto dests = impl_->everyone_but(root);
-  const auto choice =
-      impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m);
-  const auto tree = impl_->tree_for(root, dests, m);
-  return from_collective(
-      impl_->coll_engine->run(collectives::CollectiveKind::kAllReduce, tree,
-                              m),
-      m, choice.k, choice.t1, static_cast<std::int32_t>(dests.size()));
+  return collective(collectives::CollectiveKind::kAllReduce, root, bytes);
 }
 
 }  // namespace nimcast::api

@@ -234,6 +234,11 @@ class Communicator {
  private:
   struct Impl;
   explicit Communicator(std::unique_ptr<Impl> impl);
+  /// The one body behind scatter, gather, reduce and allreduce: `kind`
+  /// over every host, rooted at `root`, on the optimal tree for `bytes`.
+  [[nodiscard]] OpReport collective(collectives::CollectiveKind kind,
+                                    topo::HostId root,
+                                    std::int64_t bytes) const;
   std::unique_ptr<Impl> impl_;
 };
 
