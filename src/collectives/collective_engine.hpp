@@ -132,7 +132,8 @@ class CollectiveEngine {
 
   /// `tree.root` initiates; `m` is the per-message packet count (for
   /// scatter/gather: per destination/source; for broadcast/reduce: of
-  /// the single logical message).
+  /// the single logical message). Throws std::invalid_argument on a
+  /// lossy network: the collective firmware has no retransmit.
   [[nodiscard]] CollectiveResult run(CollectiveKind kind,
                                      const core::HostTree& tree,
                                      std::int32_t m) const;
