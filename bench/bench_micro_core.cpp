@@ -2,10 +2,9 @@
 // construction, the Theorem 3 solver and optimal-k table at Communicator
 // sizes, participant arrangement, the step-model executor, the event
 // queue (batch churn and a 1024-host run's fixed-delay mix), route
-// construction (irregular wiring, the up*/down* BFS, eager and
-// compressed route tables), one FPFS receive-and-forward through an NI,
-// a full end-to-end multicast simulation, and whole multi-tenant traffic
-// mixes. These guard the experiment harness's own performance —
+// construction (irregular wiring, the up*/down* BFS, the route table
+// build), one FPFS receive-and-forward through an NI, a full end-to-end
+// multicast simulation, and whole multi-tenant traffic mixes. These guard the experiment harness's own performance —
 // regenerating the figures runs hundreds of thousands of these
 // operations.
 
@@ -134,16 +133,6 @@ void BM_EventQueueFixedDelays(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueFixedDelays)->Arg(64)->Arg(700);
 
-void BM_UpDownRouteTable(benchmark::State& state) {
-  sim::Rng rng{5};
-  const auto topology = topo::make_irregular(topo::IrregularConfig{}, rng);
-  const routing::UpDownRouter router{topology.switches()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(routing::RouteTable{topology, router});
-  }
-}
-BENCHMARK(BM_UpDownRouteTable);
-
 /// The 1024-host irregular fabric of fabric-scale runs: 256 switches, 4
 /// hosts each, 8 ports.
 topo::Topology irregular_1024() {
@@ -164,18 +153,17 @@ void BM_UpDownTryRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_UpDownTryRoute);
 
-// Construction of a compressed table: the component map plus the cache
+// Construction of a route table: the component map plus the switch-pair
 // index, no route materialized.
-void BM_CompressedRouteTableBuild(benchmark::State& state) {
+void BM_RouteTableBuild(benchmark::State& state) {
   const auto topology = irregular_1024();
   const routing::UpDownRouter router{topology.switches()};
   for (auto _ : state) {
-    const routing::RouteTable table{topology, router, /*epoch=*/0,
-                                    routing::RouteStorage::kCompressed};
+    const routing::RouteTable table{topology, router};
     benchmark::DoNotOptimize(table);
   }
 }
-BENCHMARK(BM_CompressedRouteTableBuild);
+BENCHMARK(BM_RouteTableBuild);
 
 // Rejection-sampled wiring at the chaos (32) and paper (64) host counts.
 void BM_MakeIrregular(benchmark::State& state) {

@@ -2,13 +2,11 @@
 // 64-host rig. For fat-tree and irregular fabrics at n in {64, 256, 1024}
 // hosts x m in {1, 16} packets it measures broadcast latency over random
 // destination sets and reports simulator events/sec, peak RSS, and
-// route-table build time/footprint, then compares the compressed (lazy)
-// RouteTable against an eager all-pairs build of the same largest fabric.
-// Emits BENCH_scale.json (see docs/perf.md).
+// route-table build time/footprint. Emits BENCH_scale.json (see
+// docs/perf.md).
 //
 // Flags:
-//   --quick           smoke sizing (also triggered by NIMCAST_QUICK=1);
-//                     the eager-vs-compressed comparison drops to n=256
+//   --quick           smoke sizing (also triggered by NIMCAST_QUICK=1)
 //   --gate-baseline [path]
 //                     perf gate against a recorded BENCH_sim_core.json
 //                     (default results/BENCH_sim_core.json): re-runs that
@@ -22,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,9 +27,6 @@
 #include "core/host_tree.hpp"
 #include "core/ordering.hpp"
 #include "mcast/multicast_engine.hpp"
-#include "routing/route_table.hpp"
-#include "routing/up_down.hpp"
-#include "topology/fat_tree.hpp"
 
 using namespace nimcast;
 
@@ -69,7 +63,7 @@ struct PointResult {
   double events_total = 0.0;      ///< simulator events across all reps
   double events_per_sec = 0.0;    ///< events_total / measure wall time
   double latency_us_mean = 0.0;
-  std::size_t route_bytes = 0;    ///< compressed footprint after the sweep
+  std::size_t route_bytes = 0;    ///< route-table footprint after the sweep
   std::size_t rss_kb = 0;         ///< process VmHWM after the point
 };
 
@@ -141,66 +135,6 @@ PointResult run_point(harness::FabricKind fabric, std::int32_t hosts,
   bench::expect_shape(r.events_total > 0.0,
                       std::string(r.fabric) + " sweep dispatched events");
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// Eager-vs-compressed comparison on one fat-tree fabric: build both
-// tables on the identical topology/router, compare construction wall
-// time and heap footprint. The compressed side is measured *after*
-// materializing every switch pair the broadcast sweep can touch (all of
-// them, via path()), so the ratio is an upper bound on its footprint.
-
-struct StorageCompare {
-  std::int32_t hosts = 0;
-  double eager_build_ms = 0.0;
-  double compressed_build_ms = 0.0;
-  std::size_t eager_bytes = 0;
-  std::size_t compressed_bytes = 0;
-  double memory_ratio = 0.0;
-};
-
-StorageCompare compare_storage(std::int32_t hosts) {
-  const harness::TestbedSpec spec = harness::TestbedSpec::make_fat_tree(hosts);
-  const topo::Topology topology = topo::make_fat_tree(spec.fat_tree);
-  const auto router = std::make_shared<const routing::UpDownRouter>(
-      topology.switches(), topo::fat_tree_levels(spec.fat_tree));
-
-  StorageCompare c;
-  c.hosts = hosts;
-
-  auto start = Clock::now();
-  {
-    const routing::RouteTable eager{topology, *router};
-    c.eager_build_ms = ms_since(start);
-    c.eager_bytes = eager.memory_bytes();
-  }
-
-  start = Clock::now();
-  const routing::RouteTable compressed{topology, router};
-  c.compressed_build_ms = ms_since(start);
-  // Touch every pair so the compressed footprint is its worst case (the
-  // sweeps above only materialize pairs traffic crosses).
-  for (std::int32_t s = 0; s < hosts; ++s) {
-    for (std::int32_t d = 0; d < hosts; ++d) {
-      if (s != d) (void)compressed.path(s, d);
-    }
-  }
-  c.compressed_bytes = compressed.memory_bytes();
-  c.memory_ratio = static_cast<double>(c.eager_bytes) /
-                   static_cast<double>(c.compressed_bytes);
-
-  std::printf("\nstorage @ n=%d fat-tree: eager %.1f ms / %.1f MiB vs "
-              "compressed %.3f ms / %.1f KiB fully materialized "
-              "(%.1fx smaller)\n",
-              c.hosts, c.eager_build_ms,
-              static_cast<double>(c.eager_bytes) / (1024.0 * 1024.0),
-              c.compressed_build_ms,
-              static_cast<double>(c.compressed_bytes) / 1024.0,
-              c.memory_ratio);
-  bench::expect_shape(c.memory_ratio >= 5.0,
-                      "compressed route table >= 5x smaller than eager "
-                      "all-pairs at scale");
-  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -327,10 +261,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Quick mode keeps the eager build affordable for sanitizer smoke
-  // runs; the full run does the headline n=1024 comparison.
-  const StorageCompare storage = compare_storage(quick ? 256 : 1024);
-
   GateResult gate_result;
   if (gate) gate_result = run_gate(baseline_path);
 
@@ -344,7 +274,7 @@ int main(int argc, char** argv) {
                  "    \"quick\": %s,\n"
                  "    \"sweep\": \"fat_tree + irregular, n in "
                  "{64,256,1024} hosts, m in {1,16}, full broadcast, "
-                 "optimal tree, smart-fpfs, compressed routes\"\n"
+                 "optimal tree, smart-fpfs\"\n"
                  "  },\n"
                  "  \"points\": [\n",
                  quick ? "true" : "false");
@@ -361,15 +291,7 @@ int main(int argc, char** argv) {
                    r.route_bytes, r.rss_kb,
                    i + 1 < points.size() ? "," : "");
     }
-    std::fprintf(out,
-                 "  ],\n"
-                 "  \"storage_compare\": {\"hosts\": %d, "
-                 "\"eager_build_ms\": %.2f, \"compressed_build_ms\": %.3f, "
-                 "\"eager_bytes\": %zu, \"compressed_bytes\": %zu, "
-                 "\"memory_ratio\": %.2f},\n",
-                 storage.hosts, storage.eager_build_ms,
-                 storage.compressed_build_ms, storage.eager_bytes,
-                 storage.compressed_bytes, storage.memory_ratio);
+    std::fprintf(out, "  ],\n");
     if (gate_result.ran) {
       std::fprintf(out,
                    "  \"gate\": {\"machine_scale\": %.3f, "

@@ -77,13 +77,22 @@ int main() {
   const std::uint64_t churn_events = quick ? 200'000 : 2'000'000;
   const int churn_depth = 512;
 
-  // Warm-up + measured run for each queue.
+  // Warm-up, then alternating measured rounds; each side keeps its best
+  // rate, so a round slowed by other work on the box does not decide the
+  // ratio.
   (void)bench::churn_new(churn_events / 10, churn_depth);
   (void)bench::churn_legacy(churn_events / 10, churn_depth);
-  const ChurnResult fast = bench::churn_new(churn_events, churn_depth);
-  const ChurnResult slow = bench::churn_legacy(churn_events, churn_depth);
-  bench::expect_shape(fast.checksum == slow.checksum,
-                      "churn workloads diverged (checksum mismatch)");
+  constexpr int kRounds = 5;
+  ChurnResult fast;
+  ChurnResult slow;
+  for (int round = 0; round < kRounds; ++round) {
+    const ChurnResult a = bench::churn_new(churn_events, churn_depth);
+    const ChurnResult b = bench::churn_legacy(churn_events, churn_depth);
+    bench::expect_shape(a.checksum == b.checksum,
+                        "churn workloads diverged (checksum mismatch)");
+    if (a.events_per_sec > fast.events_per_sec) fast = a;
+    if (b.events_per_sec > slow.events_per_sec) slow = b;
+  }
   const double core_speedup = fast.events_per_sec / slow.events_per_sec;
   std::printf("event core     : %.3g events/sec (delay lanes + 4-ary "
               "heap)\n",

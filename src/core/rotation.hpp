@@ -101,9 +101,9 @@ struct RotationPlan {
 /// distinct trees exist (tiny or degenerate fabrics) the plan returns
 /// the maximal feasible set rather than silently duplicating members.
 ///
-/// Salted tables are compressed and lazily materialized
-/// (routing::make_salted_table): planning R trees materializes only the
-/// switch pairs the candidate tree edges touch.
+/// Salted tables materialize lazily (routing::make_salted_table):
+/// planning R trees materializes only the switch pairs the candidate
+/// tree edges touch.
 [[nodiscard]] RotationPlan plan_rotation(const topo::Topology& topology,
                                          const routing::RouteTable& primary,
                                          const routing::UpDownRouter& base,

@@ -173,10 +173,9 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
         topo::make_irregular(spec.irregular, rng));
     router = std::make_unique<routing::UpDownRouter>(topology->switches());
   }
-  // Compressed: a campaign touches a handful of switch pairs, so only
-  // those are routed. `router` outlives the table.
-  const routing::RouteTable routes{*topology, *router, /*epoch=*/0,
-                                   routing::RouteStorage::kCompressed};
+  // A campaign touches a handful of switch pairs, so only those are
+  // routed. `router` outlives the table.
+  const routing::RouteTable routes{*topology, *router};
   const core::Chain cco = core::cco_ordering(*topology, *router);
   out.fabric = topology->name();
 

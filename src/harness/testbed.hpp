@@ -138,11 +138,11 @@ struct TestbedSpec {
 /// the paper's evaluation method (Section 5.2) generalized over
 /// FabricKind and host count.
 ///
-/// Route tables are compressed (lazy): construction is O(switches²)
-/// slots, and only switch pairs the measured traffic actually crosses
-/// ever materialize a route — the property that lets the same harness
-/// drive 1024-host sweeps. `measure` replays identical destination sets
-/// for every tree/NI variant, so comparisons are paired.
+/// Route tables are lazy: construction is O(switches²) slots, and only
+/// switch pairs the measured traffic actually crosses ever materialize a
+/// route — the property that lets the same harness drive 1024-host
+/// sweeps. `measure` replays identical destination sets for every
+/// tree/NI variant, so comparisons are paired.
 class Testbed {
  public:
   using Point = MeasurePoint;

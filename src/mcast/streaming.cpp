@@ -530,8 +530,8 @@ class StreamRun {
   /// Root dead: per-packet initiator handoff — for every missing index
   /// the lowest-ranked surviving destination that holds it becomes that
   /// packet's initiator; indices group by initiator into handoff
-  /// messages. Indices no survivor holds died with the root (honest
-  /// partial).
+  /// messages. Indices no survivor holds died with the root, and then
+  /// no destination holds the whole stream (outcome kFailed).
   bool hand_off(sim::Time start_at) {
     // The reachability reference after the root died: the lowest-ranked
     // surviving destination holding any packet.

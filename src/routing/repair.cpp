@@ -8,13 +8,11 @@ std::unique_ptr<RouteTable> rebuild_updown(const topo::Topology& topology,
                                            const topo::SubgraphMask& mask,
                                            std::int32_t epoch,
                                            topo::SwitchId preferred_root) {
-  // Compressed: a fault-time rebuild must not pay the all-pairs cost —
-  // most pairs never exchange traffic during an outage window. The table
-  // owns the masked router so routes can keep materializing lazily.
+  // Most pairs never exchange traffic during an outage window, so the
+  // table routes lazily; it owns the masked router for that.
   auto router = std::make_shared<const UpDownRouter>(topology.switches(), mask,
                                                      preferred_root);
-  return std::make_unique<RouteTable>(topology, std::move(router), epoch,
-                                      RouteStorage::kCompressed);
+  return std::make_unique<RouteTable>(topology, std::move(router), epoch);
 }
 
 }  // namespace nimcast::routing

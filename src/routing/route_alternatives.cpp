@@ -12,8 +12,7 @@ std::shared_ptr<const RouteTable> make_salted_table(
     std::uint64_t salt) {
   auto router = std::make_shared<const MultipathUpDownRouter>(
       topology.switches(), base.levels(), salt);
-  return std::make_shared<const RouteTable>(topology, router, /*epoch=*/0,
-                                            RouteStorage::kCompressed);
+  return std::make_shared<const RouteTable>(topology, router);
 }
 
 std::vector<std::int32_t> edge_channel_footprint(

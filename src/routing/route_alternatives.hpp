@@ -16,10 +16,9 @@ namespace nimcast::routing {
 /// multipath up*/down* table: same orientation as the base router (so
 /// every alternative stays deadlock-free — legality, not selection,
 /// makes the channel dependency graph acyclic), different deterministic
-/// hash over the equally-short legal paths. Tables are compressed and
-/// own their router, so R alternatives cost R slot arrays plus only the
-/// switch-pair routes the member trees actually touch — never R eager
-/// all-pairs tables.
+/// hash over the equally-short legal paths. Tables own their router, so
+/// R alternatives cost R slot arrays plus only the switch-pair routes
+/// the member trees actually touch.
 [[nodiscard]] std::shared_ptr<const RouteTable> make_salted_table(
     const topo::Topology& topology, const UpDownRouter& base,
     std::uint64_t salt);

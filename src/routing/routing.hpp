@@ -67,9 +67,9 @@ class Router {
   [[nodiscard]] virtual std::int32_t virtual_channels() const { return 1; }
   /// Per-switch connectivity verdict for *host-attached* switches: two
   /// hosts are mutually routable iff their switches carry the same
-  /// non-negative component id (-1 marks a dead switch). The compressed
-  /// RouteTable uses this to answer reachable() and count unreachable
-  /// pairs without materializing any route. The default — one component
+  /// non-negative component id (-1 marks a dead switch). RouteTable
+  /// uses this to answer reachable() and count unreachable pairs without
+  /// materializing any route. The default — one component
   /// spanning every switch — is correct for routers over a connected,
   /// pristine fabric; mask-aware routers (post-fault up*/down*) override
   /// it with the surviving components.

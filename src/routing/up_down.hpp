@@ -48,8 +48,8 @@ class UpDownRouter final : public Router {
       topo::SwitchId src, topo::SwitchId dst) const override;
   [[nodiscard]] const char* name() const override { return "up*/down*"; }
 
-  /// Surviving-component map for the compressed RouteTable: BFS component
-  /// ids over the masked graph, dead switches -1. Component equality is
+  /// Surviving-component map for RouteTable: BFS component ids over
+  /// the masked graph, dead switches -1. Component equality is
   /// exactly try_route() feasibility — up*/down* connects every alive
   /// pair within a component (both ends reach the component root via
   /// tree edges, and root-to-anywhere is a pure down path).

@@ -152,6 +152,24 @@ TEST(EngineGoldens, StreamingRootHandoffDispatchOrder) {
   EXPECT_EQ(d.fnv, UINT64_C(0x8972a940503bdf13));
 }
 
+// The verdict of the rig above. At 54 µs some stream packets have not
+// left the root, so no destination can ever hold all 16 and the run is
+// kFailed; the per-packet handoff still resends the indices survivors
+// hold, as one handoff message.
+TEST(EngineGoldens, StreamingRootDeathMidStreamFailsAfterHandoff) {
+  const Rig rig{1997};
+  const auto plan = rig.plan(2);
+  mcast::MulticastEngine::Config cfg;
+  cfg.network.faults.host_down(sim::Time::us(54.0),
+                               plan.members[0].tree.root);
+  const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
+  const mcast::StreamingResult r = engine.run_streaming(plan, 16);
+  EXPECT_EQ(r.outcome, mcast::Outcome::kFailed);
+  EXPECT_EQ(r.root_handoffs, 1);
+  EXPECT_EQ(r.packets_delivered, 567);
+  for (const auto& d : r.destinations) EXPECT_FALSE(d.delivered);
+}
+
 TEST(EngineGoldens, RunManyReliableUnderLossDispatchOrder) {
   const Rig rig{7};
   mcast::MulticastEngine::Config cfg;

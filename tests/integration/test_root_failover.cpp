@@ -393,9 +393,9 @@ TEST(RootFailover, StreamingRootDeathHandsOffPerPacket) {
   const topo::HostId source = plan.members.front().tree.root;
   bool handed_off = false;
   // A kill landing exactly between injection waves leaves every
-  // destination holding the same prefix — nothing to hand off, honest
-  // partial. The sweep therefore includes mid-wave instants where a
-  // truncated wave leaves some destinations holding indices others miss.
+  // destination holding the same prefix — nothing to hand off. The sweep
+  // therefore includes mid-wave instants where a truncated wave leaves
+  // some destinations holding indices others miss.
   for (const double kill_us : {30.0, 42.0, 54.0, 66.0, 90.0}) {
     net::FaultPlan faults;
     faults.host_down(sim::Time::us(kill_us), source);

@@ -1,11 +1,11 @@
 // Route goldens: an FNV-1a digest over every switch pair's route
 // (switches, links, VCs) and reachability verdict, for up*/down* routing
 // on irregular fabrics, fat trees and masked (faulted) subgraphs. Each
-// fabric is digested straight from try_route() and through compressed
-// and eager RouteTables, against values recorded before the BFS and the
-// tables were rewritten for speed. Any change to the BFS's neighbour
-// order or tie-breaks, or to how a table stores and shares routes, shows
-// up here rather than as a drifted simulation result.
+// fabric is digested straight from try_route() and through a RouteTable,
+// against values recorded before the BFS and the table were rewritten
+// for speed. Any change to the BFS's neighbour order or tie-breaks, or
+// to how a table stores and shares routes, shows up here rather than as
+// a drifted simulation result.
 
 #include <gtest/gtest.h>
 
@@ -88,21 +88,13 @@ struct Golden {
   std::uint64_t table;
 };
 
-/// Checks the router digest, a compressed table's digest and (when
-/// `eager`) an eager table's digest. Eager tables at 1024 hosts hold a
-/// million host pairs, so the largest fabrics check compressed only.
+/// Checks the router digest and a route table's digest.
 void expect_golden(const topo::Topology& topology, const Router& router,
-                   const Golden& want, bool eager = true) {
+                   const Golden& want) {
   const auto got = router_digest(topology.switches(), router);
   EXPECT_EQ(got, want.router) << std::hex << "router 0x" << got;
-  const RouteTable compressed{topology, router, /*epoch=*/0,
-                              RouteStorage::kCompressed};
-  const auto lazy = table_digest(topology, compressed);
-  EXPECT_EQ(lazy, want.table) << std::hex << "compressed 0x" << lazy;
-  if (eager) {
-    const auto all = table_digest(topology, RouteTable{topology, router});
-    EXPECT_EQ(all, want.table) << std::hex << "eager 0x" << all;
-  }
+  const auto table = table_digest(topology, RouteTable{topology, router});
+  EXPECT_EQ(table, want.table) << std::hex << "table 0x" << table;
 }
 
 topo::Topology irregular(std::int32_t hosts, std::uint64_t seed) {
@@ -135,7 +127,7 @@ TEST(RouteGoldens, IrregularFabrics) {
     SCOPED_TRACE(c.seed);
     const auto topology = irregular(c.hosts, c.seed);
     const UpDownRouter router{topology.switches()};
-    expect_golden(topology, router, c.want, /*eager=*/c.hosts < 1024);
+    expect_golden(topology, router, c.want);
   }
 }
 
@@ -156,8 +148,7 @@ TEST(RouteGoldens, FatTrees) {
     const auto topology = topo::make_fat_tree(configs[i]);
     const UpDownRouter router{topology.switches(),
                               topo::fat_tree_levels(configs[i])};
-    expect_golden(topology, router, want[i],
-                  /*eager=*/topology.num_hosts() < 1024);
+    expect_golden(topology, router, want[i]);
   }
 }
 
@@ -187,18 +178,30 @@ TEST(RouteGoldens, MaskedRouters) {
   }
 }
 
-TEST(RouteGoldens, EagerTableFootprint) {
-  // An eager table shares one router query across every host pair on a
-  // switch pair; its per-pair vectors (capacity included) and so its
-  // reported footprint must not change. The dateline torus builds its
-  // routes by push_back, so its vectors carry spare capacity.
+/// Footprint of a table after every host pair has been asked for.
+std::size_t materialized_bytes(const topo::Topology& topology,
+                               const Router& router) {
+  const RouteTable table{topology, router};
+  for (topo::HostId s = 0; s < topology.num_hosts(); ++s) {
+    for (topo::HostId d = 0; d < topology.num_hosts(); ++d) {
+      (void)table.path(s, d);
+    }
+  }
+  return table.memory_bytes();
+}
+
+TEST(RouteGoldens, MaterializedTableFootprint) {
+  // One route per switch pair, kept as the router built it (capacity
+  // included), so the fully materialized footprint must not change. The
+  // dateline torus builds its routes by push_back, so its vectors carry
+  // spare capacity.
   const auto topology = irregular(64, 1);
   const UpDownRouter updown{topology.switches()};
-  EXPECT_EQ(RouteTable(topology, updown).memory_bytes(), 380672u);
+  EXPECT_EQ(materialized_bytes(topology, updown), 24752u);
   const topo::KAryNCubeConfig torus{4, 2, true};
   const auto cube = topo::make_kary_ncube(torus);
   const DimensionOrderedRouter dor{cube.switches(), torus};
-  EXPECT_EQ(RouteTable(cube, dor).memory_bytes(), 25216u);
+  EXPECT_EQ(materialized_bytes(cube, dor), 26176u);
 }
 
 }  // namespace
