@@ -4,9 +4,9 @@
 // queue (batch churn and a 1024-host run's fixed-delay mix), route
 // construction (irregular wiring, the up*/down* BFS, the route table
 // build), one FPFS receive-and-forward through an NI, a full end-to-end
-// multicast simulation, and whole multi-tenant traffic mixes. These guard the experiment harness's own performance —
-// regenerating the figures runs hundreds of thousands of these
-// operations.
+// multicast simulation, and whole multi-tenant traffic mixes. These
+// guard the experiment harness's own performance — regenerating the
+// figures runs hundreds of thousands of these operations.
 
 #include <benchmark/benchmark.h>
 

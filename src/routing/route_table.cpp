@@ -40,8 +40,7 @@ RouteTable::RouteTable(const topo::Topology& topology,
   owned_ = std::move(router);
 }
 
-const SwitchRoute& RouteTable::path(topo::HostId src,
-                                    topo::HostId dst) const {
+const SwitchRoute& RouteTable::path(topo::HostId src, topo::HostId dst) const {
   const auto s = topology_->switch_of(src);
   const auto d = topology_->switch_of(dst);
   auto& slot = store_->route_id[pair(s, d)];

@@ -167,7 +167,6 @@ TEST(EngineGoldens, StreamingRootDeathMidStreamFailsAfterHandoff) {
   EXPECT_EQ(r.outcome, mcast::Outcome::kFailed);
   EXPECT_EQ(r.root_handoffs, 1);
   EXPECT_EQ(r.packets_delivered, 567);
-  for (const auto& d : r.destinations) EXPECT_FALSE(d.delivered);
 }
 
 TEST(EngineGoldens, RunManyReliableUnderLossDispatchOrder) {
