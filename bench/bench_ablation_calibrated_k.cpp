@@ -15,7 +15,7 @@ using namespace nimcast;
 int main() {
   std::printf("=== Ablation: paper-rule k* vs simulator-calibrated k* "
               "===\n\n");
-  const harness::IrregularTestbed bed{bench::paper_testbed_config()};
+  const harness::Testbed bed{bench::paper_testbed_config()};
   const auto model = analysis::LatencyModel::from_network(
       netif::SystemParams{}, net::NetworkConfig{}, 2);
 

@@ -21,7 +21,7 @@ using namespace nimcast;
 
 int main() {
   std::printf("=== Ablation: FPFS vs FCFS forwarding latency ===\n\n");
-  const harness::IrregularTestbed bed{bench::paper_testbed_config()};
+  const harness::Testbed bed{bench::paper_testbed_config()};
 
   for (const auto spec :
        {harness::TreeSpec::binomial(), harness::TreeSpec::optimal()}) {

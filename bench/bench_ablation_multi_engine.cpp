@@ -35,7 +35,7 @@ int main() {
   for (const std::int32_t engines : {1, 2, 4}) {
     auto cfg = base;
     cfg.params.ni_engines = engines;
-    const harness::IrregularTestbed bed{cfg};
+    const harness::Testbed bed{cfg};
     double best_latency = 0;
     std::int32_t best_k = 0;
     double paper_latency = 0;

@@ -63,14 +63,12 @@ int main() {
   std::printf("=== Ablation: single-path vs multipath up*/down* on a "
               "fat-tree (concurrent multicasts) ===\n\n");
   const topo::FatTreeConfig cfg;
-  const auto topology = topo::make_fat_tree(cfg);
-  const routing::UpDownRouter single{topology.switches(),
-                                     topo::fat_tree_levels(cfg)};
+  const core::Fabric single = core::Fabric::fat_tree(cfg);
+  const topo::Topology& topology = single.topology();
+  const core::Chain& chain = single.chain();
   const routing::MultipathUpDownRouter multi{topology.switches(),
                                              topo::fat_tree_levels(cfg)};
-  const routing::RouteTable single_routes{topology, single};
   const routing::RouteTable multi_routes{topology, multi};
-  const auto chain = core::cco_ordering(topology, single);
 
   const int seeds = std::getenv("NIMCAST_QUICK") != nullptr ? 3 : 10;
   harness::Table table{{"concurrent ops", "single lat (us)",
@@ -82,7 +80,7 @@ int main() {
     Load s{};
     Load mres{};
     for (int seed = 0; seed < seeds; ++seed) {
-      const auto a = run_batch(topology, single_routes, chain, ops, 12, 8,
+      const auto a = run_batch(topology, single.routes(), chain, ops, 12, 8,
                                static_cast<std::uint64_t>(seed) + 1);
       const auto b = run_batch(topology, multi_routes, chain, ops, 12, 8,
                                static_cast<std::uint64_t>(seed) + 1);

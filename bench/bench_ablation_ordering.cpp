@@ -10,7 +10,7 @@ using namespace nimcast;
 
 int main() {
   std::printf("=== Ablation: CCO ordering vs random ordering ===\n\n");
-  const harness::IrregularTestbed bed{bench::paper_testbed_config()};
+  const harness::Testbed bed{bench::paper_testbed_config()};
 
   harness::Table table{{"n", "m", "CCO lat (us)", "rand lat (us)",
                         "CCO block (us)", "rand block (us)"}};

@@ -27,7 +27,7 @@ int main() {
   for (const std::int32_t psize : {32, 64, 128, 256, 512, 1024, 2048}) {
     auto cfg = bench::paper_testbed_config();
     cfg.network.packet_bytes = psize;
-    const harness::IrregularTestbed bed{cfg};
+    const harness::Testbed bed{cfg};
     const auto m = static_cast<std::int32_t>(
         (message_bytes + psize - 1) / psize);
     const auto opt = bed.measure(n, m, harness::TreeSpec::optimal(),

@@ -11,9 +11,8 @@ using namespace nimcast;
 
 namespace {
 
-double ratio_at(harness::IrregularTestbed::Config cfg, std::int32_t n,
-                std::int32_t m) {
-  const harness::IrregularTestbed bed{cfg};
+double ratio_at(harness::TestbedSpec cfg, std::int32_t n, std::int32_t m) {
+  const harness::Testbed bed{cfg};
   const auto b = bed.measure(n, m, harness::TreeSpec::binomial(),
                              mcast::NiStyle::kSmartFpfs);
   const auto k = bed.measure(n, m, harness::TreeSpec::optimal(),

@@ -16,7 +16,7 @@ double ratio_for(net::ReleaseModel model) {
   cfg.network.release_model = model;
   cfg.num_topologies = std::min(cfg.num_topologies, 5);
   cfg.sets_per_topology = std::min(cfg.sets_per_topology, 15);
-  const harness::IrregularTestbed bed{cfg};
+  const harness::Testbed bed{cfg};
   const auto bin = bed.measure(48, 16, harness::TreeSpec::binomial(),
                                mcast::NiStyle::kSmartFpfs);
   const auto opt = bed.measure(48, 16, harness::TreeSpec::optimal(),

@@ -20,29 +20,12 @@
 #include "core/ordering.hpp"
 #include "mcast/multicast_engine.hpp"
 #include "network/fault_plan.hpp"
-#include "routing/up_down.hpp"
 #include "sim/rng.hpp"
 #include "topology/irregular.hpp"
 
 using namespace nimcast;
 
 namespace {
-
-struct Rig {
-  topo::Topology topology;
-  routing::UpDownRouter router;
-  routing::RouteTable routes;
-  core::Chain cco;
-
-  explicit Rig(std::uint64_t seed)
-      : topology{[&] {
-          sim::Rng rng{seed};
-          return topo::make_irregular(topo::IrregularConfig{}, rng);
-        }()},
-        router{topology.switches()},
-        routes{topology, router},
-        cco{core::cco_ordering(topology, router)} {}
-};
 
 struct Point {
   double kill_rate = 0.0;
@@ -54,7 +37,8 @@ struct Point {
   double p95_latency_us = 0.0;  ///< completion tail over delivering ops
 };
 
-Point sweep_point(const Rig& rig, double kill_rate, bool handoff, int reps) {
+Point sweep_point(const core::Fabric& fabric, double kill_rate, bool handoff,
+                  int reps) {
   // 16 packets keep the root on duty (initial sends plus repair
   // resends) long enough that a mid-operation kill strands real work;
   // at m=4 the root retires before any destination holds the full
@@ -75,14 +59,14 @@ Point sweep_point(const Rig& rig, double kill_rate, bool handoff, int reps) {
     // across (kill_rate, handoff) cells: only the policy differs.
     sim::Rng rng{static_cast<std::uint64_t>(rep) * 977 + 19};
     const auto draw = rng.sample_without_replacement(
-        static_cast<std::size_t>(rig.topology.num_hosts()),
+        static_cast<std::size_t>(fabric.num_hosts()),
         static_cast<std::size_t>(kN));
     std::vector<topo::HostId> dests;
     for (std::size_t i = 1; i < draw.size(); ++i) {
       dests.push_back(static_cast<topo::HostId>(draw[i]));
     }
     const auto members = core::arrange_participants(
-        rig.cco, static_cast<topo::HostId>(draw.front()), dests);
+        fabric.chain(), static_cast<topo::HostId>(draw.front()), dests);
     const auto tree =
         core::HostTree::bind(core::make_kbinomial(kN, choice.k), members);
 
@@ -91,7 +75,7 @@ Point sweep_point(const Rig& rig, double kill_rate, bool handoff, int reps) {
     fcfg.window_end = sim::Time::us(80.0);
     sim::Rng fault_rng{0xC4A05 + static_cast<std::uint64_t>(rep) * 131};
     auto faults =
-        net::FaultPlan::random(rig.topology.switches(), fcfg, fault_rng);
+        net::FaultPlan::random(fabric.topology().switches(), fcfg, fault_rng);
 
     mcast::MulticastEngine::Config cfg;
     cfg.network.faults = faults;
@@ -103,7 +87,8 @@ Point sweep_point(const Rig& rig, double kill_rate, bool handoff, int reps) {
     // fixed instant. The baseline never kills the root, so it is
     // byte-identical across the handoff on/off cells and the kill
     // instant stays paired.
-    const mcast::MulticastEngine baseline{rig.topology, rig.routes, cfg};
+    const mcast::MulticastEngine baseline{fabric.topology(), fabric.routes(),
+                                          cfg};
     const double op_span = baseline.run(tree, kM).latency.as_us();
     const double frac = 0.3 + fault_rng.next_double() * 0.6;
     const double kill_at = op_span > 0.0 ? frac * op_span : 30.0;
@@ -111,7 +96,8 @@ Point sweep_point(const Rig& rig, double kill_rate, bool handoff, int reps) {
     if (killed) faults.host_down(sim::Time::us(kill_at), tree.root);
 
     cfg.network.faults = faults;
-    const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
+    const mcast::MulticastEngine engine{fabric.topology(), fabric.routes(),
+                                        cfg};
     const auto r = engine.run(tree, kM);
     ratio_sum += r.delivery_ratio();
     handoffs += r.root_handoffs;
@@ -139,7 +125,7 @@ int main() {
               "(irregular 64-host rig, 20%% link background) ===\n\n");
   const bool quick = std::getenv("NIMCAST_QUICK") != nullptr;
   const int reps = quick ? 8 : 30;
-  const Rig rig{3};
+  const core::Fabric fabric = bench::paper_fabric(3);
 
   const std::vector<double> kill_rates = {0.0, 0.25, 0.5, 1.0};
   harness::Table table{{"kill rate", "handoff", "delivery", "complete",
@@ -147,7 +133,7 @@ int main() {
   std::vector<Point> points;
   for (const double rate : kill_rates) {
     for (const bool handoff : {false, true}) {
-      Point pt = sweep_point(rig, rate, handoff, reps);
+      Point pt = sweep_point(fabric, rate, handoff, reps);
       table.add_row({harness::Table::num(rate, 2), handoff ? "on" : "off",
                      harness::Table::num(pt.delivery_ratio, 3),
                      harness::Table::num(pt.complete_rate, 2),

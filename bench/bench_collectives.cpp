@@ -6,15 +6,12 @@
 //   - scatter over the optimal k-binomial tree vs a flat source-direct
 //     star (tree forwarding vs source serialization trade-off).
 
-#include <memory>
-
 #include "bench/common.hpp"
 #include "collectives/collective_engine.hpp"
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
 #include "core/optimal_k.hpp"
 #include "network/fault_plan.hpp"
-#include "routing/up_down.hpp"
 #include "sim/rng.hpp"
 #include "topology/fat_tree.hpp"
 
@@ -22,40 +19,23 @@ using namespace nimcast;
 
 namespace {
 
-struct Rig {
-  topo::Topology topology;
-  routing::UpDownRouter router;
-  routing::RouteTable routes;
-  core::Chain chain;
-  collectives::CollectiveEngine engine;
+core::HostTree tree(const core::Chain& chain, std::int32_t n,
+                    std::int32_t k) {
+  return core::HostTree::bind(core::make_kbinomial(n, k),
+                              core::Chain{chain.begin(), chain.begin() + n});
+}
 
-  explicit Rig(std::uint64_t seed)
-      : topology{[&] {
-          sim::Rng rng{seed};
-          return topo::make_irregular(topo::IrregularConfig{}, rng);
-        }()},
-        router{topology.switches()},
-        routes{topology, router},
-        chain{core::cco_ordering(topology, router)},
-        engine{topology, routes, collectives::CollectiveEngine::Config{}} {}
-
-  [[nodiscard]] core::HostTree tree(std::int32_t n, std::int32_t k) const {
-    return core::HostTree::bind(core::make_kbinomial(n, k),
-                                core::Chain{chain.begin(), chain.begin() + n});
+core::HostTree star(const core::Chain& chain, std::int32_t n) {
+  core::HostTree t;
+  t.root = chain[0];
+  t.nodes.assign(chain.begin(), chain.begin() + n);
+  t.children[t.root] = {};
+  for (std::int32_t i = 1; i < n; ++i) {
+    t.children[t.root].push_back(chain[static_cast<std::size_t>(i)]);
+    t.children[chain[static_cast<std::size_t>(i)]] = {};
   }
-
-  [[nodiscard]] core::HostTree star(std::int32_t n) const {
-    core::HostTree t;
-    t.root = chain[0];
-    t.nodes.assign(chain.begin(), chain.begin() + n);
-    t.children[t.root] = {};
-    for (std::int32_t i = 1; i < n; ++i) {
-      t.children[t.root].push_back(chain[static_cast<std::size_t>(i)]);
-      t.children[chain[static_cast<std::size_t>(i)]] = {};
-    }
-    return t;
-  }
-};
+  return t;
+}
 
 double mean_latency(const std::vector<double>& v) {
   double s = 0;
@@ -66,38 +46,14 @@ double mean_latency(const std::vector<double>& v) {
 // ---------------------------------------------------------------------------
 // Fault sweep: degraded-mode collectives on two 64-host fabrics.
 
-/// Self-owning rig for the fault sweep (the plain Rig above holds its
-/// engine by value and is irregular-only).
-struct FaultRig {
-  std::string name;
-  std::unique_ptr<topo::Topology> topology;
-  std::unique_ptr<routing::UpDownRouter> router;
-  std::unique_ptr<routing::RouteTable> routes;
-  core::Chain cco;
-};
-
-FaultRig make_fault_rig(bool fat_tree) {
-  FaultRig rig;
+/// The fault sweep's two 64-host fabrics.
+core::Fabric fault_fabric(bool fat_tree) {
   if (fat_tree) {
     topo::FatTreeConfig cfg;  // 8 edge x 4 spine x 8 hosts = 64
     cfg.trunk = 2;  // trunked uplinks: the fabric's redundancy headline
-    rig.name = "fat_tree";
-    rig.topology =
-        std::make_unique<topo::Topology>(topo::make_fat_tree(cfg));
-    rig.router = std::make_unique<routing::UpDownRouter>(
-        rig.topology->switches(), topo::fat_tree_levels(cfg));
-  } else {
-    rig.name = "irregular";
-    sim::Rng rng{3};
-    rig.topology = std::make_unique<topo::Topology>(
-        topo::make_irregular(topo::IrregularConfig{}, rng));
-    rig.router =
-        std::make_unique<routing::UpDownRouter>(rig.topology->switches());
+    return core::Fabric::fat_tree(cfg);
   }
-  rig.routes =
-      std::make_unique<routing::RouteTable>(*rig.topology, *rig.router);
-  rig.cco = core::cco_ordering(*rig.topology, *rig.router);
-  return rig;
+  return bench::paper_fabric(3);
 }
 
 struct FaultPoint {
@@ -113,14 +69,14 @@ struct FaultPoint {
   int failed = 0;
 };
 
-FaultPoint sweep_collective(const FaultRig& rig,
+FaultPoint sweep_collective(const core::Fabric& fabric, const char* rig,
                             collectives::CollectiveKind kind, double rate,
                             int reps) {
   constexpr std::int32_t n = 32;
   constexpr std::int32_t m = 4;
   const auto choice = core::optimal_k(n, m);
   FaultPoint pt;
-  pt.rig = rig.name;
+  pt.rig = rig;
   pt.kind = kind;
   pt.rate = rate;
   double ratio_sum = 0.0, ratio_nr_sum = 0.0, lat_sum = 0.0, repairs = 0.0;
@@ -130,14 +86,14 @@ FaultPoint sweep_collective(const FaultRig& rig,
     // varies across rates, so the curves are paired per rep.
     sim::Rng rng{static_cast<std::uint64_t>(rep) * 7 + 5};
     const auto draw = rng.sample_without_replacement(
-        static_cast<std::size_t>(rig.topology->num_hosts()),
+        static_cast<std::size_t>(fabric.num_hosts()),
         static_cast<std::size_t>(n));
     std::vector<topo::HostId> dests;
     for (std::size_t i = 1; i < draw.size(); ++i) {
       dests.push_back(static_cast<topo::HostId>(draw[i]));
     }
     const auto members = core::arrange_participants(
-        rig.cco, static_cast<topo::HostId>(draw.front()), dests);
+        fabric.chain(), static_cast<topo::HostId>(draw.front()), dests);
     const auto tree =
         core::HostTree::bind(core::make_kbinomial(n, choice.k), members);
 
@@ -148,7 +104,7 @@ FaultPoint sweep_collective(const FaultRig& rig,
       // across rates, so lower-rate fault sets nest inside higher-rate
       // ones and the degradation curves are monotone by construction.
       sim::Rng fault_rng{0xC011EC7 + static_cast<std::uint64_t>(rep) * 131};
-      const auto& g = rig.topology->switches();
+      const auto& g = fabric.topology().switches();
       // Link faults only: switch deaths remove unequal host counts on
       // the two fabrics (a fat-tree edge switch carries 8 hosts, an
       // irregular switch 4), which would compare fabric *granularity*
@@ -162,8 +118,8 @@ FaultPoint sweep_collective(const FaultRig& rig,
 
     collectives::CollectiveEngine::Config cfg;
     cfg.network = netcfg;  // degrade-and-continue is the default mode
-    const collectives::CollectiveEngine engine{*rig.topology, *rig.routes,
-                                               cfg};
+    const collectives::CollectiveEngine engine{fabric.topology(),
+                                               fabric.routes(), cfg};
     const auto r = engine.run(kind, tree, m);
     ratio_sum += r.delivery_ratio();
     repairs += r.repairs;
@@ -180,8 +136,8 @@ FaultPoint sweep_collective(const FaultRig& rig,
     collectives::CollectiveEngine::Config nr_cfg = cfg;
     nr_cfg.repair.max_attempts = 0;
     nr_cfg.repair.reroute = false;
-    const collectives::CollectiveEngine nr_engine{*rig.topology, *rig.routes,
-                                                  nr_cfg};
+    const collectives::CollectiveEngine nr_engine{fabric.topology(),
+                                                  fabric.routes(), nr_cfg};
     ratio_nr_sum += nr_engine.run(kind, tree, m).delivery_ratio();
   }
   pt.delivery_ratio = ratio_sum / reps;
@@ -189,21 +145,6 @@ FaultPoint sweep_collective(const FaultRig& rig,
   pt.latency_us = lat_count > 0 ? lat_sum / lat_count : 0.0;
   pt.repairs_per_op = repairs / reps;
   return pt;
-}
-
-std::string git_rev() {
-  std::string rev = "unknown";
-  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64];
-    if (std::fgets(buf, sizeof buf, p) != nullptr) {
-      rev.assign(buf);
-      while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-        rev.pop_back();
-      }
-    }
-    pclose(p);
-  }
-  return rev;
 }
 
 }  // namespace
@@ -224,16 +165,16 @@ int main() {
       std::vector<double> a;
       const std::int32_t k = core::optimal_k(n, m).k;
       for (int seed = 0; seed < num_seeds; ++seed) {
-        const Rig rig{static_cast<std::uint64_t>(seed)};
-        const auto tree = rig.tree(n, k);
-        g.push_back(rig.engine
-                        .run(collectives::CollectiveKind::kGather, tree, m)
+        const core::Fabric fabric =
+            bench::paper_fabric(static_cast<std::uint64_t>(seed));
+        const collectives::CollectiveEngine engine{
+            fabric.topology(), fabric.routes(), {}};
+        const auto t = tree(fabric.chain(), n, k);
+        g.push_back(engine.run(collectives::CollectiveKind::kGather, t, m)
                         .latency.as_us());
-        r.push_back(rig.engine
-                        .run(collectives::CollectiveKind::kReduce, tree, m)
+        r.push_back(engine.run(collectives::CollectiveKind::kReduce, t, m)
                         .latency.as_us());
-        a.push_back(rig.engine
-                        .run(collectives::CollectiveKind::kAllReduce, tree, m)
+        a.push_back(engine.run(collectives::CollectiveKind::kAllReduce, t, m)
                         .latency.as_us());
       }
       const double gm = mean_latency(g);
@@ -264,15 +205,16 @@ int main() {
     std::vector<double> star_lat;
     const std::int32_t k = core::optimal_k(64, m).k;
     for (int seed = 0; seed < num_seeds; ++seed) {
-      const Rig rig{static_cast<std::uint64_t>(seed)};
-      tree_lat.push_back(
-          rig.engine
-              .run(collectives::CollectiveKind::kScatter, rig.tree(64, k), m)
-              .latency.as_us());
-      star_lat.push_back(
-          rig.engine
-              .run(collectives::CollectiveKind::kScatter, rig.star(64), m)
-              .latency.as_us());
+      const core::Fabric fabric =
+          bench::paper_fabric(static_cast<std::uint64_t>(seed));
+      const collectives::CollectiveEngine engine{
+          fabric.topology(), fabric.routes(), {}};
+      const auto scatter = [&](const core::HostTree& t) {
+        return engine.run(collectives::CollectiveKind::kScatter, t, m)
+            .latency.as_us();
+      };
+      tree_lat.push_back(scatter(tree(fabric.chain(), 64, k)));
+      star_lat.push_back(scatter(star(fabric.chain(), 64)));
     }
     t2.add_row({harness::Table::num(std::int64_t{m}),
                 harness::Table::num(mean_latency(tree_lat)),
@@ -306,11 +248,12 @@ int main() {
                      "latency (us)", "repairs/op", "C/P/F"}};
   std::vector<FaultPoint> points;
   for (const bool fat : {false, true}) {
-    const FaultRig rig = make_fault_rig(fat);
+    const core::Fabric fabric = fault_fabric(fat);
+    const char* rig = fat ? "fat_tree" : "irregular";
     for (const auto kind : kKinds) {
       for (const double rate : rates) {
-        FaultPoint pt = sweep_collective(rig, kind, rate, fault_reps);
-        t3.add_row({rig.name, collectives::to_string(kind),
+        FaultPoint pt = sweep_collective(fabric, rig, kind, rate, fault_reps);
+        t3.add_row({rig, collectives::to_string(kind),
                     harness::Table::num(rate, 2),
                     harness::Table::num(pt.delivery_ratio, 3),
                     harness::Table::num(pt.delivery_no_repair, 3),
@@ -386,7 +329,7 @@ int main() {
                  "  ],\n"
                  "  \"git_rev\": \"%s\"\n"
                  "}\n",
-                 git_rev().c_str());
+                 bench::git_rev().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", out_path);
   } else {

@@ -14,43 +14,11 @@
 #include "core/host_tree.hpp"
 #include "core/optimal_k.hpp"
 #include "mcast/multicast_engine.hpp"
-#include "routing/up_down.hpp"
 #include "sim/rng.hpp"
 
 using namespace nimcast;
 
 namespace {
-
-struct Rig {
-  topo::Topology topology;
-  routing::UpDownRouter router;
-  routing::RouteTable routes;
-  core::Chain cco;
-
-  explicit Rig(std::uint64_t seed)
-      : topology{[&] {
-          sim::Rng rng{seed};
-          return topo::make_irregular(topo::IrregularConfig{}, rng);
-        }()},
-        router{topology.switches()},
-        routes{topology, router},
-        cco{core::cco_ordering(topology, router)} {}
-};
-
-std::string git_rev() {
-  std::string rev = "unknown";
-  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64];
-    if (std::fgets(buf, sizeof buf, p) != nullptr) {
-      rev.assign(buf);
-      while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-        rev.pop_back();
-      }
-    }
-    pclose(p);
-  }
-  return rev;
-}
 
 struct Point {
   std::int32_t n = 0;
@@ -64,8 +32,8 @@ struct Point {
   double killed_per_op = 0.0;
 };
 
-Point sweep_point(const Rig& rig, std::int32_t n, std::int32_t m, double rate,
-                  int reps) {
+Point sweep_point(const core::Fabric& fabric, std::int32_t n, std::int32_t m,
+                  double rate, int reps) {
   const auto choice = core::optimal_k(n, m);
   Point pt;
   pt.n = n;
@@ -79,14 +47,14 @@ Point sweep_point(const Rig& rig, std::int32_t n, std::int32_t m, double rate,
     // plan varies, so curves across rates are paired.
     sim::Rng rng{static_cast<std::uint64_t>(rep) + 11};
     const auto draw = rng.sample_without_replacement(
-        static_cast<std::size_t>(rig.topology.num_hosts()),
+        static_cast<std::size_t>(fabric.num_hosts()),
         static_cast<std::size_t>(n));
     std::vector<topo::HostId> dests;
     for (std::size_t i = 1; i < draw.size(); ++i) {
       dests.push_back(static_cast<topo::HostId>(draw[i]));
     }
     const auto members = core::arrange_participants(
-        rig.cco, static_cast<topo::HostId>(draw.front()), dests);
+        fabric.chain(), static_cast<topo::HostId>(draw.front()), dests);
     const auto tree =
         core::HostTree::bind(core::make_kbinomial(n, choice.k), members);
 
@@ -99,7 +67,7 @@ Point sweep_point(const Rig& rig, std::int32_t n, std::int32_t m, double rate,
       // this, independent per-rate plans at modest rep counts produce
       // non-monotone sampling noise that swamps the shape check.
       sim::Rng fault_rng{0xFA0170 + static_cast<std::uint64_t>(rep) * 131};
-      const auto& g = rig.topology.switches();
+      const auto& g = fabric.topology().switches();
       for (topo::LinkId e = 0; e < g.num_edges(); ++e) {
         const double u = fault_rng.next_double();
         const double at = fault_rng.next_double() * 150.0;
@@ -115,7 +83,8 @@ Point sweep_point(const Rig& rig, std::int32_t n, std::int32_t m, double rate,
     mcast::MulticastEngine::Config cfg;
     cfg.network = netcfg;
     cfg.style = mcast::NiStyle::kReliableFpfs;
-    const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
+    const mcast::MulticastEngine engine{fabric.topology(), fabric.routes(),
+                                        cfg};
     const auto batch =
         engine.run_many({mcast::MulticastSpec{tree, m, sim::Time::zero()}});
     const auto& r = batch.operations.front();
@@ -131,7 +100,8 @@ Point sweep_point(const Rig& rig, std::int32_t n, std::int32_t m, double rate,
     mcast::MulticastEngine::Config nr_cfg = cfg;
     nr_cfg.repair.max_attempts = 0;
     nr_cfg.repair.reroute = false;
-    const mcast::MulticastEngine nr_engine{rig.topology, rig.routes, nr_cfg};
+    const mcast::MulticastEngine nr_engine{fabric.topology(), fabric.routes(),
+                                           nr_cfg};
     const auto nr = nr_engine.run(tree, m);
     ratio_nr_sum += nr.delivery_ratio();
   }
@@ -151,7 +121,7 @@ int main() {
               "link/switch failures (irregular 64-host rig) ===\n\n");
   const bool quick = std::getenv("NIMCAST_QUICK") != nullptr;
   const int reps = quick ? 5 : 15;
-  const Rig rig{3};
+  const core::Fabric fabric = bench::paper_fabric(3);
 
   const std::vector<double> rates = {0.0, 0.02, 0.05, 0.1, 0.2};
   const std::vector<std::pair<std::int32_t, std::int32_t>> shapes = {
@@ -164,7 +134,7 @@ int main() {
   for (const auto& [n, m] : shapes) {
     double base_latency = 0.0;
     for (const double rate : rates) {
-      Point pt = sweep_point(rig, n, m, rate, reps);
+      Point pt = sweep_point(fabric, n, m, rate, reps);
       if (rate == 0.0) base_latency = pt.latency_us;
       const double inflation =
           base_latency > 0.0 ? pt.latency_us / base_latency : 0.0;
@@ -239,7 +209,7 @@ int main() {
                  "  ],\n"
                  "  \"git_rev\": \"%s\"\n"
                  "}\n",
-                 git_rev().c_str());
+                 bench::git_rev().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", out_path);
   } else {

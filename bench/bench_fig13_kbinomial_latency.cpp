@@ -13,7 +13,7 @@ using namespace nimcast;
 
 namespace {
 
-void figure_13a(const harness::IrregularTestbed& bed) {
+void figure_13a(const harness::Testbed& bed) {
   std::printf(
       "Figure 13(a): latency (us) of optimal k-binomial tree vs m\n\n");
   const std::int32_t sizes[] = {16, 32, 48, 64};
@@ -74,7 +74,7 @@ void figure_13a(const harness::IrregularTestbed& bed) {
   }
 }
 
-void figure_13b(const harness::IrregularTestbed& bed) {
+void figure_13b(const harness::Testbed& bed) {
   std::printf("\nFigure 13(b): latency (us) of optimal k-binomial tree vs "
               "n\n\n");
   const std::int32_t packets[] = {1, 2, 4, 8};
@@ -122,7 +122,7 @@ void figure_13b(const harness::IrregularTestbed& bed) {
 int main() {
   std::printf("=== Fig. 13 reproduction: optimal k-binomial latency on the "
               "64-host irregular network ===\n\n");
-  const harness::IrregularTestbed bed{bench::paper_testbed_config()};
+  const harness::Testbed bed{bench::paper_testbed_config()};
   figure_13a(bed);
   figure_13b(bed);
   return bench::finish("bench_fig13_kbinomial_latency");

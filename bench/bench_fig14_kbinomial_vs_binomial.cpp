@@ -18,8 +18,7 @@ struct Pair {
   [[nodiscard]] double ratio() const { return binomial / kbinomial; }
 };
 
-Pair measure_pair(const harness::IrregularTestbed& bed, std::int32_t n,
-                  std::int32_t m) {
+Pair measure_pair(const harness::Testbed& bed, std::int32_t n, std::int32_t m) {
   const auto b = bed.measure(n, m, harness::TreeSpec::binomial(),
                              mcast::NiStyle::kSmartFpfs);
   const auto k = bed.measure(n, m, harness::TreeSpec::optimal(),
@@ -27,7 +26,7 @@ Pair measure_pair(const harness::IrregularTestbed& bed, std::int32_t n,
   return Pair{b.latency_us.mean(), k.latency_us.mean()};
 }
 
-void figure_14a(const harness::IrregularTestbed& bed) {
+void figure_14a(const harness::Testbed& bed) {
   std::printf("Figure 14(a): binomial vs optimal k-binomial latency (us) "
               "vs m\n\n");
   harness::Table table{{"m", "n=16 bin", "n=16 kbin", "ratio16",
@@ -65,7 +64,7 @@ void figure_14a(const harness::IrregularTestbed& bed) {
                       "Fig14a: ~2x improvement at m=32 for 47 dests");
 }
 
-void figure_14b(const harness::IrregularTestbed& bed) {
+void figure_14b(const harness::Testbed& bed) {
   std::printf("\nFigure 14(b): binomial vs optimal k-binomial latency (us) "
               "vs n\n\n");
   harness::Table table{{"n", "m=2 bin", "m=2 kbin", "ratio2", "m=8 bin",
@@ -102,7 +101,7 @@ void figure_14b(const harness::IrregularTestbed& bed) {
 int main() {
   std::printf("=== Fig. 14 reproduction: k-binomial vs binomial on the "
               "64-host irregular network ===\n\n");
-  const harness::IrregularTestbed bed{bench::paper_testbed_config()};
+  const harness::Testbed bed{bench::paper_testbed_config()};
   figure_14a(bed);
   figure_14b(bed);
   return bench::finish("bench_fig14_kbinomial_vs_binomial");

@@ -13,7 +13,7 @@ using namespace nimcast;
 int main() {
   std::printf("=== Fig. 4 reproduction: smart vs conventional network "
               "interface ===\n\n");
-  const harness::IrregularTestbed bed{bench::paper_testbed_config()};
+  const harness::Testbed bed{bench::paper_testbed_config()};
 
   // Analytic t_step over a typical 2-link path of the irregular network.
   const auto model = analysis::LatencyModel::from_network(

@@ -17,8 +17,8 @@
 
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
+#include "core/fabric.hpp"
 #include "core/optimal_k.hpp"
-#include "core/ordering.hpp"
 #include "harness/testbed.hpp"
 #include "mcast/step_model.hpp"
 #include "netif/smart_ni.hpp"
@@ -181,14 +181,11 @@ void BM_FullMulticastSimulation(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto m = static_cast<std::int32_t>(state.range(1));
   sim::Rng rng{5};
-  const auto topology = topo::make_irregular(topo::IrregularConfig{}, rng);
-  const routing::UpDownRouter router{topology.switches()};
-  const routing::RouteTable routes{topology, router};
-  const auto chain = core::cco_ordering(topology, router);
+  const auto fabric = core::Fabric::irregular(topo::IrregularConfig{}, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(harness::measure_point(
-        topology, routes, chain, netif::SystemParams{}, net::NetworkConfig{},
-        n, m, harness::TreeSpec::optimal(), mcast::NiStyle::kSmartFpfs,
+        fabric, netif::SystemParams{}, net::NetworkConfig{}, n, m,
+        harness::TreeSpec::optimal(), mcast::NiStyle::kSmartFpfs,
         harness::OrderingKind::kCco, 1, 42));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -249,22 +246,20 @@ BENCHMARK(BM_FpfsForward);
 void BM_TrafficRun(benchmark::State& state) {
   const auto ops = static_cast<std::int32_t>(state.range(0));
   sim::Rng rng{1997};
-  const auto topology = topo::make_irregular(topo::IrregularConfig{}, rng);
-  const routing::UpDownRouter router{topology.switches()};
-  const routing::RouteTable routes{topology, router};
-  const auto chain = core::cco_ordering(topology, router);
+  const auto fabric = core::Fabric::irregular(topo::IrregularConfig{}, rng);
   traffic::WorkloadConfig mix;
   mix.num_ops = ops;
   mix.ops_per_ms = 40.0;
   const traffic::Workload workload =
-      traffic::generate_workload(topology.num_hosts(), chain, mix);
+      traffic::generate_workload(fabric.num_hosts(), fabric.chain(), mix);
   traffic::TrafficConfig cfg;
   cfg.network.bandwidth_bytes_per_us = 16.0;
   cfg.scheduler.policy = traffic::Policy::kPaced;
   cfg.scheduler.overlap_tolerance_x1000 = 500;
   cfg.scheduler.max_defer_ticks = 2;
   cfg.scheduler.tick = sim::Time::us(5.0);
-  const traffic::TrafficEngine engine{topology, routes, cfg};
+  const traffic::TrafficEngine engine{fabric.topology(), fabric.routes(),
+                                      cfg};
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(workload));
   }

@@ -8,42 +8,26 @@
 #include "bench/common.hpp"
 #include "core/host_tree.hpp"
 #include "core/optimal_k.hpp"
-#include "routing/up_down.hpp"
 #include "sim/rng.hpp"
 
 using namespace nimcast;
 
 namespace {
 
-struct Rig {
-  topo::Topology topology;
-  routing::UpDownRouter router;
-  routing::RouteTable routes;
-  core::Chain cco;
-
-  explicit Rig(std::uint64_t seed)
-      : topology{[&] {
-          sim::Rng rng{seed};
-          return topo::make_irregular(topo::IrregularConfig{}, rng);
-        }()},
-        router{topology.switches()},
-        routes{topology, router},
-        cco{core::cco_ordering(topology, router)} {}
-};
-
 struct Load {
   double mean_latency_us = 0;
   double block_us = 0;
 };
 
-Load run_concurrent(const Rig& rig, std::int32_t ops, std::int32_t n,
-                    std::int32_t m, bool use_cco, std::uint64_t seed) {
+Load run_concurrent(const core::Fabric& fabric, std::int32_t ops,
+                    std::int32_t n, std::int32_t m, bool use_cco,
+                    std::uint64_t seed) {
   sim::Rng rng{seed};
   const auto choice = core::optimal_k(n, m);
   std::vector<mcast::MulticastSpec> specs;
   for (std::int32_t op = 0; op < ops; ++op) {
     const auto draw = rng.sample_without_replacement(
-        static_cast<std::size_t>(rig.topology.num_hosts()),
+        static_cast<std::size_t>(fabric.num_hosts()),
         static_cast<std::size_t>(n));
     const auto source = static_cast<topo::HostId>(draw.front());
     std::vector<topo::HostId> dests;
@@ -51,15 +35,15 @@ Load run_concurrent(const Rig& rig, std::int32_t ops, std::int32_t n,
       dests.push_back(static_cast<topo::HostId>(draw[i]));
     }
     const core::Chain base =
-        use_cco ? rig.cco
-                : core::random_ordering(rig.topology.num_hosts(), rng);
+        use_cco ? fabric.chain()
+                : core::random_ordering(fabric.num_hosts(), rng);
     const auto members = core::arrange_participants(base, source, dests);
     specs.push_back(mcast::MulticastSpec{
         core::HostTree::bind(core::make_kbinomial(n, choice.k), members), m,
         sim::Time::zero()});
   }
   const mcast::MulticastEngine engine{
-      rig.topology, rig.routes,
+      fabric.topology(), fabric.routes(),
       mcast::MulticastEngine::Config{netif::SystemParams{},
                                      net::NetworkConfig{},
                                      mcast::NiStyle::kSmartFpfs}};
@@ -92,10 +76,11 @@ int main() {
     Load cco{};
     Load rnd{};
     for (int s = 0; s < seeds; ++s) {
-      const Rig rig{static_cast<std::uint64_t>(s)};
-      const auto a = run_concurrent(rig, ops, n, m, true,
+      const core::Fabric fabric =
+          bench::paper_fabric(static_cast<std::uint64_t>(s));
+      const auto a = run_concurrent(fabric, ops, n, m, true,
                                     static_cast<std::uint64_t>(s) * 7 + 1);
-      const auto b = run_concurrent(rig, ops, n, m, false,
+      const auto b = run_concurrent(fabric, ops, n, m, false,
                                     static_cast<std::uint64_t>(s) * 7 + 1);
       cco.mean_latency_us += a.mean_latency_us / seeds;
       cco.block_us += a.block_us / seeds;

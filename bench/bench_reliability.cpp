@@ -7,30 +7,13 @@
 #include "bench/common.hpp"
 #include "core/host_tree.hpp"
 #include "core/optimal_k.hpp"
-#include "routing/up_down.hpp"
 #include "sim/rng.hpp"
 
 using namespace nimcast;
 
 namespace {
 
-struct Rig {
-  topo::Topology topology;
-  routing::UpDownRouter router;
-  routing::RouteTable routes;
-  core::Chain cco;
-
-  explicit Rig(std::uint64_t seed)
-      : topology{[&] {
-          sim::Rng rng{seed};
-          return topo::make_irregular(topo::IrregularConfig{}, rng);
-        }()},
-        router{topology.switches()},
-        routes{topology, router},
-        cco{core::cco_ordering(topology, router)} {}
-};
-
-double mean_latency(const Rig& rig, std::int32_t n, std::int32_t m,
+double mean_latency(const core::Fabric& fabric, std::int32_t n, std::int32_t m,
                     double loss, mcast::NiStyle style, int reps) {
   const auto choice = core::optimal_k(n, m);
   net::NetworkConfig netcfg;
@@ -40,18 +23,18 @@ double mean_latency(const Rig& rig, std::int32_t n, std::int32_t m,
     netcfg.loss_seed = static_cast<std::uint64_t>(rep) * 7919 + 5;
     sim::Rng rng{static_cast<std::uint64_t>(rep) + 11};
     const auto draw = rng.sample_without_replacement(
-        static_cast<std::size_t>(rig.topology.num_hosts()),
+        static_cast<std::size_t>(fabric.num_hosts()),
         static_cast<std::size_t>(n));
     std::vector<topo::HostId> dests;
     for (std::size_t i = 1; i < draw.size(); ++i) {
       dests.push_back(static_cast<topo::HostId>(draw[i]));
     }
     const auto members = core::arrange_participants(
-        rig.cco, static_cast<topo::HostId>(draw.front()), dests);
+        fabric.chain(), static_cast<topo::HostId>(draw.front()), dests);
     const auto tree =
         core::HostTree::bind(core::make_kbinomial(n, choice.k), members);
     const mcast::MulticastEngine engine{
-        rig.topology, rig.routes,
+        fabric.topology(), fabric.routes(),
         mcast::MulticastEngine::Config{netif::SystemParams{}, netcfg, style}};
     total += engine.run(tree, m).latency.as_us();
   }
@@ -64,10 +47,10 @@ int main() {
   std::printf("=== Extension: reliable multicast over a lossy fabric "
               "(n=32, m=8, optimal tree) ===\n\n");
   const int reps = std::getenv("NIMCAST_QUICK") != nullptr ? 5 : 20;
-  const Rig rig{3};
+  const core::Fabric fabric = bench::paper_fabric(3);
 
   const double baseline =
-      mean_latency(rig, 32, 8, 0.0, mcast::NiStyle::kSmartFpfs, reps);
+      mean_latency(fabric, 32, 8, 0.0, mcast::NiStyle::kSmartFpfs, reps);
   std::printf("plain FPFS, lossless fabric: %.1f us (reference)\n\n",
               baseline);
 
@@ -76,7 +59,7 @@ int main() {
   std::vector<double> curve;
   for (const double loss : {0.0, 0.01, 0.05, 0.1, 0.2, 0.4}) {
     const double lat =
-        mean_latency(rig, 32, 8, loss, mcast::NiStyle::kReliableFpfs, reps);
+        mean_latency(fabric, 32, 8, loss, mcast::NiStyle::kReliableFpfs, reps);
     curve.push_back(lat);
     table.add_row({harness::Table::num(loss, 2), harness::Table::num(lat),
                    harness::Table::num(lat / baseline, 2)});

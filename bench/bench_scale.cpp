@@ -206,8 +206,7 @@ GateResult run_gate(const std::string& baseline_path) {
   // once-per-process one.
   g.machine_scale = churn_probe().events_per_sec / recorded_churn;
 
-  harness::IrregularTestbed::Config cfg;  // the paper rig, full size
-  const harness::IrregularTestbed bed{cfg};
+  const harness::Testbed bed{harness::TestbedSpec{}};  // the paper rig
   const auto start = Clock::now();
   for (const std::int32_t n : {16, 32, 64}) {
     for (const std::int32_t m : {1, 4}) {

@@ -39,7 +39,7 @@ struct SweepResult {
   std::vector<harness::MeasurePoint> points;
 };
 
-SweepResult run_sweep(const harness::IrregularTestbed& bed, int threads) {
+SweepResult run_sweep(const harness::Testbed& bed, int threads) {
   SweepResult result;
   const auto start = Clock::now();
   for (const std::int32_t n : {16, 32, 64}) {
@@ -105,7 +105,7 @@ int main() {
                       "event core >= 1.3x seed queue events/sec");
 
   const int threads = harness::configured_threads();
-  const harness::IrregularTestbed bed{bench::paper_testbed_config()};
+  const harness::Testbed bed{bench::paper_testbed_config()};
 
   const SweepResult serial = run_sweep(bed, 1);
   const SweepResult parallel = run_sweep(bed, threads);

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fabric.hpp"
 #include "core/rotation.hpp"
 #include "harness/report.hpp"
 #include "harness/testbed.hpp"
@@ -29,13 +30,20 @@ namespace nimcast::bench {
 /// The paper's evaluation rig (Section 5.2): 64 hosts, 16 eight-port
 /// switches, 10 random topologies x 30 random destination sets, default
 /// system parameters. NIMCAST_QUICK=1 shrinks repetitions for smoke runs.
-inline harness::IrregularTestbed::Config paper_testbed_config() {
-  harness::IrregularTestbed::Config cfg;
+inline harness::TestbedSpec paper_testbed_config() {
+  harness::TestbedSpec cfg;
   if (std::getenv("NIMCAST_QUICK") != nullptr) {
     cfg.num_topologies = 2;
     cfg.sets_per_topology = 5;
   }
   return cfg;
+}
+
+/// One random topology of the paper's 64-host, 16-switch rig, drawn from
+/// a fresh generator seeded with `seed`.
+inline core::Fabric paper_fabric(std::uint64_t seed) {
+  sim::Rng rng{seed};
+  return core::Fabric::irregular(topo::IrregularConfig{}, rng);
 }
 
 /// Atomic so shape checks may run from testbed worker threads.

@@ -11,35 +11,32 @@
 
 #include <cstdio>
 
+#include "core/fabric.hpp"
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
 #include "core/optimal_k.hpp"
-#include "core/ordering.hpp"
 #include "mcast/multicast_engine.hpp"
-#include "routing/dimension_ordered.hpp"
-#include "topology/kary_ncube.hpp"
 
 int main() {
   using namespace nimcast;
 
-  const topo::KAryNCubeConfig cfg{8, 2, false};
-  const topo::Topology mesh = topo::make_kary_ncube(cfg);
-  const routing::DimensionOrderedRouter router{mesh.switches(), cfg};
-  const routing::RouteTable routes{mesh, router};
+  const core::Fabric fabric = core::Fabric::mesh({8, 2, false});
+  const topo::Topology& mesh = fabric.topology();
+  const bool deadlock_free =
+      routing::deadlock_free(mesh.switches(), fabric.router());
   std::printf("network: %s, routing: %s, deadlock-free: %s\n\n",
-              mesh.name().c_str(), router.name(),
-              routing::deadlock_free(mesh.switches(), router) ? "yes"
-                                                              : "NO!");
+              mesh.name().c_str(), fabric.router().name(),
+              deadlock_free ? "yes" : "NO!");
 
   // Broadcast from node 0 over the dimension-ordered chain.
-  const core::Chain chain = core::dimension_chain(mesh);
   const std::int32_t n = mesh.num_hosts();
   std::vector<topo::HostId> dests;
   for (topo::HostId h = 1; h < n; ++h) dests.push_back(h);
-  const core::Chain members = core::arrange_participants(chain, 0, dests);
+  const core::Chain members =
+      core::arrange_participants(fabric.chain(), 0, dests);
 
   mcast::MulticastEngine engine{
-      mesh, routes,
+      mesh, fabric.routes(),
       mcast::MulticastEngine::Config{netif::SystemParams{},
                                      net::NetworkConfig{},
                                      mcast::NiStyle::kSmartFpfs}};

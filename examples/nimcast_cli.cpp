@@ -8,57 +8,33 @@
 // Exit code 0 on success; 2 on bad usage.
 
 #include <cstdio>
-#include <memory>
 #include <optional>
 
 #include "collectives/collective_engine.hpp"
+#include "core/fabric.hpp"
 #include "core/host_tree.hpp"
 #include "core/optimal_k.hpp"
 #include "core/ordering_quality.hpp"
 #include "harness/cli.hpp"
 #include "harness/tree_spec.hpp"
 #include "mcast/multicast_engine.hpp"
-#include "routing/dimension_ordered.hpp"
-#include "routing/up_down.hpp"
 #include "sim/trace_export.hpp"
-#include "topology/irregular.hpp"
-#include "topology/kary_ncube.hpp"
 
 namespace {
 
 using namespace nimcast;
 
-struct System {
-  std::unique_ptr<topo::Topology> topology;
-  std::unique_ptr<routing::Router> router;
-  std::unique_ptr<routing::RouteTable> routes;
-  core::Chain chain;
-};
-
-System build_system(const std::string& kind, std::int64_t radix,
-                    std::int64_t dims, std::uint64_t seed) {
-  System s;
+core::Fabric build_system(const std::string& kind, std::int64_t radix,
+                          std::int64_t dims, std::uint64_t seed) {
   if (kind == "irregular") {
     sim::Rng rng{seed};
-    s.topology = std::make_unique<topo::Topology>(
-        topo::make_irregular(topo::IrregularConfig{}, rng));
-    auto updown =
-        std::make_unique<routing::UpDownRouter>(s.topology->switches());
-    s.chain = core::cco_ordering(*s.topology, *updown);
-    s.router = std::move(updown);
-  } else if (kind == "mesh") {
-    const topo::KAryNCubeConfig cfg{static_cast<std::int32_t>(radix),
-                                    static_cast<std::int32_t>(dims), false};
-    s.topology =
-        std::make_unique<topo::Topology>(topo::make_kary_ncube(cfg));
-    s.router = std::make_unique<routing::DimensionOrderedRouter>(
-        s.topology->switches(), cfg);
-    s.chain = core::dimension_chain(*s.topology);
-  } else {
-    throw std::invalid_argument("--system must be irregular or mesh");
+    return core::Fabric::irregular(topo::IrregularConfig{}, rng);
   }
-  s.routes = std::make_unique<routing::RouteTable>(*s.topology, *s.router);
-  return s;
+  if (kind == "mesh") {
+    return core::Fabric::mesh({static_cast<std::int32_t>(radix),
+                               static_cast<std::int32_t>(dims), false});
+  }
+  throw std::invalid_argument("--system must be irregular or mesh");
 }
 
 harness::TreeSpec parse_tree(const std::string& t) {
@@ -129,16 +105,16 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const System system = build_system(system_kind, radix, dims, seed);
-    const std::int32_t hosts = system.topology->num_hosts();
+    const core::Fabric system = build_system(system_kind, radix, dims, seed);
+    const std::int32_t hosts = system.topology().num_hosts();
     net::NetworkConfig netcfg;
     netcfg.loss_rate = loss;
     const auto m = static_cast<std::int32_t>(
         std::max<std::int64_t>(1, (bytes + netcfg.packet_bytes - 1) /
                                       netcfg.packet_bytes));
     std::printf("system: %s, %d hosts, routing %s\n",
-                system.topology->name().c_str(), hosts,
-                system.router->name());
+                system.topology().name().c_str(), hosts,
+                system.router().name());
 
     sim::Trace trace;
     sim::Trace* trace_ptr = nullptr;
@@ -150,7 +126,7 @@ int main(int argc, char** argv) {
     if (op == "assess-ordering") {
       sim::Rng rng{seed + 1};
       const auto q = core::assess_ordering_sampled(
-          *system.topology, *system.routes, system.chain, 50'000, rng);
+          system.topology(), system.routes(), system.chain(), 50'000, rng);
       std::printf("ordering violation rate: %.4f (%lld / %lld quadruples)\n",
                   q.violation_rate(),
                   static_cast<long long>(q.violations),
@@ -166,11 +142,11 @@ int main(int argc, char** argv) {
       }
       const auto choice = core::optimal_k(hosts, m);
       const auto members =
-          core::arrange_participants(system.chain, source, dests);
+          core::arrange_participants(system.chain(), source, dests);
       const auto tree = core::HostTree::bind(
           tree_spec.build(hosts, m), members);
       const collectives::CollectiveEngine engine{
-          *system.topology, *system.routes,
+          system.topology(), system.routes(),
           collectives::CollectiveEngine::Config{netif::SystemParams{},
                                                 netcfg},
           trace_ptr};
@@ -194,11 +170,11 @@ int main(int argc, char** argv) {
       }
       const auto n = static_cast<std::int32_t>(dests.size()) + 1;
       const auto members =
-          core::arrange_participants(system.chain, source, dests);
+          core::arrange_participants(system.chain(), source, dests);
       const auto tree =
           core::HostTree::bind(tree_spec.build(n, m), members);
       const mcast::MulticastEngine engine{
-          *system.topology, *system.routes,
+          system.topology(), system.routes(),
           mcast::MulticastEngine::Config{netif::SystemParams{}, netcfg,
                                          style},
           trace_ptr};

@@ -42,10 +42,10 @@ int main() {
   //    up*/down* routing, CCO ordering, FPFS smart NIs (paper Sec. 5.2
   //    parameters are the defaults). One topology and a handful of
   //    destination draws keep the quickstart fast.
-  harness::IrregularTestbed::Config cfg;
+  harness::TestbedSpec cfg;
   cfg.num_topologies = 2;
   cfg.sets_per_topology = 10;
-  harness::IrregularTestbed testbed{cfg};
+  harness::Testbed testbed{cfg};
 
   const auto binomial = testbed.measure(n, m, harness::TreeSpec::binomial(),
                                         mcast::NiStyle::kSmartFpfs);

@@ -12,13 +12,12 @@
 #include <cstdlib>
 
 #include "core/dot_export.hpp"
+#include "core/fabric.hpp"
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
 #include "core/optimal_k.hpp"
 #include "mcast/multicast_engine.hpp"
-#include "routing/up_down.hpp"
 #include "sim/trace_export.hpp"
-#include "topology/irregular.hpp"
 
 int main(int argc, char** argv) {
   using namespace nimcast;
@@ -26,10 +25,10 @@ int main(int argc, char** argv) {
       (argc > 1 ? std::strtod(argv[1], nullptr) : 10.0) / 100.0;
 
   sim::Rng rng{2026};
-  const auto now = topo::make_irregular(topo::IrregularConfig{}, rng);
-  const routing::UpDownRouter router{now.switches()};
-  const routing::RouteTable routes{now, router};
-  const auto chain = core::cco_ordering(now, router);
+  const auto fabric = core::Fabric::irregular(topo::IrregularConfig{}, rng);
+  const topo::Topology& now = fabric.topology();
+  const routing::RouteTable& routes = fabric.routes();
+  const core::Chain& chain = fabric.chain();
 
   const std::int32_t n = 24;
   const std::int32_t m = 8;

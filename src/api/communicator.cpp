@@ -3,48 +3,48 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/fabric.hpp"
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
 #include "core/rotation.hpp"
-#include "routing/dimension_ordered.hpp"
-#include "routing/up_down.hpp"
 #include "sim/stats.hpp"
 #include "traffic/traffic_engine.hpp"
 
 namespace nimcast::api {
 
-struct Communicator::Impl {
-  Options options;
-  std::unique_ptr<topo::Topology> topology;
-  std::unique_ptr<routing::Router> router;
-  /// Non-null when `router` is an up*/down* router — the rotation
-  /// planner needs its level orientation to derive salted alternatives.
-  const routing::UpDownRouter* updown = nullptr;
-  std::unique_ptr<routing::RouteTable> routes;
-  core::Chain chain;
-  std::unique_ptr<core::OptimalKTable> ktable;
-  std::unique_ptr<mcast::MulticastEngine> mcast_engine;
-  std::unique_ptr<collectives::CollectiveEngine> coll_engine;
+namespace {
 
-  void finish_setup() {
-    routes = std::make_unique<routing::RouteTable>(*topology, *router);
-    // Covers messages up to 512 packets (32 KiB at 64 B); larger ones
-    // fall back to the direct Theorem 3 solver in choose().
-    ktable = std::make_unique<core::OptimalKTable>(
-        std::max<std::int32_t>(2, topology->num_hosts()), 512);
-    mcast::MulticastEngine::Config mcfg{options.params, options.network,
-                                        options.style, options.reliability,
-                                        options.repair};
-    mcfg.rotation_trees = options.rotation_trees;
-    mcfg.selection = options.selection;
-    mcast_engine =
-        std::make_unique<mcast::MulticastEngine>(*topology, *routes, mcfg);
-    coll_engine = std::make_unique<collectives::CollectiveEngine>(
-        *topology, *routes,
-        collectives::CollectiveEngine::Config{options.params, options.network,
-                                              options.t_comb, options.repair,
-                                              options.collective_mode});
-  }
+mcast::MulticastEngine::Config multicast_config(
+    const Communicator::Options& options) {
+  mcast::MulticastEngine::Config mcfg{options.params, options.network,
+                                      options.style, options.reliability,
+                                      options.repair};
+  mcfg.rotation_trees = options.rotation_trees;
+  mcfg.selection = options.selection;
+  return mcfg;
+}
+
+}  // namespace
+
+struct Communicator::Impl {
+  Impl(const Options& opts, core::Fabric system)
+      : options{opts},
+        fabric{std::move(system)},
+        // Covers messages up to 512 packets (32 KiB at 64 B); larger ones
+        // fall back to the direct Theorem 3 solver in choose().
+        ktable{std::max<std::int32_t>(2, fabric.num_hosts()), 512},
+        mcast_engine{fabric.topology(), fabric.routes(),
+                     multicast_config(options)},
+        coll_engine{fabric.topology(), fabric.routes(),
+                    collectives::CollectiveEngine::Config{
+                        options.params, options.network, options.t_comb,
+                        options.repair, options.collective_mode}} {}
+
+  Options options;
+  core::Fabric fabric;
+  core::OptimalKTable ktable;
+  mcast::MulticastEngine mcast_engine;
+  collectives::CollectiveEngine coll_engine;
 
   [[nodiscard]] std::int32_t packetize(std::int64_t bytes) const {
     if (bytes < 0) throw std::invalid_argument("packetize: negative bytes");
@@ -55,8 +55,8 @@ struct Communicator::Impl {
 
   [[nodiscard]] core::OptimalChoice choose(std::int32_t n,
                                            std::int32_t m) const {
-    if (n >= 2 && n <= ktable->max_n() && m <= ktable->max_m()) {
-      return ktable->lookup(n, m);
+    if (n >= 2 && n <= ktable.max_n() && m <= ktable.max_m()) {
+      return ktable.lookup(n, m);
     }
     return core::optimal_k(n, m);
   }
@@ -68,14 +68,14 @@ struct Communicator::Impl {
                                         std::int32_t k) const {
     const auto n = static_cast<std::int32_t>(dests.size()) + 1;
     const core::Chain members =
-        core::arrange_participants(chain, source, dests);
+        core::arrange_participants(fabric.chain(), source, dests);
     return core::HostTree::bind(core::make_kbinomial(n, k), members);
   }
 
   [[nodiscard]] std::vector<topo::HostId> everyone_but(
       topo::HostId source) const {
     std::vector<topo::HostId> dests;
-    for (topo::HostId h = 0; h < topology->num_hosts(); ++h) {
+    for (topo::HostId h = 0; h < fabric.num_hosts(); ++h) {
       if (h != source) dests.push_back(h);
     }
     return dests;
@@ -91,18 +91,9 @@ Communicator Communicator::irregular(const topo::IrregularConfig& cfg) {
 
 Communicator Communicator::irregular(const topo::IrregularConfig& cfg,
                                      const Options& options) {
-  auto impl = std::make_unique<Impl>();
-  impl->options = options;
   sim::Rng rng{options.seed};
-  impl->topology =
-      std::make_unique<topo::Topology>(topo::make_irregular(cfg, rng));
-  auto updown =
-      std::make_unique<routing::UpDownRouter>(impl->topology->switches());
-  impl->chain = core::cco_ordering(*impl->topology, *updown);
-  impl->updown = updown.get();
-  impl->router = std::move(updown);
-  impl->finish_setup();
-  return Communicator{std::move(impl)};
+  return Communicator{
+      std::make_unique<Impl>(options, core::Fabric::irregular(cfg, rng))};
 }
 
 Communicator Communicator::mesh(const topo::KAryNCubeConfig& cfg) {
@@ -111,15 +102,8 @@ Communicator Communicator::mesh(const topo::KAryNCubeConfig& cfg) {
 
 Communicator Communicator::mesh(const topo::KAryNCubeConfig& cfg,
                                 const Options& options) {
-  auto impl = std::make_unique<Impl>();
-  impl->options = options;
-  impl->topology =
-      std::make_unique<topo::Topology>(topo::make_kary_ncube(cfg));
-  impl->router = std::make_unique<routing::DimensionOrderedRouter>(
-      impl->topology->switches(), cfg);
-  impl->chain = core::dimension_chain(*impl->topology);
-  impl->finish_setup();
-  return Communicator{std::move(impl)};
+  return Communicator{
+      std::make_unique<Impl>(options, core::Fabric::mesh(cfg))};
 }
 
 Communicator::Communicator(std::unique_ptr<Impl> impl)
@@ -129,10 +113,10 @@ Communicator& Communicator::operator=(Communicator&&) noexcept = default;
 Communicator::~Communicator() = default;
 
 std::int32_t Communicator::num_hosts() const {
-  return impl_->topology->num_hosts();
+  return impl_->fabric.num_hosts();
 }
 const std::string& Communicator::system_name() const {
-  return impl_->topology->name();
+  return impl_->fabric.topology().name();
 }
 const Communicator::Options& Communicator::options() const {
   return impl_->options;
@@ -158,7 +142,7 @@ Communicator::OpReport Communicator::multicast(
       impl_->choose(static_cast<std::int32_t>(dests.size()) + 1, m);
   const core::HostTree tree =
       impl_->tree_for(source, {dests.begin(), dests.end()}, choice.k);
-  const mcast::MulticastResult r = impl_->mcast_engine->run(tree, m);
+  const mcast::MulticastResult r = impl_->mcast_engine.run(tree, m);
   OpReport report;
   report.latency = r.latency;
   report.packets = m;
@@ -197,15 +181,16 @@ Communicator::StreamReport Communicator::stream_broadcast(
   // per-packet depth.
   const std::int32_t k = std::clamp(
       impl_->choose(n, std::min<std::int32_t>(m, 4)).k, 1, n - 1);
+  const core::Fabric& fabric = impl_->fabric;
   const core::Chain members =
-      core::arrange_participants(impl_->chain, source, dests);
+      core::arrange_participants(fabric.chain(), source, dests);
   core::RotationPlan plan;
-  if (impl_->updown != nullptr) {
+  if (fabric.updown() != nullptr) {
     core::RotationConfig rc;
     rc.rotation_trees = impl_->options.rotation_trees;
     rc.fanout_bound = k;
-    plan = core::plan_rotation(*impl_->topology, *impl_->routes,
-                               *impl_->updown, members, rc);
+    plan = core::plan_rotation(fabric.topology(), fabric.routes(),
+                               *fabric.updown(), members, rc);
   } else {
     if (impl_->options.rotation_trees > 1) {
       throw std::invalid_argument(
@@ -217,7 +202,7 @@ Communicator::StreamReport Communicator::stream_broadcast(
     member.tree = core::HostTree::bind(core::make_kbinomial(n, k), members);
     plan.members.push_back(std::move(member));
   }
-  const mcast::StreamingResult r = impl_->mcast_engine->run_streaming(plan, m);
+  const mcast::StreamingResult r = impl_->mcast_engine.run_streaming(plan, m);
   StreamReport report;
   report.makespan = r.makespan;
   report.flits_per_us = r.flits_per_us;
@@ -250,9 +235,11 @@ Communicator::TrafficReport Communicator::run_traffic() const {
   tcfg.params = opt.params;
   tcfg.network = opt.network;
   tcfg.scheduler = opt.traffic_scheduler;
-  const traffic::TrafficEngine engine{*impl_->topology, *impl_->routes, tcfg};
+  const core::Fabric& fabric = impl_->fabric;
+  const traffic::TrafficEngine engine{fabric.topology(), fabric.routes(),
+                                      tcfg};
   const traffic::Workload mix = traffic::generate_workload(
-      impl_->topology->num_hosts(), impl_->chain, opt.traffic_workload);
+      fabric.num_hosts(), fabric.chain(), opt.traffic_workload);
   const traffic::TrafficResult r = engine.run(mix);
 
   TrafficReport report;
@@ -283,7 +270,7 @@ Communicator::OpReport Communicator::collective(
   const auto dests = impl_->everyone_but(root);
   const auto n_participants = static_cast<std::int32_t>(dests.size());
   const core::OptimalChoice choice = impl_->choose(n_participants + 1, m);
-  const collectives::CollectiveResult r = impl_->coll_engine->run(
+  const collectives::CollectiveResult r = impl_->coll_engine.run(
       kind, impl_->tree_for(root, dests, choice.k), m);
   OpReport report;
   report.latency = r.latency;

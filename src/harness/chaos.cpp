@@ -1,25 +1,20 @@
 #include "harness/chaos.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
 #include "collectives/collective_engine.hpp"
+#include "core/fabric.hpp"
 #include "core/host_tree.hpp"
 #include "core/kbinomial.hpp"
 #include "core/optimal_k.hpp"
-#include "core/ordering.hpp"
 #include "core/rotation.hpp"
 #include "harness/testbed.hpp"
 #include "mcast/multicast_engine.hpp"
 #include "network/fault_plan.hpp"
-#include "routing/route_table.hpp"
-#include "routing/up_down.hpp"
 #include "sim/rng.hpp"
-#include "topology/fat_tree.hpp"
-#include "topology/irregular.hpp"
 
 namespace nimcast::harness {
 
@@ -157,34 +152,24 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
                               (static_cast<std::uint64_t>(index) + 1))};
 
   // Fabric: campaigns alternate the random irregular family and the
-  // deterministic fat tree, both at the configured host count.
-  const bool fat = index % 2 == 1;
-  std::unique_ptr<topo::Topology> topology;
-  std::unique_ptr<routing::UpDownRouter> router;
-  if (fat) {
-    const TestbedSpec spec = TestbedSpec::make_fat_tree(config.num_hosts);
-    topology =
-        std::make_unique<topo::Topology>(topo::make_fat_tree(spec.fat_tree));
-    router = std::make_unique<routing::UpDownRouter>(
-        topology->switches(), topo::fat_tree_levels(spec.fat_tree));
-  } else {
-    const TestbedSpec spec = TestbedSpec::make_irregular(config.num_hosts);
-    topology = std::make_unique<topo::Topology>(
-        topo::make_irregular(spec.irregular, rng));
-    router = std::make_unique<routing::UpDownRouter>(topology->switches());
-  }
-  // A campaign touches a handful of switch pairs, so only those are
-  // routed. `router` outlives the table.
-  const routing::RouteTable routes{*topology, *router};
-  const core::Chain cco = core::cco_ordering(*topology, *router);
-  out.fabric = topology->name();
+  // deterministic fat tree, both at the configured host count. A
+  // campaign touches a handful of switch pairs, so only those are routed.
+  const core::Fabric fabric =
+      index % 2 == 1
+          ? core::Fabric::fat_tree(
+                TestbedSpec::make_fat_tree(config.num_hosts).fat_tree)
+          : core::Fabric::irregular(
+                TestbedSpec::make_irregular(config.num_hosts).irregular, rng);
+  const topo::Topology& topology = fabric.topology();
+  const routing::RouteTable& routes = fabric.routes();
+  out.fabric = topology.name();
 
   // Participant draw: a random (source, destination-set) of n hosts.
   const std::int32_t n =
-      std::clamp(config.participants, 2, topology->num_hosts());
+      std::clamp(config.participants, 2, topology.num_hosts());
   out.participants = n - 1;
   const auto draw = rng.sample_without_replacement(
-      static_cast<std::size_t>(topology->num_hosts()),
+      static_cast<std::size_t>(topology.num_hosts()),
       static_cast<std::size_t>(n));
   const auto source = static_cast<topo::HostId>(draw.front());
   std::vector<topo::HostId> dests;
@@ -192,7 +177,8 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
   for (std::size_t i = 1; i < draw.size(); ++i) {
     dests.push_back(static_cast<topo::HostId>(draw[i]));
   }
-  const core::Chain members = core::arrange_participants(cco, source, dests);
+  const core::Chain members =
+      core::arrange_participants(fabric.chain(), source, dests);
   const std::int32_t m = config.message_packets;
   const core::HostTree tree = core::HostTree::bind(
       core::make_kbinomial(n, core::optimal_k(n, m).k), members);
@@ -212,7 +198,7 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
   const bool flap = rng.next_bool(config.link_flap_prob);
   if (flap) fr.link_recover_after = sim::Time::us(300.0);
   net::FaultPlan plan = net::FaultPlan::random(
-      topology->switches(), topology->num_hosts(), fr, rng);
+      topology.switches(), topology.num_hosts(), fr, rng);
   out.root_killed = rng.next_bool(config.root_kill_prob);
   const sim::Time kill_at = sim::Time::us(
       static_cast<double>(rng.next_in(5, 80)));
@@ -229,13 +215,14 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
         ecfg.style = op == ChaosOp::kMulticastReliable
                          ? mcast::NiStyle::kReliableFpfs
                          : mcast::NiStyle::kSmartFpfs;
-        const mcast::MulticastEngine engine{*topology, routes, ecfg};
+        const mcast::MulticastEngine engine{topology, routes, ecfg};
         if (op == ChaosOp::kStreaming) {
           core::RotationConfig rc;
           rc.rotation_trees = config.rotation_trees;
           rc.fanout_bound = std::clamp(core::optimal_k(n, 4).k, 1, n - 1);
           const core::RotationPlan rplan =
-              core::plan_rotation(*topology, routes, *router, members, rc);
+              core::plan_rotation(topology, routes, *fabric.updown(),
+                                  members, rc);
           const auto r = engine.run_streaming(rplan, config.stream_packets);
           out.outcome = mcast::to_string(r.outcome);
           out.repairs = r.repairs;
@@ -289,7 +276,7 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
         }();
         collectives::CollectiveEngine::Config ccfg;
         ccfg.network.faults = plan;
-        const collectives::CollectiveEngine engine{*topology, routes, ccfg};
+        const collectives::CollectiveEngine engine{topology, routes, ccfg};
         const auto r = engine.run(kind, tree, m);
         out.outcome = mcast::to_string(r.outcome);
         out.repairs = r.repairs;

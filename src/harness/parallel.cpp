@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace nimcast::harness {
 
@@ -86,103 +88,6 @@ void log_parallel_plan(int threads, const char* selection,
   });
 }
 
-/// Shared state of one for_each_index call: a job cursor, a completion
-/// count, and the first exception. Heap-allocated and shared with the
-/// queued closures so stale queue entries can never dangle.
-struct WorkerPool::Batch {
-  std::size_t count = 0;
-  std::function<void(std::size_t)> job;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::mutex mutex;
-  std::condition_variable all_done;
-  std::exception_ptr error;
-
-  void run_some() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        job(i);
-      } catch (...) {
-        std::lock_guard lock{mutex};
-        if (!error) error = std::current_exception();
-      }
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-        std::lock_guard lock{mutex};
-        all_done.notify_all();
-      }
-    }
-  }
-};
-
-WorkerPool::WorkerPool(int threads) {
-  const int workers = threads - 1;  // the calling thread also works
-  threads_.reserve(workers > 0 ? static_cast<std::size_t>(workers) : 0);
-  for (int i = 0; i < workers; ++i) {
-    threads_.emplace_back(
-        [this](const std::stop_token& stop) { worker_loop(stop); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    // Under the mutex, so a worker between its predicate check and its
-    // wait cannot miss the stop (a lost wakeup hangs the join below).
-    std::lock_guard lock{mutex_};
-    for (auto& t : threads_) t.request_stop();
-  }
-  work_ready_.notify_all();
-  // jthread joins on destruction.
-}
-
-void WorkerPool::worker_loop(const std::stop_token& stop) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock{mutex_};
-      work_ready_.wait(lock, [&] {
-        return stop.stop_requested() || !queue_.empty();
-      });
-      if (queue_.empty()) return;  // only on stop
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void WorkerPool::for_each_index(
-    std::size_t count, const std::function<void(std::size_t)>& job) {
-  if (count == 0) return;
-  if (threads_.empty() || count == 1) {
-    // Serial reference path: run in index order on the calling thread.
-    for (std::size_t i = 0; i < count; ++i) job(i);
-    return;
-  }
-
-  auto batch = std::make_shared<Batch>();
-  batch->count = count;
-  batch->job = job;
-
-  {
-    std::lock_guard lock{mutex_};
-    // One queue entry per worker: each entry drains the shared cursor.
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-      queue_.emplace_back([batch] { batch->run_some(); });
-    }
-  }
-  work_ready_.notify_all();
-
-  batch->run_some();  // calling thread participates
-
-  std::unique_lock lock{batch->mutex};
-  batch->all_done.wait(lock, [&] {
-    return batch->done.load(std::memory_order_acquire) == batch->count;
-  });
-  if (batch->error) std::rethrow_exception(batch->error);
-}
-
 void parallel_for_each(std::size_t count,
                        const std::function<void(std::size_t)>& job,
                        int threads) {
@@ -191,8 +96,30 @@ void parallel_for_each(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) job(i);
     return;
   }
-  WorkerPool pool{n};
-  pool.for_each_index(count, job);
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        job(i);
+      } catch (...) {
+        const std::lock_guard lock{error_mutex};
+        if (!error) error = std::current_exception();
+      }
+    }
+  };
+  {
+    const std::size_t workers =
+        std::min(static_cast<std::size_t>(n) - 1, count - 1);
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
+    drain();  // the calling thread works too
+  }  // jthreads join here
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace nimcast::harness

@@ -1,19 +1,14 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace nimcast::harness {
 
 /// Number of worker threads the harness should use: the NIMCAST_THREADS
 /// environment variable when set, otherwise hardware concurrency.
-/// NIMCAST_THREADS=1 selects the strictly serial path (no pool, no
+/// NIMCAST_THREADS=1 selects the strictly serial path (no worker
 /// threads), which is the reference for determinism checks.
 ///
 /// NIMCAST_THREADS is parsed strictly: the value must be a plain decimal
@@ -47,46 +42,19 @@ enum class SelectionOverride : std::uint8_t { kUnset, kStatic, kAdaptive };
 void log_parallel_plan(int threads, const char* selection = nullptr,
                        std::int32_t rotation_trees = 0);
 
-/// A small fixed-size worker pool (std::jthread + work queue) for the
-/// replication sweeps in the testbed. Replications are independent — each
-/// builds its own Simulator — so the pool only hands out job indices; all
-/// determinism lives in the per-replication seeding, which is identical to
-/// the serial path.
+/// One-shot parallel loop for the replication sweeps in the testbed:
+/// runs `job(i)` for every i in [0, count) and returns when all jobs
+/// finished. `threads` - 1 fresh std::jthreads (0 = configured_threads(),
+/// never more than count - 1) and the calling thread drain one atomic
+/// cursor, so jobs may run in any order and on any thread; callers write
+/// results into per-index storage, not shared accumulators. Replications
+/// are independent — each builds its own Simulator — so all determinism
+/// lives in the per-replication seeding, which is identical to the serial
+/// path.
 ///
-/// Exceptions thrown by a job are captured and rethrown from
-/// `for_each_index` on the calling thread (first one wins).
-class WorkerPool {
- public:
-  /// `threads` <= 1 means "run jobs inline on the calling thread".
-  explicit WorkerPool(int threads = configured_threads());
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  /// Runs `job(i)` for every i in [0, count). Blocks until all jobs
-  /// finished. Jobs may run in any order and on any worker; callers must
-  /// write results into per-index storage, not shared accumulators.
-  void for_each_index(std::size_t count,
-                      const std::function<void(std::size_t)>& job);
-
-  [[nodiscard]] int thread_count() const {
-    return static_cast<int>(threads_.size());
-  }
-
- private:
-  struct Batch;
-
-  void worker_loop(const std::stop_token& stop);
-
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::jthread> threads_;
-};
-
-/// Convenience wrapper: one-shot parallel loop with `threads` workers
-/// (0 = configured_threads()). Serial when the effective count is 1.
+/// With one thread (or count <= 1) the jobs run inline in index order and
+/// the first exception propagates at once. Otherwise every job still runs
+/// and the first exception caught is rethrown on the calling thread.
 void parallel_for_each(std::size_t count,
                        const std::function<void(std::size_t)>& job,
                        int threads = 0);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/host_tree.hpp"
@@ -54,6 +55,16 @@ struct RepSample {
   double events = 0.0;
 };
 
+/// Seed of topology `t` in a Testbed sweep.
+std::uint64_t topology_seed(std::uint64_t seed, std::size_t t) {
+  return seed ^ (UINT64_C(0x9e3779b97f4a7c15) * (t + 1));
+}
+
+/// Seed of replication `rep` under a topology (or measure_point) seed.
+std::uint64_t replication_seed(std::uint64_t seed, std::size_t rep) {
+  return seed ^ (UINT64_C(0xbf58476d1ce4e5b9) * (rep + 1));
+}
+
 void validate_point(std::int32_t num_hosts, std::int32_t n, std::int32_t m,
                     std::int32_t repetitions) {
   if (n < 2 || n > num_hosts) {
@@ -77,8 +88,7 @@ RepSample run_replication(const mcast::MulticastEngine& engine,
                           std::uint64_t seed) {
   // One deterministic stream per repetition: every tree and NI variant
   // sees identical participant draws.
-  sim::Rng rng{seed ^ (UINT64_C(0xbf58476d1ce4e5b9) *
-                       (static_cast<std::uint64_t>(rep) + 1))};
+  sim::Rng rng{replication_seed(seed, static_cast<std::size_t>(rep))};
   const auto draw = rng.sample_without_replacement(
       static_cast<std::size_t>(num_hosts), static_cast<std::size_t>(n));
   const auto source = static_cast<topo::HostId>(draw.front());
@@ -109,18 +119,60 @@ void fold(MeasurePoint& point, const RepSample& s) {
   point.events.add(s.events);
 }
 
+/// The sweep scaffold under Testbed's three measure functions: one
+/// `Engine` per fabric built from `config`, every (topology t, set rep)
+/// pair one job on the worker budget, and the samples folded set-minor
+/// into a per-topology point that is merged in topology order — the
+/// serial nesting exactly, so the point is bit-identical for every
+/// thread count. `run(engine, t, rep)` derives its own seed from
+/// (t, rep) and returns the replication's sample; `fold(point, sample)`
+/// adds it. `selection` and `rotation_trees` go to log_parallel_plan.
+template <typename Point, typename Engine, typename Config, typename Run,
+          typename Fold>
+Point replicate(const std::vector<core::Fabric>& fabrics, std::size_t sets,
+                int threads, const Config& config, Run run, Fold fold,
+                const char* selection = nullptr,
+                std::int32_t rotation_trees = 0) {
+  const int budget = threads >= 1 ? threads : configured_threads();
+  log_parallel_plan(budget, selection, rotation_trees);
+  std::vector<Engine> engines;
+  engines.reserve(fabrics.size());
+  for (const core::Fabric& fabric : fabrics) {
+    engines.emplace_back(fabric.topology(), fabric.routes(), config);
+  }
+
+  using Sample = std::invoke_result_t<Run&, const Engine&, std::size_t,
+                                      std::size_t>;
+  std::vector<Sample> samples(fabrics.size() * sets);
+  parallel_for_each(
+      samples.size(),
+      [&](std::size_t job) {
+        const std::size_t t = job / sets;
+        samples[job] = run(engines[t], t, job % sets);
+      },
+      budget);
+
+  Point point;
+  for (std::size_t t = 0; t < fabrics.size(); ++t) {
+    Point fabric_point;
+    for (std::size_t rep = 0; rep < sets; ++rep) {
+      fold(fabric_point, samples[t * sets + rep]);
+    }
+    point.merge(fabric_point);
+  }
+  return point;
+}
+
 }  // namespace
 
-MeasurePoint measure_point(const topo::Topology& topology,
-                           const routing::RouteTable& routes,
-                           const core::Chain& base_chain,
+MeasurePoint measure_point(const core::Fabric& fabric,
                            const netif::SystemParams& params,
                            const net::NetworkConfig& network, std::int32_t n,
                            std::int32_t m, const TreeSpec& spec,
                            mcast::NiStyle style, OrderingKind ordering,
                            std::int32_t repetitions, std::uint64_t seed,
                            int threads) {
-  const std::int32_t num_hosts = topology.num_hosts();
+  const std::int32_t num_hosts = fabric.num_hosts();
   validate_point(num_hosts, n, m, repetitions);
 
   const core::RankTree rank_tree = spec.build(n, m);
@@ -128,15 +180,16 @@ MeasurePoint measure_point(const topo::Topology& topology,
   const int budget = threads >= 1 ? threads : configured_threads();
   log_parallel_plan(budget);
   const mcast::MulticastEngine::Config ecfg{params, network, style};
-  const mcast::MulticastEngine engine{topology, routes, ecfg};
+  const mcast::MulticastEngine engine{fabric.topology(), fabric.routes(),
+                                      ecfg};
 
   std::vector<RepSample> samples(static_cast<std::size_t>(repetitions));
   parallel_for_each(
       samples.size(),
       [&](std::size_t rep) {
-        samples[rep] =
-            run_replication(engine, base_chain, num_hosts, n, rank_tree, m,
-                            ordering, static_cast<std::int32_t>(rep), seed);
+        samples[rep] = run_replication(engine, fabric.chain(), num_hosts, n,
+                                       rank_tree, m, ordering,
+                                       static_cast<std::int32_t>(rep), seed);
       },
       budget);
 
@@ -181,44 +234,24 @@ Testbed::Testbed(TestbedSpec spec) : spec_{std::move(spec)} {
   if (spec_.num_topologies < 1 || spec_.sets_per_topology < 1) {
     throw std::invalid_argument("Testbed: non-positive repetitions");
   }
+  const bool irregular = spec_.fabric == FabricKind::kIrregular;
+  const topo::FatTreeConfig& fat = spec_.fat_tree;
+  const std::int64_t fat_hosts =
+      static_cast<std::int64_t>(fat.edge_switches) * fat.hosts_per_edge;
+  if (!irregular && fat_hosts != spec_.num_hosts) {
+    throw std::invalid_argument(
+        "Testbed: fat_tree config disagrees with num_hosts");
+  }
   const auto start = std::chrono::steady_clock::now();
-  instances_.reserve(static_cast<std::size_t>(spec_.num_topologies));
-  if (spec_.fabric == FabricKind::kIrregular) {
-    topo::IrregularConfig cfg = spec_.irregular;
-    cfg.num_hosts = spec_.num_hosts;
-    // Single generator across topologies: instance t depends on the
-    // draws of 0..t-1, matching the original IrregularTestbed stream.
-    sim::Rng topo_rng{spec_.seed};
-    for (std::int32_t t = 0; t < spec_.num_topologies; ++t) {
-      Instance inst;
-      inst.topology = std::make_unique<topo::Topology>(
-          topo::make_irregular(cfg, topo_rng));
-      inst.router = std::make_shared<const routing::UpDownRouter>(
-          inst.topology->switches());
-      inst.routes = std::make_unique<routing::RouteTable>(*inst.topology,
-                                                          inst.router);
-      inst.cco = core::cco_ordering(*inst.topology, *inst.router);
-      instances_.push_back(std::move(inst));
-    }
-  } else {
-    const topo::FatTreeConfig& cfg = spec_.fat_tree;
-    const std::int64_t fabric_hosts =
-        static_cast<std::int64_t>(cfg.edge_switches) * cfg.hosts_per_edge;
-    if (fabric_hosts != spec_.num_hosts) {
-      throw std::invalid_argument(
-          "Testbed: fat_tree config disagrees with num_hosts");
-    }
-    for (std::int32_t t = 0; t < spec_.num_topologies; ++t) {
-      Instance inst;
-      inst.topology =
-          std::make_unique<topo::Topology>(topo::make_fat_tree(cfg));
-      inst.router = std::make_shared<const routing::UpDownRouter>(
-          inst.topology->switches(), topo::fat_tree_levels(cfg));
-      inst.routes = std::make_unique<routing::RouteTable>(*inst.topology,
-                                                          inst.router);
-      inst.cco = core::cco_ordering(*inst.topology, *inst.router);
-      instances_.push_back(std::move(inst));
-    }
+  topo::IrregularConfig cfg = spec_.irregular;
+  cfg.num_hosts = spec_.num_hosts;
+  // Single generator across topologies: irregular instance t depends on
+  // the draws of 0..t-1. The fat tree is deterministic and draws nothing.
+  sim::Rng topo_rng{spec_.seed};
+  fabrics_.reserve(static_cast<std::size_t>(spec_.num_topologies));
+  for (std::int32_t t = 0; t < spec_.num_topologies; ++t) {
+    fabrics_.push_back(irregular ? core::Fabric::irregular(cfg, topo_rng)
+                                 : core::Fabric::fat_tree(fat));
   }
   build_ms_ = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
@@ -227,8 +260,8 @@ Testbed::Testbed(TestbedSpec spec) : spec_{std::move(spec)} {
 
 std::size_t Testbed::route_memory_bytes() const {
   std::size_t total = 0;
-  for (const Instance& inst : instances_) {
-    total += inst.routes->memory_bytes();
+  for (const core::Fabric& fabric : fabrics_) {
+    total += fabric.routes().memory_bytes();
   }
   return total;
 }
@@ -240,45 +273,17 @@ Testbed::Point Testbed::measure(std::int32_t n, std::int32_t m,
   validate_point(hosts, n, m, spec_.sets_per_topology);
 
   const core::RankTree rank_tree = spec.build(n, m);
-  // As in measure_point: replications fill the worker budget.
-  const auto sets = static_cast<std::size_t>(spec_.sets_per_topology);
-  const std::size_t replications = instances_.size() * sets;
-  const int budget = threads >= 1 ? threads : configured_threads();
-  log_parallel_plan(budget);
-  std::vector<mcast::MulticastEngine> engines;
-  engines.reserve(instances_.size());
-  for (const Instance& inst : instances_) {
-    const mcast::MulticastEngine::Config ecfg{spec_.params, spec_.network,
-                                              style};
-    engines.emplace_back(*inst.topology, *inst.routes, ecfg);
-  }
-
-  // Every (topology, destination-set) pair is one independent job; the
-  // sample array keeps them in (topology-major, set-minor) order so the
-  // summary fold below matches the serial nesting exactly.
-  std::vector<RepSample> samples(replications);
-  parallel_for_each(
-      samples.size(),
-      [&](std::size_t job) {
-        const std::size_t t = job / sets;
-        const std::size_t rep = job % sets;
-        const std::uint64_t seed =
-            spec_.seed ^ (UINT64_C(0x9e3779b97f4a7c15) * (t + 1));
-        samples[job] = run_replication(engines[t], instances_[t].cco, hosts,
-                                       n, rank_tree, m, ordering,
-                                       static_cast<std::int32_t>(rep), seed);
+  return replicate<Point, mcast::MulticastEngine>(
+      fabrics_, static_cast<std::size_t>(spec_.sets_per_topology), threads,
+      mcast::MulticastEngine::Config{spec_.params, spec_.network, style},
+      [&](const mcast::MulticastEngine& engine, std::size_t t,
+          std::size_t rep) {
+        return run_replication(engine, fabrics_[t].chain(), hosts, n,
+                               rank_tree, m, ordering,
+                               static_cast<std::int32_t>(rep),
+                               topology_seed(spec_.seed, t));
       },
-      budget);
-
-  Point point;
-  for (std::size_t t = 0; t < instances_.size(); ++t) {
-    MeasurePoint inst_point;
-    for (std::size_t rep = 0; rep < sets; ++rep) {
-      fold(inst_point, samples[t * sets + rep]);
-    }
-    point.merge(inst_point);
-  }
-  return point;
+      fold);
 }
 
 StreamingPoint Testbed::measure_streaming(
@@ -316,88 +321,63 @@ StreamingPoint Testbed::measure_streaming(
     case SelectionOverride::kUnset:
       break;
   }
-  const auto sets = static_cast<std::size_t>(spec_.sets_per_topology);
-  const std::size_t replications = instances_.size() * sets;
-  const int budget = threads >= 1 ? threads : configured_threads();
-  log_parallel_plan(budget, mcast::to_string(selection), rotation_trees);
-  std::vector<mcast::MulticastEngine> engines;
-  engines.reserve(instances_.size());
-  for (const Instance& inst : instances_) {
-    mcast::MulticastEngine::Config ecfg{spec_.params, spec_.network,
-                                        mcast::NiStyle::kSmartFpfs};
-    ecfg.rotation_trees = rotation_trees;
-    ecfg.selection = selection;
-    engines.emplace_back(*inst.topology, *inst.routes, ecfg);
-  }
+  mcast::MulticastEngine::Config ecfg{spec_.params, spec_.network,
+                                      mcast::NiStyle::kSmartFpfs};
+  ecfg.rotation_trees = rotation_trees;
+  ecfg.selection = selection;
 
-  std::vector<StreamSample> samples(replications);
-  parallel_for_each(
-      samples.size(),
-      [&](std::size_t job) {
-        const std::size_t t = job / sets;
-        const std::size_t rep = job % sets;
-        const Instance& inst = instances_[t];
-        const std::uint64_t seed =
-            spec_.seed ^ (UINT64_C(0x9e3779b97f4a7c15) * (t + 1));
-        // Same per-replication stream as run_replication, so streaming
-        // sweeps draw paired sources across (S, R) configurations.
-        sim::Rng rng{seed ^ (UINT64_C(0xbf58476d1ce4e5b9) *
-                             (static_cast<std::uint64_t>(rep) + 1))};
-        const auto draw = rng.sample_without_replacement(
-            static_cast<std::size_t>(hosts), 1);
-        const auto source = static_cast<topo::HostId>(draw.front());
-        std::vector<topo::HostId> dests;
-        dests.reserve(static_cast<std::size_t>(hosts) - 1);
-        for (topo::HostId h = 0; h < hosts; ++h) {
-          if (h != source) dests.push_back(h);
-        }
-        const core::Chain members =
-            core::arrange_participants(inst.cco, source, dests);
-        core::RotationConfig rc;
-        rc.rotation_trees = rotation_trees;
-        rc.fanout_bound = fanout_bound;
-        const core::RotationPlan plan = core::plan_rotation(
-            *inst.topology, *inst.routes, *inst.router, members, rc);
-        const mcast::StreamingResult r =
-            engines[t].run_streaming(plan, stream_packets);
-        double imbalance = 1.0;
-        if (!r.member_packets.empty()) {
-          std::int64_t total = 0;
-          std::int64_t peak = 0;
-          for (std::int64_t n : r.member_packets) {
-            total += n;
-            peak = std::max(peak, n);
-          }
-          if (total > 0) {
-            imbalance = static_cast<double>(peak) *
-                        static_cast<double>(r.member_packets.size()) /
-                        static_cast<double>(total);
-          }
-        }
-        samples[job] =
-            StreamSample{r.flits_per_us, r.makespan.as_us(),
-                         r.p99_gap.as_us(), r.overlap_mean,
-                         static_cast<double>(r.rotation_used), imbalance,
-                         static_cast<double>(r.telemetry_snapshots)};
-      },
-      budget);
-
-  StreamingPoint point;
-  for (std::size_t t = 0; t < instances_.size(); ++t) {
-    StreamingPoint inst_point;
-    for (std::size_t rep = 0; rep < sets; ++rep) {
-      const StreamSample& s = samples[t * sets + rep];
-      inst_point.flits_per_us.add(s.flits_per_us);
-      inst_point.makespan_us.add(s.makespan_us);
-      inst_point.p99_gap_us.add(s.p99_gap_us);
-      inst_point.overlap_mean.add(s.overlap_mean);
-      inst_point.rotation_used.add(s.rotation_used);
-      inst_point.member_imbalance.add(s.member_imbalance);
-      inst_point.telemetry_snapshots.add(s.telemetry_snapshots);
+  const auto run = [&](const mcast::MulticastEngine& engine, std::size_t t,
+                       std::size_t rep) {
+    const core::Fabric& fabric = fabrics_[t];
+    // Same per-replication stream as run_replication, so streaming
+    // sweeps draw paired sources across (S, R) configurations.
+    sim::Rng rng{replication_seed(topology_seed(spec_.seed, t), rep)};
+    const auto draw =
+        rng.sample_without_replacement(static_cast<std::size_t>(hosts), 1);
+    const auto source = static_cast<topo::HostId>(draw.front());
+    std::vector<topo::HostId> dests;
+    dests.reserve(static_cast<std::size_t>(hosts) - 1);
+    for (topo::HostId h = 0; h < hosts; ++h) {
+      if (h != source) dests.push_back(h);
     }
-    point.merge(inst_point);
-  }
-  return point;
+    const core::Chain members =
+        core::arrange_participants(fabric.chain(), source, dests);
+    core::RotationConfig rc;
+    rc.rotation_trees = rotation_trees;
+    rc.fanout_bound = fanout_bound;
+    const core::RotationPlan plan = core::plan_rotation(
+        fabric.topology(), fabric.routes(), *fabric.updown(), members, rc);
+    const mcast::StreamingResult r = engine.run_streaming(plan, stream_packets);
+    double imbalance = 1.0;
+    if (!r.member_packets.empty()) {
+      std::int64_t total = 0;
+      std::int64_t peak = 0;
+      for (std::int64_t n : r.member_packets) {
+        total += n;
+        peak = std::max(peak, n);
+      }
+      if (total > 0) {
+        imbalance = static_cast<double>(peak) *
+                    static_cast<double>(r.member_packets.size()) /
+                    static_cast<double>(total);
+      }
+    }
+    return StreamSample{r.flits_per_us, r.makespan.as_us(), r.p99_gap.as_us(),
+                        r.overlap_mean, static_cast<double>(r.rotation_used),
+                        imbalance, static_cast<double>(r.telemetry_snapshots)};
+  };
+  const auto fold_stream = [](StreamingPoint& point, const StreamSample& s) {
+    point.flits_per_us.add(s.flits_per_us);
+    point.makespan_us.add(s.makespan_us);
+    point.p99_gap_us.add(s.p99_gap_us);
+    point.overlap_mean.add(s.overlap_mean);
+    point.rotation_used.add(s.rotation_used);
+    point.member_imbalance.add(s.member_imbalance);
+    point.telemetry_snapshots.add(s.telemetry_snapshots);
+  };
+  return replicate<StreamingPoint, mcast::MulticastEngine>(
+      fabrics_, static_cast<std::size_t>(spec_.sets_per_topology), threads,
+      ecfg, run, fold_stream, mcast::to_string(selection), rotation_trees);
 }
 
 TrafficPoint Testbed::measure_traffic(
@@ -414,97 +394,56 @@ TrafficPoint Testbed::measure_traffic(
     std::uint64_t digest = 0;
   };
 
-  const auto sets = static_cast<std::size_t>(spec_.sets_per_topology);
-  const std::size_t replications = instances_.size() * sets;
-  const int budget = threads >= 1 ? threads : configured_threads();
-  log_parallel_plan(budget);
-  std::vector<traffic::TrafficEngine> engines;
-  engines.reserve(instances_.size());
-  for (const Instance& inst : instances_) {
-    traffic::TrafficConfig tcfg;
-    tcfg.params = spec_.params;
-    tcfg.network = spec_.network;
-    tcfg.scheduler = scheduler;
-    engines.emplace_back(*inst.topology, *inst.routes, tcfg);
-  }
+  traffic::TrafficConfig tcfg;
+  tcfg.params = spec_.params;
+  tcfg.network = spec_.network;
+  tcfg.scheduler = scheduler;
 
-  std::vector<TrafficSample> samples(replications);
-  parallel_for_each(
-      samples.size(),
-      [&](std::size_t job) {
-        const std::size_t t = job / sets;
-        const std::size_t rep = job % sets;
-        // Same (topology, set) seed derivation as measure(), so traffic
-        // sweeps are paired across scheduler policies and load levels.
-        traffic::WorkloadConfig wcfg = workload;
-        wcfg.seed = workload.seed ^
-                    (UINT64_C(0x9e3779b97f4a7c15) * (t + 1)) ^
-                    (UINT64_C(0xbf58476d1ce4e5b9) * (rep + 1));
-        const traffic::Workload mix =
-            traffic::generate_workload(hosts, instances_[t].cco, wcfg);
-        const traffic::TrafficResult r = engines[t].run(mix);
-        TrafficSample s;
-        s.ops_per_sec = r.ops_per_sec;
-        s.flits_per_us = r.flits_per_us;
-        s.makespan_us = r.makespan.as_us();
-        s.deferral_ticks = static_cast<double>(r.deferral_ticks);
-        s.fct_us.reserve(r.ops.size());
-        for (const traffic::OpRecord& rec : r.ops) {
-          s.fct_us.emplace_back(rec.cls, rec.fct().as_us());
-        }
-        s.digest = r.digest;
-        samples[job] = std::move(s);
-      },
-      budget);
-
-  TrafficPoint point;
-  for (std::size_t t = 0; t < instances_.size(); ++t) {
-    TrafficPoint inst_point;
-    for (std::size_t rep = 0; rep < sets; ++rep) {
-      const TrafficSample& s = samples[t * sets + rep];
-      inst_point.ops_per_sec.add(s.ops_per_sec);
-      inst_point.flits_per_us.add(s.flits_per_us);
-      inst_point.makespan_us.add(s.makespan_us);
-      inst_point.deferral_ticks.add(s.deferral_ticks);
-      for (const auto& [cls, fct] : s.fct_us) {
-        inst_point.fct_us.add(fct);
-        switch (cls) {
-          case traffic::OpClass::kMulticast:
-            inst_point.fct_multicast_us.add(fct);
-            break;
-          case traffic::OpClass::kStream:
-            inst_point.fct_stream_us.add(fct);
-            break;
-          case traffic::OpClass::kCollective:
-            inst_point.fct_collective_us.add(fct);
-            break;
-        }
-      }
-      inst_point.digest = sim::fnv1a(inst_point.digest, s.digest);
+  const auto run = [&](const traffic::TrafficEngine& engine, std::size_t t,
+                       std::size_t rep) {
+    // Same (topology, set) seed derivation as measure(), so traffic
+    // sweeps are paired across scheduler policies and load levels.
+    traffic::WorkloadConfig wcfg = workload;
+    wcfg.seed = replication_seed(topology_seed(workload.seed, t), rep);
+    const traffic::Workload mix =
+        traffic::generate_workload(hosts, fabrics_[t].chain(), wcfg);
+    const traffic::TrafficResult r = engine.run(mix);
+    TrafficSample s;
+    s.ops_per_sec = r.ops_per_sec;
+    s.flits_per_us = r.flits_per_us;
+    s.makespan_us = r.makespan.as_us();
+    s.deferral_ticks = static_cast<double>(r.deferral_ticks);
+    s.fct_us.reserve(r.ops.size());
+    for (const traffic::OpRecord& rec : r.ops) {
+      s.fct_us.emplace_back(rec.cls, rec.fct().as_us());
     }
-    point.merge(inst_point);
-  }
-  return point;
+    s.digest = r.digest;
+    return s;
+  };
+  const auto fold_traffic = [](TrafficPoint& point, const TrafficSample& s) {
+    point.ops_per_sec.add(s.ops_per_sec);
+    point.flits_per_us.add(s.flits_per_us);
+    point.makespan_us.add(s.makespan_us);
+    point.deferral_ticks.add(s.deferral_ticks);
+    for (const auto& [cls, fct] : s.fct_us) {
+      point.fct_us.add(fct);
+      switch (cls) {
+        case traffic::OpClass::kMulticast:
+          point.fct_multicast_us.add(fct);
+          break;
+        case traffic::OpClass::kStream:
+          point.fct_stream_us.add(fct);
+          break;
+        case traffic::OpClass::kCollective:
+          point.fct_collective_us.add(fct);
+          break;
+      }
+    }
+    point.digest = sim::fnv1a(point.digest, s.digest);
+  };
+  return replicate<TrafficPoint, traffic::TrafficEngine>(
+      fabrics_, static_cast<std::size_t>(spec_.sets_per_topology), threads,
+      tcfg, run, fold_traffic);
 }
-
-namespace {
-
-TestbedSpec to_spec(const IrregularTestbed::Config& cfg) {
-  TestbedSpec spec;
-  spec.fabric = FabricKind::kIrregular;
-  spec.num_hosts = cfg.topology.num_hosts;
-  spec.irregular = cfg.topology;
-  spec.params = cfg.params;
-  spec.network = cfg.network;
-  spec.num_topologies = cfg.num_topologies;
-  spec.sets_per_topology = cfg.sets_per_topology;
-  spec.seed = cfg.seed;
-  return spec;
-}
-
-}  // namespace
-
-IrregularTestbed::IrregularTestbed(Config config)
-    : cfg_{std::move(config)}, testbed_{to_spec(cfg_)} {}
 
 }  // namespace nimcast::harness

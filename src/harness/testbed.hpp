@@ -1,17 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/ordering.hpp"
+#include "core/fabric.hpp"
 #include "harness/tree_spec.hpp"
 #include "mcast/multicast_engine.hpp"
 #include "netif/system_params.hpp"
 #include "network/network_config.hpp"
-#include "routing/route_table.hpp"
-#include "routing/up_down.hpp"
-#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/irregular.hpp"
@@ -77,21 +73,20 @@ struct TrafficPoint {
 };
 
 /// Runs `repetitions` multicasts of an m-packet message to n-1 random
-/// destinations on one concrete system (topology + routes + base chain),
-/// binding `spec`'s tree via `ordering`. Draws derive from `seed` alone,
-/// so identical seeds give identical participant sets across specs and
-/// styles — measurements are paired. This is the generic engine behind
-/// Testbed and the regular-network benches.
+/// destinations on one concrete system (`fabric`'s topology, routes and
+/// base chain), binding `spec`'s tree via `ordering`. Draws derive from
+/// `seed` alone, so identical seeds give identical participant sets
+/// across specs and styles — measurements are paired. This is the
+/// generic engine behind Testbed and the regular-network benches.
 ///
 /// Repetitions are independent (each builds its own Simulator) and run on
-/// a worker pool of `threads` threads (0 = NIMCAST_THREADS / hardware
+/// `threads` worker threads (0 = NIMCAST_THREADS / hardware
 /// concurrency, 1 = strictly serial). Every repetition derives its seed
 /// from (`seed`, rep) exactly as the serial path does and samples are
 /// folded into the summaries in repetition order, so results are
 /// bit-identical for every thread count.
 [[nodiscard]] MeasurePoint measure_point(
-    const topo::Topology& topology, const routing::RouteTable& routes,
-    const core::Chain& base_chain, const netif::SystemParams& params,
+    const core::Fabric& fabric, const netif::SystemParams& params,
     const net::NetworkConfig& network, std::int32_t n, std::int32_t m,
     const TreeSpec& spec, mcast::NiStyle style, OrderingKind ordering,
     std::int32_t repetitions, std::uint64_t seed, int threads = 0);
@@ -186,61 +181,23 @@ class Testbed {
   [[nodiscard]] const TestbedSpec& spec() const { return spec_; }
   [[nodiscard]] std::int32_t num_hosts() const { return spec_.num_hosts; }
 
+  /// The generated fabrics, one per topology, in sweep order.
+  [[nodiscard]] const std::vector<core::Fabric>& fabrics() const {
+    return fabrics_;
+  }
+
   /// Wall-clock spent building topologies + route tables + CCO chains at
   /// construction; the route-build metric bench_scale reports.
   [[nodiscard]] double build_ms() const { return build_ms_; }
 
-  /// Route-table heap footprint summed over instances (see
+  /// Route-table heap footprint summed over fabrics (see
   /// routing::RouteTable::memory_bytes).
   [[nodiscard]] std::size_t route_memory_bytes() const;
 
  private:
-  struct Instance {
-    std::unique_ptr<topo::Topology> topology;
-    std::shared_ptr<const routing::UpDownRouter> router;
-    std::unique_ptr<routing::RouteTable> routes;
-    core::Chain cco;
-  };
-
   TestbedSpec spec_;
-  std::vector<Instance> instances_;
+  std::vector<core::Fabric> fabrics_;
   double build_ms_ = 0.0;
-};
-
-/// The paper's evaluation rig: random irregular 64-host (by default)
-/// topologies. A thin wrapper over Testbed that keeps the original
-/// bench-facing Config type; measurement output is byte-identical to the
-/// pre-Testbed harness.
-class IrregularTestbed {
- public:
-  struct Config {
-    topo::IrregularConfig topology;
-    netif::SystemParams params;
-    net::NetworkConfig network;
-    std::int32_t num_topologies = 10;
-    std::int32_t sets_per_topology = 30;
-    std::uint64_t seed = 1997;
-  };
-
-  using Point = MeasurePoint;
-
-  explicit IrregularTestbed(Config config);
-
-  [[nodiscard]] Point measure(std::int32_t n, std::int32_t m,
-                              const TreeSpec& spec, mcast::NiStyle style,
-                              OrderingKind ordering = OrderingKind::kCco,
-                              int threads = 0) const {
-    return testbed_.measure(n, m, spec, style, ordering, threads);
-  }
-
-  [[nodiscard]] const Config& config() const { return cfg_; }
-  [[nodiscard]] std::int32_t num_hosts() const {
-    return cfg_.topology.num_hosts;
-  }
-
- private:
-  Config cfg_;
-  Testbed testbed_;
 };
 
 }  // namespace nimcast::harness

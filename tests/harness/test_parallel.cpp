@@ -25,109 +25,89 @@ TEST(ConfiguredThreads, RespectsEnvironment) {
   EXPECT_GE(configured_threads(), 1);
 }
 
-TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
+TEST(ParallelForEach, RunsEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 4, 8}) {
-    WorkerPool pool{threads};
     std::vector<std::atomic<int>> hits(257);
-    pool.for_each_index(hits.size(), [&](std::size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
+    parallel_for_each(
+        hits.size(),
+        [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
+        threads);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
 }
 
-TEST(WorkerPool, ReusableAcrossBatches) {
-  WorkerPool pool{4};
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<int> sum{0};
-    pool.for_each_index(100, [&](std::size_t i) {
-      sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 4950);
-  }
+TEST(ParallelForEach, EmptyBatchIsNoop) {
+  parallel_for_each(
+      0, [](std::size_t) { FAIL() << "job ran"; }, 4);
 }
 
-TEST(WorkerPool, EmptyBatchIsNoop) {
-  WorkerPool pool{4};
-  pool.for_each_index(0, [](std::size_t) { FAIL() << "job ran"; });
-}
-
-TEST(WorkerPool, PropagatesExceptions) {
-  WorkerPool pool{4};
-  EXPECT_THROW(pool.for_each_index(64,
-                                   [](std::size_t i) {
-                                     if (i == 13) {
-                                       throw std::runtime_error("boom");
-                                     }
-                                   }),
+TEST(ParallelForEach, PropagatesExceptions) {
+  EXPECT_THROW(parallel_for_each(
+                   64,
+                   [](std::size_t i) {
+                     if (i == 13) throw std::runtime_error("boom");
+                   },
+                   4),
                std::runtime_error);
-  // The pool must stay usable after a failed batch.
-  std::atomic<int> ran{0};
-  pool.for_each_index(8, [&](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(WorkerPool, ThrowSurfacesOnCallingThreadAndPoolDrains) {
+TEST(ParallelForEach, ThrowSurfacesOnCallingThreadAfterEveryJobRan) {
   // A replication that throws inside a worker must surface as a normal
-  // catchable exception on the thread that called for_each_index, with
-  // the batch fully drained before control returns.
-  WorkerPool pool{4};
+  // catchable exception on the calling thread, and only after every
+  // other job of the loop has run.
   const auto caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
   bool caught = false;
   try {
-    pool.for_each_index(32, [](std::size_t i) {
-      if (i == 7) throw std::logic_error("replication 7 failed");
-    });
+    parallel_for_each(
+        32,
+        [&](std::size_t i) {
+          if (i == 7) throw std::logic_error("replication 7 failed");
+          ran.fetch_add(1, std::memory_order_relaxed);
+        },
+        4);
   } catch (const std::logic_error& e) {
     caught = true;
     EXPECT_EQ(std::this_thread::get_id(), caller);
     EXPECT_STREQ(e.what(), "replication 7 failed");
   }
   EXPECT_TRUE(caught);
-  // Drained: the very next batch runs to completion on the same pool.
-  std::atomic<int> ran{0};
-  pool.for_each_index(16, [&](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(ran.load(), 31);
 }
 
-TEST(WorkerPool, FirstErrorWinsOnTheInlinePath) {
-  // threads <= 1 runs inline in index order, so "first one wins" is
+TEST(ParallelForEach, FirstErrorWinsOnTheInlinePath) {
+  // One thread runs inline in index order, so "first one wins" is
   // deterministic: the earliest throwing index is the one reported.
-  WorkerPool pool{1};
   try {
-    pool.for_each_index(64, [](std::size_t i) {
-      if (i == 5 || i == 13) {
-        throw std::runtime_error("job " + std::to_string(i));
-      }
-    });
+    parallel_for_each(
+        64,
+        [](std::size_t i) {
+          if (i == 5 || i == 13) {
+            throw std::runtime_error("job " + std::to_string(i));
+          }
+        },
+        1);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "job 5");
   }
 }
 
-TEST(WorkerPool, ExactlyOneOfManyConcurrentErrorsSurvives) {
+TEST(ParallelForEach, ExactlyOneOfManyConcurrentErrorsSurvives) {
   // Every job throws; exactly one of those exceptions must surface,
-  // intact, and the rest are swallowed without corrupting the pool.
-  WorkerPool pool{4};
+  // intact, and the rest are swallowed.
   try {
-    pool.for_each_index(64, [](std::size_t i) {
-      throw std::runtime_error("job " + std::to_string(i));
-    });
+    parallel_for_each(
+        64,
+        [](std::size_t i) {
+          throw std::runtime_error("job " + std::to_string(i));
+        },
+        4);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string{e.what()}.rfind("job ", 0), 0u)
         << "surviving error must be one of the thrown ones, unmangled";
   }
-  std::atomic<int> ran{0};
-  pool.for_each_index(8, [&](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ParallelForEach, SerialFallbackRunsInOrder) {
@@ -140,8 +120,8 @@ TEST(ParallelForEach, SerialFallbackRunsInOrder) {
 // --- Determinism contract: parallel testbed == serial testbed, bit for
 // bit, for every thread count. ---
 
-IrregularTestbed::Config stress_config() {
-  IrregularTestbed::Config cfg;
+TestbedSpec stress_config() {
+  TestbedSpec cfg;
   cfg.num_topologies = 3;
   cfg.sets_per_topology = 7;
   cfg.seed = 20260806;
@@ -167,7 +147,7 @@ void expect_identical(const MeasurePoint& a, const MeasurePoint& b) {
 }
 
 TEST(ParallelTestbed, BitIdenticalAcrossThreadCounts) {
-  const IrregularTestbed bed{stress_config()};
+  const Testbed bed{stress_config()};
   const unsigned hw = std::thread::hardware_concurrency();
   std::vector<int> counts{1, 4};
   if (hw > 1) counts.push_back(static_cast<int>(hw));
@@ -190,7 +170,7 @@ TEST(ParallelTestbed, BitIdenticalAcrossThreadCounts) {
 TEST(ParallelTestbed, RandomOrderingAlsoBitIdentical) {
   // kRandom draws the base chain from the per-replication stream; the
   // parallel path must preserve those draws exactly.
-  const IrregularTestbed bed{stress_config()};
+  const Testbed bed{stress_config()};
   const auto serial = bed.measure(12, 2, TreeSpec::binomial(),
                                   mcast::NiStyle::kSmartFpfs,
                                   OrderingKind::kRandom, /*threads=*/1);
@@ -203,10 +183,10 @@ TEST(ParallelTestbed, RandomOrderingAlsoBitIdentical) {
 TEST(ParallelMeasurePoint, BitIdenticalAcrossThreadCounts) {
   // A 1-topology bed exercises the repetition-level parallel split that
   // measure_point also uses.
-  IrregularTestbed::Config cfg = stress_config();
+  TestbedSpec cfg = stress_config();
   cfg.num_topologies = 1;
   cfg.sets_per_topology = 13;
-  const IrregularTestbed one{cfg};
+  const Testbed one{cfg};
   const auto serial = one.measure(16, 3, TreeSpec::kbinomial(2),
                                   mcast::NiStyle::kSmartFpfs,
                                   OrderingKind::kCco, /*threads=*/1);
@@ -303,7 +283,7 @@ TEST_F(ConfiguredSelectionTest, RejectsMalformedValues) {
 TEST(ParallelTestbed, EnvVariableSelectsThreadCount) {
   // threads=0 defers to NIMCAST_THREADS; both must match the explicit
   // serial result.
-  const IrregularTestbed bed{stress_config()};
+  const Testbed bed{stress_config()};
   const auto serial = bed.measure(10, 2, TreeSpec::optimal(),
                                   mcast::NiStyle::kSmartFpfs,
                                   OrderingKind::kCco, /*threads=*/1);

@@ -5,8 +5,8 @@
 namespace nimcast::harness {
 namespace {
 
-IrregularTestbed::Config small_config() {
-  IrregularTestbed::Config cfg;
+TestbedSpec small_config() {
+  TestbedSpec cfg;
   cfg.num_topologies = 2;
   cfg.sets_per_topology = 3;
   cfg.seed = 7;
@@ -14,7 +14,7 @@ IrregularTestbed::Config small_config() {
 }
 
 TEST(Testbed, SampleCountMatchesRepetitions) {
-  const IrregularTestbed bed{small_config()};
+  const Testbed bed{small_config()};
   const auto p = bed.measure(8, 2, TreeSpec::binomial(),
                              mcast::NiStyle::kSmartFpfs);
   EXPECT_EQ(p.latency_us.count(), 6u);
@@ -22,8 +22,8 @@ TEST(Testbed, SampleCountMatchesRepetitions) {
 }
 
 TEST(Testbed, DeterministicAcrossInstances) {
-  const IrregularTestbed a{small_config()};
-  const IrregularTestbed b{small_config()};
+  const Testbed a{small_config()};
+  const Testbed b{small_config()};
   const auto pa =
       a.measure(12, 4, TreeSpec::optimal(), mcast::NiStyle::kSmartFpfs);
   const auto pb =
@@ -35,9 +35,9 @@ TEST(Testbed, DeterministicAcrossInstances) {
 
 TEST(Testbed, SeedChangesResults) {
   auto cfg = small_config();
-  const IrregularTestbed a{cfg};
+  const Testbed a{cfg};
   cfg.seed = 8;
-  const IrregularTestbed b{cfg};
+  const Testbed b{cfg};
   const auto pa =
       a.measure(12, 4, TreeSpec::optimal(), mcast::NiStyle::kSmartFpfs);
   const auto pb =
@@ -49,7 +49,7 @@ TEST(Testbed, PairedDrawsAcrossTreeSpecs) {
   // Different specs over the same testbed use identical participant
   // draws, so single-packet binomial == single-packet optimal (the
   // optimal k-binomial at m=1 IS the binomial tree).
-  const IrregularTestbed bed{small_config()};
+  const Testbed bed{small_config()};
   const auto pb =
       bed.measure(16, 1, TreeSpec::binomial(), mcast::NiStyle::kSmartFpfs);
   const auto po =
@@ -58,7 +58,7 @@ TEST(Testbed, PairedDrawsAcrossTreeSpecs) {
 }
 
 TEST(Testbed, OptimalBeatsBinomialForManyPackets) {
-  const IrregularTestbed bed{small_config()};
+  const Testbed bed{small_config()};
   const auto pb =
       bed.measure(16, 16, TreeSpec::binomial(), mcast::NiStyle::kSmartFpfs);
   const auto po =
@@ -67,7 +67,7 @@ TEST(Testbed, OptimalBeatsBinomialForManyPackets) {
 }
 
 TEST(Testbed, RandomOrderingUsuallyBlocksMore) {
-  const IrregularTestbed bed{small_config()};
+  const Testbed bed{small_config()};
   const auto cco = bed.measure(24, 4, TreeSpec::optimal(),
                                mcast::NiStyle::kSmartFpfs,
                                OrderingKind::kCco);
@@ -78,7 +78,7 @@ TEST(Testbed, RandomOrderingUsuallyBlocksMore) {
 }
 
 TEST(Testbed, RejectsBadArguments) {
-  const IrregularTestbed bed{small_config()};
+  const Testbed bed{small_config()};
   EXPECT_THROW((void)bed.measure(1, 1, TreeSpec::binomial(),
                                  mcast::NiStyle::kSmartFpfs),
                std::invalid_argument);
@@ -88,9 +88,9 @@ TEST(Testbed, RejectsBadArguments) {
   EXPECT_THROW((void)bed.measure(8, 0, TreeSpec::binomial(),
                                  mcast::NiStyle::kSmartFpfs),
                std::invalid_argument);
-  IrregularTestbed::Config bad = small_config();
+  TestbedSpec bad = small_config();
   bad.num_topologies = 0;
-  EXPECT_THROW((IrregularTestbed{bad}), std::invalid_argument);
+  EXPECT_THROW((Testbed{bad}), std::invalid_argument);
 }
 
 }  // namespace

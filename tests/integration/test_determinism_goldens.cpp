@@ -51,11 +51,11 @@ TEST(Goldens, SingleMulticastOnSeededCluster) {
 }
 
 TEST(Goldens, TestbedPoint) {
-  harness::IrregularTestbed::Config cfg;
+  harness::TestbedSpec cfg;
   cfg.num_topologies = 2;
   cfg.sets_per_topology = 5;
   cfg.seed = 77;
-  const harness::IrregularTestbed bed{cfg};
+  const harness::Testbed bed{cfg};
   const auto p = bed.measure(16, 8, harness::TreeSpec::optimal(),
                              mcast::NiStyle::kSmartFpfs);
   EXPECT_NEAR(p.latency_us.mean(), 107.14, 1e-9);
