@@ -117,7 +117,7 @@ FaultPoint sweep_collective(const core::Fabric& fabric, const char* rig,
     }
 
     collectives::CollectiveEngine::Config cfg;
-    cfg.network = netcfg;  // degrade-and-continue is the default mode
+    cfg.network = netcfg;  // collectives degrade and continue under faults
     const collectives::CollectiveEngine engine{fabric.topology(),
                                                fabric.routes(), cfg};
     const auto r = engine.run(kind, tree, m);

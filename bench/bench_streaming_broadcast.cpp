@@ -133,19 +133,6 @@ struct ScenarioPoint {
   std::int64_t snapshots = 0;
 };
 
-double member_imbalance(const std::vector<std::int64_t>& member_packets) {
-  std::int64_t total = 0;
-  std::int64_t peak = 0;
-  for (const std::int64_t n : member_packets) {
-    total += n;
-    peak = std::max(peak, n);
-  }
-  if (total <= 0) return 1.0;
-  return static_cast<double>(peak) *
-         static_cast<double>(member_packets.size()) /
-         static_cast<double>(total);
-}
-
 }  // namespace
 
 int main() {
@@ -334,10 +321,10 @@ int main() {
       const mcast::StreamingResult r = engine.run_streaming(sel_plan, sel_S);
       if (selection == mcast::Selection::kStatic) {
         pt.static_flits = r.flits_per_us;
-        pt.static_imbalance = member_imbalance(r.member_packets);
+        pt.static_imbalance = r.member_imbalance();
       } else {
         pt.adaptive_flits = r.flits_per_us;
-        pt.adaptive_imbalance = member_imbalance(r.member_packets);
+        pt.adaptive_imbalance = r.member_imbalance();
         pt.snapshots = r.telemetry_snapshots;
       }
     }

@@ -19,7 +19,6 @@ mcast::MulticastEngine::Config multicast_config(
   mcast::MulticastEngine::Config mcfg{options.params, options.network,
                                       options.style, options.reliability,
                                       options.repair};
-  mcfg.rotation_trees = options.rotation_trees;
   mcfg.selection = options.selection;
   return mcfg;
 }
@@ -38,7 +37,7 @@ struct Communicator::Impl {
         coll_engine{fabric.topology(), fabric.routes(),
                     collectives::CollectiveEngine::Config{
                         options.params, options.network, options.t_comb,
-                        options.repair, options.collective_mode}} {}
+                        options.repair}} {}
 
   Options options;
   core::Fabric fabric;

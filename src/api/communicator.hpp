@@ -54,10 +54,6 @@ class Communicator {
     /// Retry-with-repair policy applied when network.faults is non-empty.
     /// Shared by the multicast engine and the collective engine.
     mcast::RepairPolicy repair = {};
-    /// What collectives do when faults leave them incomplete: throw
-    /// (kFailFast) or repair the tree and report a per-host verdict.
-    collectives::RepairMode collective_mode =
-        collectives::RepairMode::kDegradeAndContinue;
     /// Rotation members (R) stream_broadcast plans: packet g of a stream
     /// is dispatched down channel-decorrelated tree g mod R. 1 keeps the
     /// paper's fixed tree; > 1 requires up*/down* routing (irregular
@@ -66,8 +62,7 @@ class Communicator {
     /// Per-packet member policy for stream_broadcast: static keeps the
     /// g mod R rotation; adaptive picks the member the congestion
     /// telemetry scores cheapest (idle fabric: byte-identical to
-    /// static). NIMCAST_SELECTION=static|adaptive overrides this in the
-    /// harness layer, not here.
+    /// static).
     mcast::Selection selection = mcast::Selection::kStatic;
     /// Multi-tenant traffic mix run_traffic() generates: offered load
     /// (ops_per_ms), group-size distribution, class fractions and
@@ -108,8 +103,8 @@ class Communicator {
     std::int32_t tree_depth = 0;    ///< steps of the first packet
     std::int64_t packets_on_wire = 0;
     sim::Time contention;        ///< cumulative channel block time
-    /// Fault verdict — filled for every operation. Collectives run
-    /// degrade-and-continue by default (Options::collective_mode);
+    /// Fault verdict — filled for every operation. Collectives a fault
+    /// leaves incomplete repair the tree and report partial delivery;
     /// `delivered` counts participants whose per-kind obligation was met
     /// (message in, gathered at root, contribution folded, result held).
     mcast::Outcome outcome = mcast::Outcome::kComplete;

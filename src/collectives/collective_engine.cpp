@@ -22,14 +22,6 @@ const char* to_string(CollectiveKind k) {
   return "?";
 }
 
-const char* to_string(RepairMode m) {
-  switch (m) {
-    case RepairMode::kFailFast: return "fail-fast";
-    case RepairMode::kDegradeAndContinue: return "degrade-and-continue";
-  }
-  return "?";
-}
-
 std::int32_t CollectiveResult::delivered_count() const {
   std::int32_t n = 0;
   for (const auto& p : participants) n += p.delivered ? 1 : 0;
@@ -312,13 +304,12 @@ class CollectiveRun {
     launch(tree_, kind_, sim::Time::zero());
     session_.drain();
     const bool faulty = session_.faulty();
-    if (!op_complete() && (!faulty || config_.mode == RepairMode::kFailFast)) {
-      throw std::runtime_error(
-          "CollectiveEngine: " + std::string(to_string(kind_)) +
-          (faulty ? " incomplete under faults (fail-fast)"
-                  : " did not complete everywhere"));
+    if (!op_complete() && !faulty) {
+      throw std::runtime_error("CollectiveEngine: " +
+                               std::string(to_string(kind_)) +
+                               " did not complete everywhere");
     }
-    if (faulty && config_.mode == RepairMode::kDegradeAndContinue) {
+    if (faulty) {
       session_.repair_rounds(
           [this](sim::Time start_at) { return repair_round(start_at); });
     }

@@ -32,21 +32,6 @@ enum class CollectiveKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(CollectiveKind k);
 
-/// What a collective does when a fabric fault leaves it incomplete.
-/// Only consulted when `Config::network.faults` is non-empty; fault-free
-/// incompleteness is an engine bug and always throws.
-enum class RepairMode : std::uint8_t {
-  /// Throw std::runtime_error the moment the initial attempt drains
-  /// incomplete — the strict pre-fault contract for callers that would
-  /// rather restart the whole job than reason about partial results.
-  kFailFast,
-  /// Re-plan around the dead hosts (mcast::RepairPolicy rounds) and
-  /// report a queryable per-participant outcome instead of throwing.
-  kDegradeAndContinue,
-};
-
-[[nodiscard]] const char* to_string(RepairMode m);
-
 /// Outcome of one collective.
 struct CollectiveResult {
   /// Operation start to the completion at the last host that must finish
@@ -119,11 +104,11 @@ class CollectiveEngine {
     /// combining.
     sim::Time t_comb = sim::Time::us(1.0);
     /// Retry-with-repair policy applied when `network.faults` is
-    /// non-empty; shares the multicast engine's knobs (rounds, backoff,
-    /// route rebuilds).
+    /// non-empty; shares the multicast engine's knobs (rounds, route
+    /// rebuilds, root handoff). A collective a fault leaves incomplete
+    /// re-plans around the dead hosts and reports a per-participant
+    /// outcome; fault-free incompleteness throws.
     mcast::RepairPolicy repair = {};
-    /// Fail-fast vs degrade-and-continue under faults.
-    RepairMode mode = RepairMode::kDegradeAndContinue;
   };
 
   CollectiveEngine(const topo::Topology& topology,

@@ -15,6 +15,14 @@ namespace {
 
 using HostEdge = std::pair<topo::HostId, topo::HostId>;
 
+/// Salted route alternatives probed per chain offset (in addition to
+/// the primary table).
+constexpr std::int32_t kCandidateSalts = 3;
+/// Chain rotations probed per member.
+constexpr std::int32_t kCandidateOffsets = 4;
+/// Base value the per-candidate salts derive from.
+constexpr std::uint64_t kSaltBase = UINT64_C(0x9e3779b97f4a7c15);
+
 /// Directed (parent -> child) edges of a tree, sorted — the member
 /// identity the duplicate check compares.
 std::vector<HostEdge> tree_edges(const HostTree& tree) {
@@ -150,9 +158,7 @@ RotationPlan plan_rotation(const topo::Topology& topology,
     return table;
   };
 
-  const std::int32_t num_offsets =
-      std::min(std::max(config.candidate_offsets, 1), num_dests);
-  const std::int32_t num_salts = std::max(config.candidate_salts, 0);
+  const std::int32_t num_offsets = std::min(kCandidateOffsets, num_dests);
 
   for (std::int32_t r = 1; r < requested; ++r) {
     // Candidate chains. First the load-balanced binding (offset -1):
@@ -215,10 +221,9 @@ RotationPlan plan_rotation(const topo::Topology& topology,
       for (const auto& [h, w] : work) {
         bottleneck = std::max(bottleneck, cum_work.at(h) + w);
       }
-      for (std::int32_t s = 0; s <= num_salts; ++s) {
+      for (std::int32_t s = 0; s <= kCandidateSalts; ++s) {
         const std::uint64_t salt =
-            s == 0 ? 0
-                   : config.salt_base + static_cast<std::uint64_t>(s);
+            s == 0 ? 0 : kSaltBase + static_cast<std::uint64_t>(s);
         const auto table = table_for(salt);
         const routing::RouteTable& routes = table ? *table : primary;
         std::vector<std::int32_t> footprint =

@@ -20,13 +20,6 @@ struct RotationConfig {
   /// k across members so the R = 1 baseline is an apples-to-apples
   /// comparison point.
   std::int32_t fanout_bound = 2;
-  /// Salted route alternatives probed per chain offset (in addition to
-  /// the primary table).
-  std::int32_t candidate_salts = 3;
-  /// Chain rotations probed per member.
-  std::int32_t candidate_offsets = 4;
-  /// Base value the per-candidate salts derive from.
-  std::uint64_t salt_base = UINT64_C(0x9e3779b97f4a7c15);
 };
 
 /// One tree of the rotation set: packets of stream class r travel down

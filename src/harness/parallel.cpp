@@ -49,26 +49,6 @@ int pick_shards(int /*threads*/, std::int32_t /*hosts*/,
   return 1;
 }
 
-SelectionOverride configured_selection() {
-  const char* env = std::getenv("NIMCAST_SELECTION");
-  if (env == nullptr) return SelectionOverride::kUnset;
-  const char* begin = env;
-  while (std::isspace(static_cast<unsigned char>(*begin)) != 0) ++begin;
-  const char* end = begin;
-  while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end)) == 0) {
-    ++end;
-  }
-  for (const char* tail = end; *tail != '\0'; ++tail) {
-    if (std::isspace(static_cast<unsigned char>(*tail)) == 0) {
-      return SelectionOverride::kUnset;  // two tokens: malformed
-    }
-  }
-  const std::string word{begin, end};
-  if (word == "static") return SelectionOverride::kStatic;
-  if (word == "adaptive") return SelectionOverride::kAdaptive;
-  return SelectionOverride::kUnset;
-}
-
 void log_parallel_plan(int threads, const char* selection,
                        std::int32_t rotation_trees) {
   const char* env = std::getenv("NIMCAST_VERBOSE");

@@ -28,12 +28,6 @@ inline constexpr int kMaxThreads = 512;
 [[nodiscard]] int pick_shards(int threads, std::int32_t hosts,
                               std::size_t replications);
 
-/// Streaming member-selection policy requested via NIMCAST_SELECTION
-/// ("static" or "adaptive", surrounding whitespace tolerated). kUnset
-/// for anything else — the caller keeps its configured policy.
-enum class SelectionOverride : std::uint8_t { kUnset, kStatic, kAdaptive };
-[[nodiscard]] SelectionOverride configured_selection();
-
 /// Under NIMCAST_VERBOSE (any non-empty value other than "0"), prints
 /// the worker-thread count to stderr — once per process, from whichever
 /// harness entry point runs first. Streaming entry points pass the

@@ -311,19 +311,8 @@ StreamingPoint Testbed::measure_streaming(
     double telemetry_snapshots = 0.0;
   };
 
-  switch (configured_selection()) {
-    case SelectionOverride::kStatic:
-      selection = mcast::Selection::kStatic;
-      break;
-    case SelectionOverride::kAdaptive:
-      selection = mcast::Selection::kAdaptive;
-      break;
-    case SelectionOverride::kUnset:
-      break;
-  }
   mcast::MulticastEngine::Config ecfg{spec_.params, spec_.network,
                                       mcast::NiStyle::kSmartFpfs};
-  ecfg.rotation_trees = rotation_trees;
   ecfg.selection = selection;
 
   const auto run = [&](const mcast::MulticastEngine& engine, std::size_t t,
@@ -348,23 +337,10 @@ StreamingPoint Testbed::measure_streaming(
     const core::RotationPlan plan = core::plan_rotation(
         fabric.topology(), fabric.routes(), *fabric.updown(), members, rc);
     const mcast::StreamingResult r = engine.run_streaming(plan, stream_packets);
-    double imbalance = 1.0;
-    if (!r.member_packets.empty()) {
-      std::int64_t total = 0;
-      std::int64_t peak = 0;
-      for (std::int64_t n : r.member_packets) {
-        total += n;
-        peak = std::max(peak, n);
-      }
-      if (total > 0) {
-        imbalance = static_cast<double>(peak) *
-                    static_cast<double>(r.member_packets.size()) /
-                    static_cast<double>(total);
-      }
-    }
     return StreamSample{r.flits_per_us, r.makespan.as_us(), r.p99_gap.as_us(),
                         r.overlap_mean, static_cast<double>(r.rotation_used),
-                        imbalance, static_cast<double>(r.telemetry_snapshots)};
+                        r.member_imbalance(),
+                        static_cast<double>(r.telemetry_snapshots)};
   };
   const auto fold_stream = [](StreamingPoint& point, const StreamSample& s) {
     point.flits_per_us.add(s.flits_per_us);

@@ -162,7 +162,7 @@ class Testbed {
   /// thread budget and fold order follow measure(), so results
   /// are bit-identical for every thread count; rotation_trees = 1 is
   /// the paper's fixed-tree configuration. `selection` picks the
-  /// per-packet member policy (NIMCAST_SELECTION overrides it).
+  /// per-packet member policy.
   [[nodiscard]] StreamingPoint measure_streaming(
       std::int32_t stream_packets, std::int32_t rotation_trees,
       std::int32_t fanout_bound, int threads = 0,

@@ -60,6 +60,19 @@ double MulticastResult::max_buffer_integral() const {
   return best;
 }
 
+double StreamingResult::member_imbalance() const {
+  std::int64_t total = 0;
+  std::int64_t peak = 0;
+  for (const std::int64_t n : member_packets) {
+    total += n;
+    peak = std::max(peak, n);
+  }
+  if (total <= 0) return 1.0;
+  return static_cast<double>(peak) *
+         static_cast<double>(member_packets.size()) /
+         static_cast<double>(total);
+}
+
 MulticastEngine::MulticastEngine(const topo::Topology& topology,
                                  const routing::RouteTable& routes,
                                  Config config, sim::Trace* trace)

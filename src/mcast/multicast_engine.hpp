@@ -75,9 +75,8 @@ struct RepairPolicy {
   /// repair entirely). Each round re-parents the still-missing,
   /// still-reachable destinations into a fresh k-binomial tree in
   /// contention-free order with failed hosts excised, and resends.
+  /// Round r starts 30 us * 2^(r-1) after the previous one drains.
   std::int32_t max_attempts = 2;
-  /// Delay before repair round r starts: backoff * 2^(r-1).
-  sim::Time backoff = sim::Time::us(30.0);
   /// Rebuild up*/down* routes on the surviving subgraph after each fault.
   /// Only single-VC route tables can be rebuilt; requesting reroute on a
   /// multi-VC table (dateline torus) with a non-empty fault plan throws
@@ -236,6 +235,10 @@ struct StreamingResult {
   /// FNV-1a digest over every snapshot's member score vector — the
   /// snapshot-equality witness across reruns (0 when static).
   std::uint64_t telemetry_digest = 0;
+
+  /// Member balance: max over members of member_packets divided by their
+  /// mean (1 = even split, and 1 when no member carried a packet).
+  [[nodiscard]] double member_imbalance() const;
 };
 
 /// Runs complete multicast operations on the full simulated system:
@@ -258,10 +261,10 @@ class MulticastEngine {
     /// Kept only because the benchmark in perfbench/ still sets it; it
     /// goes when that benchmark is next revised.
     std::int32_t shards = 1;
-    /// Rotation members (R) a streaming broadcast plans. Consulted by
-    /// the layers that plan on the engine's behalf (api::Communicator,
-    /// harness::Testbed); run_streaming itself takes the plan
-    /// explicitly. 1 keeps the paper's fixed tree.
+    /// Never read: run_streaming takes its rotation plan explicitly
+    /// (core::RotationConfig::rotation_trees sizes it). Kept for
+    /// perfbench only, which still sets it; it goes when that benchmark
+    /// is next revised.
     std::int32_t rotation_trees = 1;
     /// Per-packet member policy for run_streaming (run()/run_many()
     /// ignore it). Static keeps the g mod R rotation; adaptive scores

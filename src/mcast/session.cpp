@@ -13,6 +13,11 @@
 
 namespace nimcast::mcast {
 
+namespace {
+/// Delay before repair round r starts: kRepairBackoff * 2^(r-1).
+constexpr sim::Time kRepairBackoff = sim::Time::us(30.0);
+}  // namespace
+
 Session::Session(const topo::Topology& topology,
                  const routing::RouteTable& routes,
                  const netif::SystemParams& params,
@@ -156,7 +161,7 @@ std::vector<Session::Completion> Session::host_completions() const {
 void Session::repair_rounds(
     const std::function<bool(sim::Time start_at)>& round) {
   for (std::int32_t r = 1; r <= repair_.max_attempts; ++r) {
-    const sim::Time wait = repair_.backoff * (sim::Time::rep{1} << (r - 1));
+    const sim::Time wait = kRepairBackoff * (sim::Time::rep{1} << (r - 1));
     if (!round(sim_.now() + wait)) return;
     drain();
   }

@@ -102,7 +102,7 @@ class Session {
   [[nodiscard]] std::vector<Completion> host_completions() const;
 
   /// Repair rounds r = 1 .. RepairPolicy::max_attempts: `round` plans
-  /// and schedules round r's work to start at now + backoff * 2^(r-1)
+  /// and schedules round r's work to start at now + 30 us * 2^(r-1)
   /// and returns whether it scheduled anything; the loop drains after
   /// every round that did and stops at the first that did not.
   void repair_rounds(const std::function<bool(sim::Time start_at)>& round);

@@ -7,6 +7,20 @@
 
 namespace nimcast::netif {
 
+namespace {
+/// Exponential backoff: retransmission i waits
+/// base_timeout * kBackoffFactor^min(i, kBackoffCap), stretched by a
+/// deterministic jitter in [1, 1 + kBackoffJitter). The gentle factor
+/// (1.5^4 ~ 5x cap) suits random wire loss, where waiting longer buys
+/// nothing.
+constexpr double kBackoffFactor = 1.5;
+constexpr std::int32_t kBackoffCap = 4;
+constexpr double kBackoffJitter = 0.25;
+/// Seed of the jitter stream; each NI folds its host id in, so the
+/// whole protocol stays a pure function of seeds.
+constexpr std::uint64_t kJitterSeed = 0x5eedfa17;
+}  // namespace
+
 sim::Time derived_retx_timeout(const SystemParams& params,
                                const net::NetworkConfig& config,
                                std::size_t hops, std::int32_t fanout,
@@ -36,16 +50,15 @@ ReliableFpfsNi::ReliableFpfsNi(sim::Simulator& simctx,
                                                /*hops=*/4, /*fanout=*/8,
                                                reliability.t_ack)
                         : reliability.retx_timeout},
-      backoff_rng_{reliability.jitter_seed ^
+      backoff_rng_{kJitterSeed ^
                    (std::uint64_t{0x9E3779B97F4A7C15} *
                     static_cast<std::uint64_t>(self + 1))} {}
 
 sim::Time ReliableFpfsNi::backoff_timeout(std::int32_t attempts) {
-  const auto exponent =
-      std::min(std::max(attempts, 0), reliability_.backoff_cap);
-  double scale = std::pow(reliability_.backoff_factor, exponent);
-  if (reliability_.backoff_jitter > 0.0 && attempts > 0) {
-    scale *= 1.0 + reliability_.backoff_jitter * backoff_rng_.next_double();
+  const auto exponent = std::min(std::max(attempts, 0), kBackoffCap);
+  double scale = std::pow(kBackoffFactor, exponent);
+  if (attempts > 0) {
+    scale *= 1.0 + kBackoffJitter * backoff_rng_.next_double();
   }
   return sim::Time::us(base_timeout_.as_us() * scale);
 }

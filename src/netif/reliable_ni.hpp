@@ -26,18 +26,6 @@ struct ReliabilityParams {
   /// Coprocessor occupancy to emit or absorb one ACK (ACKs are tiny
   /// control packets; they still traverse the network as worms).
   sim::Time t_ack = sim::Time::us(1.0);
-  /// Exponential backoff: retransmission i waits
-  /// retx_timeout * backoff_factor^min(i, backoff_cap), stretched by a
-  /// deterministic jitter in [1, 1 + backoff_jitter) to de-synchronize
-  /// retransmit storms across NIs. factor 1 disables backoff. The gentle
-  /// default (1.5^4 ~ 5x cap) suits random wire loss, where waiting
-  /// longer buys nothing; raise it when loss is congestion-driven.
-  double backoff_factor = 1.5;
-  std::int32_t backoff_cap = 4;
-  double backoff_jitter = 0.25;
-  /// Seed of the jitter stream; each NI folds its host id in, so the
-  /// whole protocol stays a pure function of seeds.
-  std::uint64_t jitter_seed = 0x5eedfa17;
 };
 
 /// Retransmission timeout implied by the system parameters: one
@@ -121,8 +109,9 @@ class ReliableFpfsNi final : public NetworkInterface {
                   std::int32_t packet_count, topo::HostId child);
   void handle_ack(const net::Packet& ack);
   void send_ack(const net::Packet& data);
-  /// Timeout for the (attempts+1)-th transmission, backoff and jitter
-  /// applied.
+  /// Timeout for the (attempts+1)-th transmission: retransmission i
+  /// waits base_timeout * 1.5^min(i, 4), stretched by a deterministic
+  /// jitter in [1, 1.25) to de-synchronize retransmit storms across NIs.
   [[nodiscard]] sim::Time backoff_timeout(std::int32_t attempts);
 
   ReliabilityParams reliability_;

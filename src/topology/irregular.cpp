@@ -16,20 +16,22 @@ std::vector<SwitchId> round_robin_hosts(const IrregularConfig& cfg) {
   return host_switch;
 }
 
-/// One attempt at a configuration-model pairing of the spare ports:
-/// shuffles a copy of `all_stubs` into `stubs` and pairs neighbours into
-/// `out`. Returns false on a self-loop or (unless allowed) a parallel
-/// link, and the caller retries. `seen` is a num_switches² bitmap that
-/// is all clear on entry and on return, so an attempt allocates nothing
-/// once the buffers have grown.
-bool try_draw(const IrregularConfig& cfg,
-              const std::vector<SwitchId>& all_stubs, sim::Rng& rng,
-              std::vector<SwitchId>& stubs, std::vector<std::uint8_t>& seen,
+/// Minimum inter-switch links per switch of a multi-switch network.
+constexpr std::int32_t kMinSwitchLinks = 2;
+
+/// One attempt at a configuration-model pairing of the spare ports of
+/// `n` switches: shuffles a copy of `all_stubs` into `stubs` and pairs
+/// neighbours into `out`. Returns false on a self-loop or a parallel
+/// link, and the caller retries. `seen` is an n² bitmap that is all
+/// clear on entry and on return, so an attempt allocates nothing once
+/// the buffers have grown.
+bool try_draw(std::size_t n, const std::vector<SwitchId>& all_stubs,
+              sim::Rng& rng, std::vector<SwitchId>& stubs,
+              std::vector<std::uint8_t>& seen,
               std::vector<Graph::Edge>& out) {
   stubs.assign(all_stubs.begin(), all_stubs.end());
   rng.shuffle(stubs);
   out.clear();
-  const auto n = static_cast<std::size_t>(cfg.num_switches);
   bool simple = true;
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     SwitchId a = stubs[i];
@@ -39,15 +41,13 @@ bool try_draw(const IrregularConfig& cfg,
       break;
     }
     if (a > b) std::swap(a, b);
-    if (!cfg.allow_parallel_links) {
-      auto& bit =
-          seen[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)];
-      if (bit != 0) {
-        simple = false;
-        break;
-      }
-      bit = 1;
+    auto& bit =
+        seen[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)];
+    if (bit != 0) {  // parallel link
+      simple = false;
+      break;
     }
+    bit = 1;
     out.push_back(Graph::Edge{a, b});
   }
   for (const auto& e : out) {
@@ -74,10 +74,11 @@ Topology make_irregular(const IrregularConfig& cfg, sim::Rng& rng) {
   }
   if (cfg.num_switches > 1) {
     for (std::int32_t sp : spare) {
-      if (sp < cfg.min_switch_links) {
+      if (sp < kMinSwitchLinks) {
         throw std::invalid_argument(
             "make_irregular: a switch has fewer spare ports (" +
-            std::to_string(sp) + ") than min_switch_links");
+            std::to_string(sp) + ") than the " +
+            std::to_string(kMinSwitchLinks) + " inter-switch links required");
       }
     }
   }
@@ -96,7 +97,7 @@ Topology make_irregular(const IrregularConfig& cfg, sim::Rng& rng) {
   std::vector<std::uint8_t> seen(n * n);
   std::vector<Graph::Edge> edges;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    if (!try_draw(cfg, all_stubs, rng, stubs, seen, edges)) continue;
+    if (!try_draw(n, all_stubs, rng, stubs, seen, edges)) continue;
     Graph g{cfg.num_switches, edges};
     if (!g.connected()) continue;
     return Topology{std::move(g), std::move(host_switch),

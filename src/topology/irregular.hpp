@@ -19,18 +19,15 @@ struct IrregularConfig {
   std::int32_t num_switches = 16;
   std::int32_t num_hosts = 64;
   std::int32_t ports_per_switch = 8;
-  /// Minimum inter-switch links per switch; keeps degenerate stars out of
-  /// the random draw. Must leave room for the round-robin host share.
-  std::int32_t min_switch_links = 2;
-  /// Permit parallel links between a switch pair (off by default).
-  bool allow_parallel_links = false;
 };
 
 /// Generates a random connected irregular topology. Throws
 /// std::invalid_argument when the config is infeasible (e.g. more hosts
-/// than total spare ports). Uses rejection sampling: draws a random
-/// port-pairing and retries until it is simple (unless parallel links are
-/// allowed) and connected.
+/// than total spare ports, or a switch of a multi-switch network left
+/// with fewer than 2 spare ports for inter-switch links, which keeps
+/// degenerate stars out of the draw). Uses rejection sampling: draws a
+/// random port-pairing and retries until it is simple (no self-loops,
+/// no parallel links) and connected.
 [[nodiscard]] Topology make_irregular(const IrregularConfig& cfg,
                                       sim::Rng& rng);
 

@@ -13,8 +13,9 @@ const char* to_string(Policy p) {
   return "?";
 }
 
-GroupScheduler::GroupScheduler(SchedulerConfig cfg, std::int32_t num_channels)
-    : cfg_{cfg} {
+GroupScheduler::GroupScheduler(SchedulerConfig cfg, std::int32_t num_channels,
+                               std::int64_t hot_threshold_ns)
+    : cfg_{cfg}, hot_threshold_ns_{hot_threshold_ns} {
   if (num_channels < 0) {
     throw std::invalid_argument("GroupScheduler: negative channel count");
   }
@@ -47,7 +48,7 @@ std::int32_t GroupScheduler::busy_channels(
   std::int32_t busy = 0;
   for (std::int32_t c : footprint) {
     const auto i = static_cast<std::size_t>(c);
-    if (users_[i] > 0 || delta_block_[i] > cfg_.hot_block_ns) ++busy;
+    if (users_[i] > 0 || delta_block_[i] > hot_threshold_ns_) ++busy;
   }
   return busy;
 }

@@ -29,11 +29,6 @@ struct SchedulerConfig {
   /// already be contended. 0 = only disjoint trees overlap-admit;
   /// 1000 = admit always (pure FIFO with extra steps).
   std::int32_t overlap_tolerance_x1000 = 200;
-  /// Telemetry term: a channel also counts busy when it accumulated more
-  /// than this much block time (ns) since the previous tick — the fabric
-  /// says it is congested even when no admitted footprint covers it.
-  /// 0 asks the engine to derive ~4 packet serialization times.
-  std::int64_t hot_block_ns = 0;
   /// Starvation bound: any deferred operation is force-admitted once it
   /// has waited this many ticks, whatever its score (per-op aging, not
   /// head-of-line only — a younger op whose wait expires is admitted
@@ -51,13 +46,15 @@ struct SchedulerConfig {
 ///
 /// Scoring: a channel is *busy* when an in-flight admitted operation's
 /// footprint covers it, or when the latest telemetry refresh saw more
-/// than `hot_block_ns` of fresh block time on it. An operation admits
-/// when at most `overlap_tolerance_x1000`/1000 of its footprint is busy
-/// (an empty fabric always admits; any op aged past `max_defer_ticks`
-/// always admits).
+/// than `hot_threshold_ns` of fresh block time on it — the fabric says
+/// it is congested even when no admitted footprint covers it. An
+/// operation admits when at most `overlap_tolerance_x1000`/1000 of its
+/// footprint is busy (an empty fabric always admits; any op aged past
+/// `max_defer_ticks` always admits).
 class GroupScheduler {
  public:
-  GroupScheduler(SchedulerConfig cfg, std::int32_t num_channels);
+  GroupScheduler(SchedulerConfig cfg, std::int32_t num_channels,
+                 std::int64_t hot_threshold_ns);
 
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
 
@@ -84,6 +81,7 @@ class GroupScheduler {
 
  private:
   SchedulerConfig cfg_;
+  std::int64_t hot_threshold_ns_;
   /// In-flight admitted trees covering each channel.
   std::vector<std::int32_t> users_;
   /// Block-time delta accumulated over the last tick period.

@@ -13,6 +13,10 @@ namespace nimcast::traffic {
 
 namespace {
 
+/// A channel is telemetry-hot when it blocked worms for this many packet
+/// serialization times inside one coordinator tick.
+constexpr std::int64_t kHotBlockPackets = 4;
+
 /// One launchable message of the flattened mix. Tree messages ride a
 /// workload tree; a null tree is a two-node gather leg src -> dst (the
 /// collective incast phase). Message id = plan index + 1.
@@ -151,7 +155,9 @@ class TrafficRun {
         session_{topology, routes, config.params, config.network,
                  mcast::RepairPolicy{}, "TrafficEngine"},
         scfg_{derive_scheduler()},
-        sched_{scfg_, session_.network().num_channels()},
+        sched_{scfg_, session_.network().num_channels(),
+               kHotBlockPackets *
+                   config.network.serialization_time().count_ns()},
         remaining_(plans_.size()) {
     // Per-op message index lists by phase and channel footprints (every
     // message of the op, forward edge direction — the switch channels the
@@ -209,9 +215,7 @@ class TrafficRun {
   /// Derived scheduler knobs. The tick period is one steady-state packet
   /// service time (receive + widest forwarding fan-out of the mix) —
   /// long enough for fresh block-time deltas between re-scores, short
-  /// enough to react within a packet or two. A channel is telemetry-hot
-  /// when it blocked worms for ~4 packet serialization times inside one
-  /// tick.
+  /// enough to react within a packet or two.
   [[nodiscard]] SchedulerConfig derive_scheduler() const {
     SchedulerConfig scfg = config_.scheduler;
     if (scfg.tick == sim::Time::zero()) {
@@ -224,10 +228,6 @@ class TrafficRun {
         }
       }
       scfg.tick = config_.params.t_rcv + config_.params.t_snd * fanout;
-    }
-    if (scfg.hot_block_ns == 0) {
-      scfg.hot_block_ns =
-          4 * config_.network.serialization_time().count_ns();
     }
     return scfg;
   }

@@ -21,6 +21,12 @@ const char* to_string(OpClass c) {
 
 namespace {
 
+/// Exponent of the bounded-Zipf group-size distribution.
+constexpr double kZipfExponent = 1.2;
+/// Packets per message of the fixed-size classes.
+constexpr std::int32_t kMulticastPackets = 4;
+constexpr std::int32_t kCollectivePackets = 2;
+
 /// Optimal-k tree over the group, bound in CCO order — the same
 /// construction every single-op harness entry point uses.
 core::HostTree bind_group(const core::Chain& cco, topo::HostId root,
@@ -51,9 +57,8 @@ void validate(std::int32_t num_hosts, const WorkloadConfig& cfg) {
       cfg.stream_fraction + cfg.collective_fraction > 1.0) {
     throw std::invalid_argument("generate_workload: bad class fractions");
   }
-  if (cfg.multicast_packets < 1 || cfg.stream_packets < 1 ||
-      cfg.collective_packets < 1) {
-    throw std::invalid_argument("generate_workload: packets < 1");
+  if (cfg.stream_packets < 1) {
+    throw std::invalid_argument("generate_workload: stream_packets < 1");
   }
 }
 
@@ -70,7 +75,7 @@ Workload generate_workload(std::int32_t num_hosts, const core::Chain& cco,
   std::vector<double> cum(sizes, 0.0);
   double total = 0.0;
   for (std::size_t j = 0; j < sizes; ++j) {
-    total += std::pow(static_cast<double>(j + 1), -cfg.zipf_s);
+    total += std::pow(static_cast<double>(j + 1), -kZipfExponent);
     cum[j] = total;
   }
 
@@ -106,13 +111,13 @@ Workload generate_workload(std::int32_t num_hosts, const core::Chain& cco,
     const double uc = rng.next_double();
     if (uc < cfg.collective_fraction) {
       op.cls = OpClass::kCollective;
-      op.packets = cfg.collective_packets;
+      op.packets = kCollectivePackets;
     } else if (uc < cfg.collective_fraction + cfg.stream_fraction) {
       op.cls = OpClass::kStream;
       op.packets = cfg.stream_packets;
     } else {
       op.cls = OpClass::kMulticast;
-      op.packets = cfg.multicast_packets;
+      op.packets = kMulticastPackets;
     }
     op.tree = bind_group(cco, root, dests, op.packets);
 

@@ -55,11 +55,10 @@ struct WorkloadConfig {
   /// millisecond of simulated time.
   double ops_per_ms = 2.0;
   /// Group sizes draw from a bounded Zipf over [min_group, max_group]:
-  /// P(size = min_group + j) proportional to (j + 1)^-zipf_s — many
-  /// small groups, a heavy-ish tail of large ones.
+  /// P(size = min_group + j) proportional to (j + 1)^-1.2 — many small
+  /// groups, a heavy-ish tail of large ones.
   std::int32_t min_group = 4;
   std::int32_t max_group = 24;
-  double zipf_s = 1.2;
   /// Op-class mix: fraction of streams and collectives; the rest are
   /// plain multicasts.
   double stream_fraction = 0.25;
@@ -67,10 +66,8 @@ struct WorkloadConfig {
   /// Probability a stream op churns (join/leave mid-stream). Groups of
   /// fewer than 3 members never churn (nothing to leave).
   double churn_probability = 0.5;
-  /// Packets per message by class.
-  std::int32_t multicast_packets = 4;
+  /// Packets per stream message; multicasts carry 4 and collectives 2.
   std::int32_t stream_packets = 12;
-  std::int32_t collective_packets = 2;
   std::uint64_t seed = 1997;
 };
 

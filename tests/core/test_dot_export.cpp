@@ -35,8 +35,7 @@ TEST(DotExport, TopologyHasSwitchesHostsAndLinks) {
   topo::IrregularConfig cfg;
   cfg.num_switches = 4;
   cfg.num_hosts = 8;
-  cfg.ports_per_switch = 6;
-  cfg.allow_parallel_links = true;  // 4 spare ports each need trunking
+  cfg.ports_per_switch = 5;  // 3 spare ports each: the simple graph K4
   const auto topology = topo::make_irregular(cfg, rng);
   const auto dot = to_dot(topology);
   EXPECT_NE(dot.find("graph system"), std::string::npos);

@@ -146,6 +146,16 @@ void expect_identical(const MeasurePoint& a, const MeasurePoint& b) {
   expect_identical(a.buffer_integral, b.buffer_integral);
 }
 
+void expect_identical(const StreamingPoint& a, const StreamingPoint& b) {
+  expect_identical(a.flits_per_us, b.flits_per_us);
+  expect_identical(a.makespan_us, b.makespan_us);
+  expect_identical(a.p99_gap_us, b.p99_gap_us);
+  expect_identical(a.overlap_mean, b.overlap_mean);
+  expect_identical(a.rotation_used, b.rotation_used);
+  expect_identical(a.member_imbalance, b.member_imbalance);
+  expect_identical(a.telemetry_snapshots, b.telemetry_snapshots);
+}
+
 TEST(ParallelTestbed, BitIdenticalAcrossThreadCounts) {
   const Testbed bed{stress_config()};
   const unsigned hw = std::thread::hardware_concurrency();
@@ -178,6 +188,23 @@ TEST(ParallelTestbed, RandomOrderingAlsoBitIdentical) {
                                     mcast::NiStyle::kSmartFpfs,
                                     OrderingKind::kRandom, /*threads=*/4);
   expect_identical(serial, parallel);
+}
+
+TEST(ParallelTestbed, AdaptiveStreamingIdenticalAcrossThreadCounts) {
+  // The adaptive selector scores telemetry snapshots inside each
+  // replication; the sweep must fold to the same point serially, on
+  // four workers, and on a rerun.
+  const Testbed bed{stress_config()};
+  const auto sweep = [&bed](int threads) {
+    return bed.measure_streaming(/*stream_packets=*/24, /*rotation_trees=*/3,
+                                 /*fanout_bound=*/2, threads,
+                                 mcast::Selection::kAdaptive);
+  };
+  const auto serial = sweep(1);
+  EXPECT_GT(serial.telemetry_snapshots.sum(), 0.0);  // adaptive engaged
+  const auto parallel = sweep(4);
+  expect_identical(serial, parallel);
+  expect_identical(parallel, sweep(4));
 }
 
 TEST(ParallelMeasurePoint, BitIdenticalAcrossThreadCounts) {
@@ -248,36 +275,6 @@ TEST(PickShards, IsAlwaysOne) {
   EXPECT_EQ(pick_shards(8, 1024, 8), 1);
   EXPECT_EQ(pick_shards(64, 1024, 1), 1);
   EXPECT_EQ(pick_shards(1, 2048, 1), 1);
-}
-
-class ConfiguredSelectionTest : public ::testing::Test {
- protected:
-  void TearDown() override { unsetenv("NIMCAST_SELECTION"); }
-
-  static SelectionOverride with_env(const char* value) {
-    setenv("NIMCAST_SELECTION", value, 1);
-    return configured_selection();
-  }
-};
-
-TEST_F(ConfiguredSelectionTest, UnsetKeepsTheConfiguredPolicy) {
-  unsetenv("NIMCAST_SELECTION");
-  EXPECT_EQ(configured_selection(), SelectionOverride::kUnset);
-}
-
-TEST_F(ConfiguredSelectionTest, ParsesTheTwoPolicies) {
-  EXPECT_EQ(with_env("static"), SelectionOverride::kStatic);
-  EXPECT_EQ(with_env("adaptive"), SelectionOverride::kAdaptive);
-  EXPECT_EQ(with_env(" adaptive "), SelectionOverride::kAdaptive);
-  EXPECT_EQ(with_env("\tstatic\n"), SelectionOverride::kStatic);
-}
-
-TEST_F(ConfiguredSelectionTest, RejectsMalformedValues) {
-  EXPECT_EQ(with_env(""), SelectionOverride::kUnset);
-  EXPECT_EQ(with_env("Adaptive"), SelectionOverride::kUnset);  // exact match
-  EXPECT_EQ(with_env("adaptive extra"), SelectionOverride::kUnset);
-  EXPECT_EQ(with_env("adaptivex"), SelectionOverride::kUnset);
-  EXPECT_EQ(with_env("1"), SelectionOverride::kUnset);
 }
 
 TEST(ParallelTestbed, EnvVariableSelectsThreadCount) {
