@@ -7,9 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "core/fabric.hpp"
 #include "core/kbinomial.hpp"
 #include "core/optimal_k.hpp"
 #include "core/ordering.hpp"
+#include "mcast/multicast_engine.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
 #include "topology/irregular.hpp"
@@ -235,6 +237,60 @@ TEST(TrafficEngine, MixedWorkloadMatchesRecordedGoldens) {
     EXPECT_EQ(r.makespan.count_ns(), g.makespan_ns);
     EXPECT_EQ(r.ticks, g.ticks);
     EXPECT_EQ(r.deferral_ticks, g.deferral_ticks);
+  }
+}
+
+// The paper's "multiple multicast" batch (MulticastEngine::run_many) and a
+// FIFO traffic mix of the same multicasts are one computation: trees
+// launched at given times on one shared fabric, run to quiescence. On six
+// paper fabrics, batches of 1-16 concurrent n = 16, m = 8 multicasts on
+// the CCO chain, started together or 7 us apart, must agree on every
+// per-op latency, the makespan, the block time and the event count.
+TEST(TrafficEngine, FifoMixEqualsRunMany) {
+  constexpr std::int32_t kN = 16;
+  constexpr std::int32_t kM = 8;
+  const std::int32_t k = core::optimal_k(kN, kM).k;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    sim::Rng rng{seed};
+    const core::Fabric fabric =
+        core::Fabric::irregular(topo::IrregularConfig{}, rng);
+    const mcast::MulticastEngine batch_engine{fabric.topology(),
+                                              fabric.routes(), {}};
+    const TrafficEngine fifo{fabric.topology(), fabric.routes(),
+                             engine_config(Policy::kFifo)};
+    for (const std::int32_t ops : {1, 2, 4, 8, 16}) {
+      for (const bool staggered : {false, true}) {
+        std::vector<mcast::MulticastSpec> specs;
+        Workload wl;
+        for (std::int32_t op = 0; op < ops; ++op) {
+          const auto draw = rng.sample_without_replacement(
+              static_cast<std::size_t>(fabric.num_hosts()), kN);
+          std::vector<topo::HostId> dests;
+          for (std::size_t i = 1; i < draw.size(); ++i) {
+            dests.push_back(static_cast<topo::HostId>(draw[i]));
+          }
+          const core::Chain members = core::arrange_participants(
+              fabric.chain(), static_cast<topo::HostId>(draw.front()), dests);
+          TrafficOp top;
+          top.arrival = staggered ? sim::Time::us(7.0 * op) : sim::Time::zero();
+          top.tree = core::HostTree::bind(core::make_kbinomial(kN, k), members);
+          top.packets = kM;
+          specs.push_back(mcast::MulticastSpec{top.tree, kM, top.arrival});
+          wl.ops.push_back(std::move(top));
+        }
+        const mcast::MultiMulticastResult mr = batch_engine.run_many(specs);
+        const TrafficResult tr = fifo.run(wl);
+        SCOPED_TRACE("seed " + std::to_string(seed) + " ops " +
+                     std::to_string(ops) + (staggered ? " staggered" : ""));
+        ASSERT_EQ(tr.ops.size(), mr.operations.size());
+        for (std::size_t op = 0; op < tr.ops.size(); ++op) {
+          EXPECT_EQ(tr.ops[op].fct(), mr.operations[op].latency) << "op " << op;
+        }
+        EXPECT_EQ(tr.makespan, mr.makespan);
+        EXPECT_EQ(tr.total_channel_block_time, mr.total_channel_block_time);
+        EXPECT_EQ(tr.events_dispatched, mr.events_dispatched);
+      }
+    }
   }
 }
 
