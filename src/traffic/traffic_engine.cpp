@@ -195,13 +195,19 @@ class TrafficRun {
 
   TrafficResult run() {
     // Coordination keys, reserved before anything else is scheduled: one
-    // per arrival in op order, the tick chain's last. Every coordinated
-    // event fires before the same-instant events the run schedules, and
-    // an arrival fires before a same-instant tick.
+    // per arrival in op order, then the tick chain's — only when the mix
+    // can tick (pacing, or a compound op's second phase), so a FIFO mix
+    // of single-phase ops keys its events exactly as a run_many batch.
+    // Every coordinated event fires before the same-instant events the
+    // run schedules, and an arrival fires before a same-instant tick.
     sim::Simulator& simctx = session_.sim();
     std::vector<std::uint64_t> arrival_keys(num_ops_, 0);
     for (auto& key : arrival_keys) key = simctx.reserve_order();
-    tick_key_ = simctx.reserve_order();
+    const bool can_tick =
+        scfg_.policy == Policy::kPaced ||
+        std::any_of(op_msgs1_.begin(), op_msgs1_.end(),
+                    [](const auto& msgs) { return !msgs.empty(); });
+    if (can_tick) tick_key_ = simctx.reserve_order();
     for (std::size_t op = 0; op < num_ops_; ++op) {
       const sim::Time at = workload_.ops[op].arrival;
       simctx.schedule_at_keyed(at, arrival_keys[op],

@@ -14,6 +14,7 @@
 #include "mcast/multicast_engine.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 #include "topology/irregular.hpp"
 #include "traffic/workload.hpp"
 
@@ -245,7 +246,8 @@ TEST(TrafficEngine, MixedWorkloadMatchesRecordedGoldens) {
 // launched at given times on one shared fabric, run to quiescence. On six
 // paper fabrics, batches of 1-16 concurrent n = 16, m = 8 multicasts on
 // the CCO chain, started together or 7 us apart, must agree on every
-// per-op latency, the makespan, the block time and the event count.
+// per-op latency, the makespan, the block time, the event count and the
+// dispatch order (sim::Simulator::DispatchDigest).
 TEST(TrafficEngine, FifoMixEqualsRunMany) {
   constexpr std::int32_t kN = 16;
   constexpr std::int32_t kM = 8;
@@ -278,8 +280,13 @@ TEST(TrafficEngine, FifoMixEqualsRunMany) {
           specs.push_back(mcast::MulticastSpec{top.tree, kM, top.arrival});
           wl.ops.push_back(std::move(top));
         }
+        sim::Simulator::DispatchDigest batch_digest;
+        sim::Simulator::DispatchDigest fifo_digest;
+        sim::Simulator::set_dispatch_digest(&batch_digest);
         const mcast::MultiMulticastResult mr = batch_engine.run_many(specs);
+        sim::Simulator::set_dispatch_digest(&fifo_digest);
         const TrafficResult tr = fifo.run(wl);
+        sim::Simulator::set_dispatch_digest(nullptr);
         SCOPED_TRACE("seed " + std::to_string(seed) + " ops " +
                      std::to_string(ops) + (staggered ? " staggered" : ""));
         ASSERT_EQ(tr.ops.size(), mr.operations.size());
@@ -289,6 +296,8 @@ TEST(TrafficEngine, FifoMixEqualsRunMany) {
         EXPECT_EQ(tr.makespan, mr.makespan);
         EXPECT_EQ(tr.total_channel_block_time, mr.total_channel_block_time);
         EXPECT_EQ(tr.events_dispatched, mr.events_dispatched);
+        EXPECT_EQ(fifo_digest.events, batch_digest.events);
+        EXPECT_EQ(fifo_digest.fnv, batch_digest.fnv);
       }
     }
   }
