@@ -230,10 +230,9 @@ Communicator::StreamReport Communicator::stream_broadcast(
 
 Communicator::TrafficReport Communicator::run_traffic() const {
   const Options& opt = impl_->options;
-  traffic::TrafficConfig tcfg;
-  tcfg.params = opt.params;
-  tcfg.network = opt.network;
-  tcfg.scheduler = opt.traffic_scheduler;
+  const traffic::TrafficConfig tcfg{opt.params,      opt.network,
+                                    opt.traffic_scheduler, opt.style,
+                                    opt.reliability, opt.repair};
   const core::Fabric& fabric = impl_->fabric;
   const traffic::TrafficEngine engine{fabric.topology(), fabric.routes(),
                                       tcfg};

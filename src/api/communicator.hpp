@@ -46,13 +46,14 @@ class Communicator {
     sim::Time t_comb = sim::Time::us(1.0);
     /// Seed for random topology generation (irregular systems).
     std::uint64_t seed = 1997;
-    /// NI architecture multicasts run on. Use kReliableFpfs on lossy or
-    /// faulty fabrics; collectives always run the smart FPFS engine.
+    /// NI architecture multicasts and run_traffic() run on. Use
+    /// kReliableFpfs on lossy or faulty fabrics; collectives always run
+    /// the smart FPFS engine.
     mcast::NiStyle style = mcast::NiStyle::kSmartFpfs;
     /// Reliability protocol knobs (kReliableFpfs only).
     netif::ReliabilityParams reliability = {};
     /// Retry-with-repair policy applied when network.faults is non-empty.
-    /// Shared by the multicast engine and the collective engine.
+    /// Shared by the multicast, traffic and collective engines.
     mcast::RepairPolicy repair = {};
     /// Rotation members (R) stream_broadcast plans: packet g of a stream
     /// is dispatched down channel-decorrelated tree g mod R. 1 keeps the
@@ -203,9 +204,10 @@ class Communicator {
 
   /// Runs Options::traffic_workload — N concurrent multicast / stream /
   /// collective tenant groups over this one fabric — admitted by the
-  /// Options::traffic_scheduler policy. Requires a pristine fabric (no
-  /// faults, no loss) and smart FPFS NIs; deterministic given the
-  /// options.
+  /// Options::traffic_scheduler policy, on Options::style NIs with
+  /// Options::reliability and Options::repair; deterministic given the
+  /// options. Under faults or loss the mix must be single-phase (no
+  /// collectives, no churn), else std::invalid_argument.
   [[nodiscard]] TrafficReport run_traffic() const;
 
   /// Personalized one-to-all / all-to-one / combining collectives over

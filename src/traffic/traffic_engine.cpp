@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "mcast/session.hpp"
+#include "netif/reliable_ni.hpp"
 #include "routing/route_alternatives.hpp"
 #include "sim/rng.hpp"
 
@@ -83,11 +84,32 @@ void collect_edges(const MsgPlan& m,
   }
 }
 
-void validate_workload(const topo::Topology& topology,
+/// The widest forwarding fan-out of any tree message (at least 1).
+std::int64_t widest_fanout(const std::vector<MsgPlan>& plans) {
+  std::size_t fanout = 1;
+  for (const MsgPlan& m : plans) {
+    if (!m.tree) continue;
+    for (topo::HostId h : m.tree->nodes) {
+      fanout = std::max(fanout, m.tree->children.at(h).size());
+    }
+  }
+  return static_cast<std::int64_t>(fanout);
+}
+
+/// Collectives and churn streams: a second phase launched when the first
+/// completes.
+bool compound(const TrafficOp& o) {
+  return o.cls == OpClass::kCollective || o.churn;
+}
+
+void validate_workload(const TrafficConfig& config,
+                       const topo::Topology& topology,
                        const Workload& workload) {
   if (workload.ops.empty()) {
     throw std::invalid_argument("TrafficEngine: empty workload");
   }
+  const bool degraded =
+      !config.network.faults.empty() || config.network.loss_rate > 0.0;
   const auto check_hosts = [&](const core::HostTree& t) {
     for (topo::HostId h : t.nodes) {
       if (h < 0 || h >= topology.num_hosts()) {
@@ -95,18 +117,18 @@ void validate_workload(const topo::Topology& topology,
       }
     }
   };
-  sim::Time prev = sim::Time::zero();
   for (const TrafficOp& o : workload.ops) {
-    if (o.arrival < prev) {
-      throw std::invalid_argument(
-          "TrafficEngine: arrivals not nondecreasing");
-    }
-    prev = o.arrival;
     if (o.packets < 1) {
       throw std::invalid_argument("TrafficEngine: packets < 1");
     }
-    if (o.tree.size() < 2) {
-      throw std::invalid_argument("TrafficEngine: group smaller than 2");
+    if (o.tree.size() < (compound(o) ? 2 : 1)) {
+      throw std::invalid_argument("TrafficEngine: group too small");
+    }
+    if (degraded && compound(o)) {
+      throw std::invalid_argument(
+          "TrafficEngine: compound operations (collectives, churn) cannot "
+          "run under faults or loss: their second phase waits on a first "
+          "that may never finish");
     }
     check_hosts(o.tree);
     if (o.churn) {
@@ -136,6 +158,11 @@ struct OpState {
   std::int32_t left0 = 0;
   std::int32_t left1 = 0;
   sim::Time admitted_at;
+  /// Repair state: the initiator of the next round (the root, or the
+  /// replacement elected after it died), rounds and handoffs so far.
+  topo::HostId root = topo::kInvalidId;
+  std::int32_t repairs = 0;
+  std::int32_t handoffs = 0;
 };
 
 /// One TrafficEngine::run call on one Session: the flattened mix, the
@@ -143,7 +170,8 @@ struct OpState {
 class TrafficRun {
  public:
   TrafficRun(const TrafficConfig& config, const topo::Topology& topology,
-             const routing::RouteTable& routes, const Workload& workload)
+             const routing::RouteTable& routes, const Workload& workload,
+             sim::Trace* trace)
       : config_{config},
         workload_{workload},
         plans_{build_plans(workload)},
@@ -152,43 +180,54 @@ class TrafficRun {
         op_msgs1_(num_ops_),
         op_foot_(num_ops_),
         st_(num_ops_),
-        session_{topology, routes, config.params, config.network,
-                 mcast::RepairPolicy{}, "TrafficEngine"},
+        session_{topology,       routes,          config.params,
+                 config.network, config.repair,   "TrafficEngine",
+                 trace},
         scfg_{derive_scheduler()},
+        paced_{scfg_.policy == Policy::kPaced},
         sched_{scfg_, session_.network().num_channels(),
                kHotBlockPackets *
                    config.network.serialization_time().count_ns()},
-        remaining_(plans_.size()) {
-    // Per-op message index lists by phase and channel footprints (every
-    // message of the op, forward edge direction — the switch channels the
-    // op's worms will fight over); one message per plan, ledger key =
-    // plan index, on the NIs of its hosts.
+        remaining_(plans_.size()),
+        msg_ni_last_(plans_.size()) {
+    // Per-op message index lists by phase and, for pacing, channel
+    // footprints (every message of the op, forward edge direction — the
+    // switch channels the op's worms will fight over; FIFO never reads
+    // them); one message per plan, ledger key = plan index, on the NIs
+    // of its hosts.
+    const netif::ReliabilityParams reliability = reliability_for(routes);
     std::vector<std::vector<std::pair<topo::HostId, topo::HostId>>> op_edges(
-        num_ops_);
+        paced_ ? num_ops_ : 0);
     for (std::size_t i = 0; i < plans_.size(); ++i) {
       const MsgPlan& m = plans_[i];
       (m.phase == 0 ? op_msgs0_ : op_msgs1_)[m.op].push_back(i);
-      collect_edges(m, op_edges[m.op]);
+      if (paced_) collect_edges(m, op_edges[m.op]);
       remaining_[i] = m.expected;
       const net::MessageId message = session_.new_message(i);
       if (m.tree) {
-        for (topo::HostId h : m.tree->nodes) add_ni(h);
+        for (topo::HostId h : m.tree->nodes) {
+          session_.add_ni(h, config_.style, reliability);
+        }
         session_.install_tree(message, *m.tree, m.packets);
       } else {
-        add_ni(m.src);
-        add_ni(m.dst);
+        session_.add_ni(m.src, config_.style, reliability);
+        session_.add_ni(m.dst, config_.style, reliability);
         session_.install_unicast(message, m.src, m.dst, m.packets);
       }
     }
     for (std::size_t op = 0; op < num_ops_; ++op) {
-      op_foot_[op] =
-          routing::edge_channel_footprint(topology, routes, op_edges[op]);
+      if (paced_) {
+        op_foot_[op] =
+            routing::edge_channel_footprint(topology, routes, op_edges[op]);
+      }
       st_[op].left0 = static_cast<std::int32_t>(op_msgs0_[op].size());
       st_[op].left1 = static_cast<std::int32_t>(op_msgs1_[op].size());
+      st_[op].root = workload.ops[op].tree.root;
     }
     // The sink that brings a message's outstanding destination count to
     // zero logs it as done for the next coordinated instant.
     session_.track_completions(plans_.size(), [this](std::size_t i) {
+      msg_ni_last_[i] = session_.sim().now();
       if (--remaining_[i] == 0) done_msgs_.push_back(i);
     });
   }
@@ -204,9 +243,8 @@ class TrafficRun {
     std::vector<std::uint64_t> arrival_keys(num_ops_, 0);
     for (auto& key : arrival_keys) key = simctx.reserve_order();
     const bool can_tick =
-        scfg_.policy == Policy::kPaced ||
-        std::any_of(op_msgs1_.begin(), op_msgs1_.end(),
-                    [](const auto& msgs) { return !msgs.empty(); });
+        paced_ || std::any_of(op_msgs1_.begin(), op_msgs1_.end(),
+                              [](const auto& msgs) { return !msgs.empty(); });
     if (can_tick) tick_key_ = simctx.reserve_order();
     for (std::size_t op = 0; op < num_ops_; ++op) {
       const sim::Time at = workload_.ops[op].arrival;
@@ -214,6 +252,7 @@ class TrafficRun {
                                [this, op, at] { arrive(op, at); });
     }
     session_.drain();
+    if (session_.faulty()) repair();
     return finish();
   }
 
@@ -225,25 +264,38 @@ class TrafficRun {
   [[nodiscard]] SchedulerConfig derive_scheduler() const {
     SchedulerConfig scfg = config_.scheduler;
     if (scfg.tick == sim::Time::zero()) {
-      std::int64_t fanout = 1;
-      for (const MsgPlan& m : plans_) {
-        if (!m.tree) continue;
-        for (topo::HostId h : m.tree->nodes) {
-          fanout = std::max(fanout, static_cast<std::int64_t>(
-                                        m.tree->children.at(h).size()));
-        }
-      }
-      scfg.tick = config_.params.t_rcv + config_.params.t_snd * fanout;
+      scfg.tick = config_.params.t_rcv +
+                  config_.params.t_snd * widest_fanout(plans_);
     }
     return scfg;
   }
 
-  void add_ni(topo::HostId h) {
-    session_.add_ni(h, mcast::NiStyle::kSmartFpfs);
+  /// The reliability parameters the NIs run with: a zero retx_timeout
+  /// asks for the derived default, sized to the deepest edge and the
+  /// widest fan-out actually in the mix.
+  [[nodiscard]] netif::ReliabilityParams reliability_for(
+      const routing::RouteTable& routes) const {
+    netif::ReliabilityParams reliability = config_.reliability;
+    if (config_.style != mcast::NiStyle::kReliableFpfs ||
+        reliability.retx_timeout != sim::Time::zero()) {
+      return reliability;
+    }
+    std::vector<std::pair<topo::HostId, topo::HostId>> edges;
+    for (const MsgPlan& m : plans_) collect_edges(m, edges);
+    std::size_t max_hops = 1;
+    for (const auto& [h, c] : edges) {
+      max_hops = std::max(max_hops, routes.hops(h, c));
+    }
+    reliability.retx_timeout = netif::derived_retx_timeout(
+        config_.params, config_.network, max_hops,
+        static_cast<std::int32_t>(widest_fanout(plans_)), reliability.t_ack);
+    return reliability;
   }
 
   void launch_msg(std::size_t i) {
     session_.start(plans_[i].root(), static_cast<net::MessageId>(i + 1));
+    // A one-host tree has no destination to wait for.
+    if (plans_[i].expected == 0) done_msgs_.push_back(i);
   }
 
   /// Runs at every coordinated instant (arrival or tick): fold the
@@ -255,7 +307,7 @@ class TrafficRun {
   /// due either: release needs its last phase done, a launch its
   /// phase 0. Each phase finishes once, so each op releases once.
   void settle() {
-    if (scfg_.policy == Policy::kPaced) {
+    if (paced_) {
       block_scratch_.resize(
           static_cast<std::size_t>(session_.network().num_channels()));
       for (std::size_t c = 0; c < block_scratch_.size(); ++c) {
@@ -276,7 +328,7 @@ class TrafficRun {
     std::sort(finished_.begin(), finished_.end());
     for (std::size_t op : finished_) {
       const OpState& s = st_[op];
-      if (s.phase1_launched && s.left0 == 0 && s.left1 == 0) {
+      if (paced_ && s.phase1_launched && s.left0 == 0 && s.left1 == 0) {
         sched_.release(op_foot_[op]);
       }
     }
@@ -290,7 +342,7 @@ class TrafficRun {
   }
 
   void admit(std::size_t op, sim::Time at) {
-    sched_.admit(op_foot_[op]);
+    if (paced_) sched_.admit(op_foot_[op]);
     OpState& s = st_[op];
     s.admitted_at = at;
     s.phase1_launched = op_msgs1_[op].empty();
@@ -300,7 +352,7 @@ class TrafficRun {
 
   void arrive(std::size_t op, sim::Time at) {
     settle();
-    if (scfg_.policy == Policy::kFifo ||
+    if (!paced_ ||
         (deferred_.empty() && sched_.would_admit(op_foot_[op], 0))) {
       admit(op, at);
     } else {
@@ -348,11 +400,97 @@ class TrafficRun {
     }
   }
 
+  /// Tree repair after the mix drained (faulty runs only; every op is
+  /// then one tree message, plan index = op). Each round re-parents
+  /// every op's still-missing, still-reachable destinations into a fresh
+  /// k-binomial tree in their contention-free (nodes) order — failed
+  /// hosts are simply excised — and resends under a fresh message id of
+  /// the same ledger key. When an op's root died, the lowest-ranked
+  /// surviving destination already holding the payload is elected (at
+  /// most once: every fault fires during the first drain) and drives the
+  /// rounds from then on.
+  void repair() {
+    session_.repair_rounds([&](sim::Time start_at) {
+      bool scheduled_any = false;
+      for (std::size_t i = 0; i < plans_.size(); ++i) {
+        const core::HostTree& tree = *plans_[i].tree;
+        OpState& s = st_[plans_[i].op];
+        const auto holds = [&](topo::HostId h) {
+          return session_.arrived(i, h);
+        };
+        topo::HostId root = s.root;
+        if (!session_.network().host_alive(root)) {
+          if (!config_.repair.root_handoff) continue;
+          // Nothing to hand off when every destination already holds the
+          // message: the root died after finishing its work.
+          const bool missing = std::any_of(
+              tree.nodes.begin(), tree.nodes.end(),
+              [&](topo::HostId h) { return h != tree.root && !holds(h); });
+          if (!missing) continue;
+          root = session_.elect(tree.nodes, tree.root, holds);
+          // Nobody holds the payload: it died with the root.
+          if (root == topo::kInvalidId) continue;
+          s.root = root;
+          ++s.handoffs;
+        }
+        const auto rtree = session_.repair_tree(
+            root, tree.nodes, [&](topo::HostId h) { return !holds(h); },
+            tree.root_children());
+        if (!rtree) continue;
+        const net::MessageId message = session_.new_message(i);
+        session_.install_tree(message, *rtree, plans_[i].packets);
+        ++s.repairs;
+        session_.start_at(start_at, root, message);
+        scheduled_any = true;
+      }
+      return scheduled_any;
+    });
+  }
+
+  /// One op's record: timing over all its messages, deliveries counted
+  /// from `done` (per message, the destinations that completed it) and
+  /// verdicts of its last message.
+  OpRecord record(
+      std::size_t op, const std::vector<sim::Time>& msg_last,
+      std::vector<std::vector<std::pair<topo::HostId, sim::Time>>>& done) {
+    const TrafficOp& o = workload_.ops[op];
+    const OpState& s = st_[op];
+    OpRecord rec;
+    rec.cls = o.cls;
+    rec.arrival = rec.completed = rec.ni_completed = o.arrival;
+    rec.admitted = s.admitted_at;
+    rec.group = o.group_size();
+    rec.packets = o.packets;
+    rec.churn = o.churn;
+    rec.deferral_ticks = s.waited;
+    std::size_t last = 0;
+    for (const auto* msgs : {&op_msgs0_[op], &op_msgs1_[op]}) {
+      for (std::size_t i : *msgs) {
+        rec.completed = std::max(rec.completed, msg_last[i]);
+        rec.ni_completed = std::max(rec.ni_completed, msg_ni_last_[i]);
+        rec.packets_delivered +=
+            static_cast<std::int64_t>(done[i].size()) * plans_[i].packets;
+        last = i;
+      }
+    }
+    const core::HostTree& tree = *plans_[last].tree;
+    rec.destinations = session_.verdicts(tree.nodes, tree.root, s.root,
+                                         std::move(done[last]));
+    rec.outcome = mcast::outcome_of(rec.destinations);
+    rec.repairs = s.repairs;
+    rec.root_handoffs = s.handoffs;
+    rec.effective_root = s.root;
+    return rec;
+  }
+
   TrafficResult finish() {
     std::vector<sim::Time> msg_last(plans_.size());
+    std::vector<std::vector<std::pair<topo::HostId, sim::Time>>> done(
+        plans_.size());
     std::uint64_t digest = sim::kFnv1aBasis;
     for (const auto& c : session_.host_completions()) {
       msg_last[c.key] = std::max(msg_last[c.key], c.at);
+      done[c.key].emplace_back(c.host, c.at);
       for (const std::uint64_t word :
            {static_cast<std::uint64_t>(c.at.count_ns()),
             static_cast<std::uint64_t>(c.host), std::uint64_t{c.key}}) {
@@ -360,7 +498,8 @@ class TrafficRun {
       }
     }
     for (std::size_t i = 0; i < plans_.size(); ++i) {
-      if (remaining_[i] != 0) {
+      // Without a fault plan to blame, a missing destination is a bug.
+      if (remaining_[i] != 0 && !session_.faulty()) {
         throw std::runtime_error(
             "TrafficEngine: message " + std::to_string(i + 1) +
             " completed " + std::to_string(plans_[i].expected - remaining_[i]) +
@@ -369,30 +508,18 @@ class TrafficRun {
     }
 
     TrafficResult result;
-    result.ops.resize(num_ops_);
+    result.ops.reserve(num_ops_);
+    sim::Time first_arrival = workload_.ops.front().arrival;
     sim::Time last_completion;
     for (std::size_t op = 0; op < num_ops_; ++op) {
-      const TrafficOp& o = workload_.ops[op];
-      OpRecord& rec = result.ops[op];
-      rec.cls = o.cls;
-      rec.arrival = o.arrival;
-      rec.admitted = st_[op].admitted_at;
-      rec.group = o.group_size();
-      rec.packets = o.packets;
-      rec.churn = o.churn;
-      rec.deferral_ticks = st_[op].waited;
-      result.deferral_ticks += st_[op].waited;
-      for (const auto* msgs : {&op_msgs0_[op], &op_msgs1_[op]}) {
-        for (std::size_t i : *msgs) {
-          rec.completed = std::max(rec.completed, msg_last[i]);
-          rec.packets_delivered +=
-              static_cast<std::int64_t>(plans_[i].expected) * plans_[i].packets;
-        }
-      }
+      const OpRecord& rec =
+          result.ops.emplace_back(record(op, msg_last, done));
+      result.deferral_ticks += rec.deferral_ticks;
       result.packets_delivered += rec.packets_delivered;
+      first_arrival = std::min(first_arrival, rec.arrival);
       last_completion = std::max(last_completion, rec.completed);
     }
-    result.makespan = last_completion - workload_.ops.front().arrival;
+    result.makespan = last_completion - first_arrival;
     result.ticks = ticks_;
     if (result.makespan > sim::Time::zero()) {
       result.ops_per_sec = static_cast<double>(num_ops_) /
@@ -402,7 +529,19 @@ class TrafficRun {
           (static_cast<double>(config_.network.packet_bytes) / 8.0);
       result.flits_per_us = flits / result.makespan.as_us();
     }
-    result.total_channel_block_time = session_.network().total_block_time();
+    session_.for_each_ni([&](const netif::NetworkInterface& ni) {
+      result.buffers.push_back(mcast::BufferStat{
+          ni.id(), ni.buffer().peak(), ni.buffer().integral()});
+      if (config_.style == mcast::NiStyle::kReliableFpfs) {
+        const auto& rni = static_cast<const netif::ReliableFpfsNi&>(ni);
+        result.retransmissions += rni.retransmissions();
+        result.deliveries_failed += rni.deliveries_failed();
+      }
+    });
+    const net::WormholeNetwork& network = session_.network();
+    result.total_channel_block_time = network.total_block_time();
+    result.packets_killed = network.packets_killed();
+    result.faults_applied = network.faults_applied();
     result.events_dispatched =
         static_cast<std::int64_t>(session_.sim().events_dispatched());
     result.digest = digest;
@@ -419,9 +558,12 @@ class TrafficRun {
   std::vector<OpState> st_;
   mcast::Session session_;
   SchedulerConfig scfg_;
+  bool paced_;
   GroupScheduler sched_;
   /// Destinations each message still waits for.
   std::vector<std::int32_t> remaining_;
+  /// Each message's last first-time NI completion at a destination.
+  std::vector<sim::Time> msg_ni_last_;
   /// Messages whose last destination completed since the coordinator
   /// last settled.
   std::vector<std::size_t> done_msgs_;
@@ -440,22 +582,12 @@ class TrafficRun {
 
 TrafficEngine::TrafficEngine(const topo::Topology& topology,
                              const routing::RouteTable& routes,
-                             TrafficConfig config)
-    : topology_{topology}, routes_{routes}, config_{config} {
-  if (!config_.network.faults.empty()) {
-    throw std::invalid_argument(
-        "TrafficEngine: fault plans are not supported (the multi-tenant "
-        "engine runs a pristine fabric; repair interacting with admission "
-        "control is a separate workload)");
-  }
-  if (config_.network.loss_rate > 0.0) {
-    throw std::invalid_argument("TrafficEngine: loss is not supported");
-  }
-}
+                             TrafficConfig config, sim::Trace* trace)
+    : topology_{topology}, routes_{routes}, config_{config}, trace_{trace} {}
 
 TrafficResult TrafficEngine::run(const Workload& workload) const {
-  validate_workload(topology_, workload);
-  TrafficRun run{config_, topology_, routes_, workload};
+  validate_workload(config_, topology_, workload);
+  TrafficRun run{config_, topology_, routes_, workload, trace_};
   return run.run();
 }
 

@@ -3,24 +3,32 @@
 #include <cstdint>
 #include <vector>
 
+#include "mcast/multicast_engine.hpp"
+#include "netif/reliable_ni.hpp"
 #include "netif/system_params.hpp"
 #include "network/network_config.hpp"
 #include "routing/route_table.hpp"
 #include "sim/sim_time.hpp"
+#include "sim/trace.hpp"
 #include "topology/topology.hpp"
 #include "traffic/scheduler.hpp"
 #include "traffic/workload.hpp"
 
 namespace nimcast::traffic {
 
-/// Engine configuration. The traffic engine always drives smart FPFS
-/// NIs (the style every multi-tenant scenario targets) over a pristine
-/// fabric: fault plans and loss are rejected — repair interacting with
-/// admission control is its own future workload.
+/// Engine configuration: the simulated system, the NI style every host
+/// runs and the admission policy.
 struct TrafficConfig {
   netif::SystemParams params;
   net::NetworkConfig network;
   SchedulerConfig scheduler;
+  mcast::NiStyle style = mcast::NiStyle::kSmartFpfs;
+  /// Only used by kReliableFpfs. A zero retx_timeout is resolved per run
+  /// from the deepest edge and the widest fan-out of the mix via
+  /// netif::derived_retx_timeout.
+  netif::ReliabilityParams reliability = {};
+  /// Only consulted when `network.faults` is non-empty.
+  mcast::RepairPolicy repair = {};
 };
 
 /// Per-operation completion record.
@@ -30,8 +38,12 @@ struct OpRecord {
   /// When the scheduler admitted (launched) the op; == arrival under
   /// FIFO and for unpaced admissions.
   sim::Time admitted;
-  /// Last host-level completion over every message of the op.
+  /// Last host-level completion over every message of the op (arrival
+  /// when nothing completed).
   sim::Time completed;
+  /// Last NI-level completion (all packets receive-processed, before the
+  /// host's t_r) over every message of the op (arrival when none).
+  sim::Time ni_completed;
   std::int32_t group = 0;
   std::int32_t packets = 0;
   bool churn = false;
@@ -39,6 +51,16 @@ struct OpRecord {
   std::int32_t deferral_ticks = 0;
   /// Distinct (destination, packet) deliveries of this op.
   std::int64_t packets_delivered = 0;
+  /// Verdicts of the op's last message (the group tree; a churn stream's
+  /// re-bound tree; a collective's broadcast), in tree order.
+  mcast::Outcome outcome = mcast::Outcome::kComplete;
+  std::vector<mcast::DestinationStatus> destinations;
+  /// Tree-repair rounds the op consumed, and 1 when its root died and an
+  /// elected replacement drove the repair (mcast::RepairPolicy).
+  std::int32_t repairs = 0;
+  std::int32_t root_handoffs = 0;
+  /// The original root, or the replacement after a handoff.
+  topo::HostId effective_root = topo::kInvalidId;
 
   /// Flow-completion time: offered arrival to last completion — queueing
   /// wait included, which is what a tenant observes.
@@ -49,7 +71,7 @@ struct OpRecord {
 struct TrafficResult {
   /// Per op, in workload order.
   std::vector<OpRecord> ops;
-  /// First arrival to last host-level completion.
+  /// Earliest arrival to last host-level completion.
   sim::Time makespan;
   /// Distinct (destination, packet) deliveries across the mix.
   std::int64_t packets_delivered = 0;
@@ -63,6 +85,15 @@ struct TrafficResult {
   std::int64_t deferral_ticks = 0;
   sim::Time total_channel_block_time;
   std::int64_t events_dispatched = 0;
+  /// Buffer stats per NI, in ascending host id.
+  std::vector<mcast::BufferStat> buffers;
+  /// Reliable-style protocol counters summed over all NIs (zero for
+  /// other styles).
+  std::int64_t retransmissions = 0;
+  std::int64_t deliveries_failed = 0;
+  /// Worms truncated mid-flight by faults.
+  std::int64_t packets_killed = 0;
+  std::int32_t faults_applied = 0;
   /// FNV-1a digest over the sorted host-completion stream — the
   /// double-run byte-identity witness.
   std::uint64_t digest = 0;
@@ -70,7 +101,15 @@ struct TrafficResult {
 
 /// Multi-tenant workload engine: N concurrent multicast / streaming /
 /// collective operations over ONE shared wormhole fabric, admitted and
-/// paced by the contention-aware GroupScheduler.
+/// paced by the contention-aware GroupScheduler. Under Policy::kFifo a
+/// mix of plain multicasts is the paper's "multiple multicast" batch;
+/// MulticastEngine::run and run_many are one-op and n-op FIFO mixes.
+///
+/// Fault plans and loss are accepted for single-phase mixes (multicasts
+/// and non-churn streams). After the mix drains, repair rounds re-parent
+/// each op's missing, reachable destinations (mcast::RepairPolicy), with
+/// root hand-off when the op's root died. Compound ops are rejected under
+/// either: their second phase waits on a first that may never finish.
 ///
 /// Arrivals and coordinator ticks are coordinated events: each replays a
 /// FIFO key reserved before the run (sim::Simulator::reserve_order), so
@@ -89,22 +128,25 @@ struct TrafficResult {
 /// The tick chain's "anything left to drive" test is two counters.
 class TrafficEngine {
  public:
+  /// `trace`, when non-null, records every run's network and NI events.
   TrafficEngine(const topo::Topology& topology,
-                const routing::RouteTable& routes, TrafficConfig config);
+                const routing::RouteTable& routes, TrafficConfig config,
+                sim::Trace* trace = nullptr);
 
   [[nodiscard]] const TrafficConfig& config() const { return config_; }
 
-  /// Runs the whole mix in one simulation. Throws std::invalid_argument
-  /// on malformed workloads (empty, non-monotone arrivals, hosts out of
-  /// range, faulty/lossy network config) and std::runtime_error if any
-  /// destination fails to complete (the fabric is pristine, so anything
-  /// less is a bug).
+  /// Runs the whole mix in one simulation; arrivals may come in any
+  /// order (same-instant arrivals launch in op order). Throws
+  /// std::invalid_argument on malformed workloads (empty, hosts out of
+  /// range, compound ops under faults or loss) and std::runtime_error if
+  /// a destination fails to complete without a fault plan to blame.
   [[nodiscard]] TrafficResult run(const Workload& workload) const;
 
  private:
   const topo::Topology& topology_;
   const routing::RouteTable& routes_;
   TrafficConfig config_;
+  sim::Trace* trace_;
 };
 
 }  // namespace nimcast::traffic

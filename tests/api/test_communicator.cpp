@@ -167,5 +167,24 @@ TEST(Communicator, StreamBroadcastRotationNeedsUpDownRoutes) {
   EXPECT_EQ(r.delivered, 15);
 }
 
+// run_traffic runs Options::style, reliability and repair: a lossy
+// fabric carries a single-phase mix on reliable NIs, and a mix with
+// collectives is refused before anything runs.
+TEST(Communicator, RunTrafficRejectsLossyMixWithCollectives) {
+  Communicator::Options opts;
+  opts.network.loss_rate = 0.1;
+  opts.style = mcast::NiStyle::kReliableFpfs;
+  opts.traffic_workload.num_ops = 8;
+  opts.traffic_workload.collective_fraction = 0.5;
+  EXPECT_THROW((void)Communicator::irregular({}, opts).run_traffic(),
+               std::invalid_argument);
+  opts.traffic_workload.collective_fraction = 0.0;
+  opts.traffic_workload.churn_probability = 0.0;
+  const auto r = Communicator::irregular({}, opts).run_traffic();
+  EXPECT_EQ(r.ops, 8);
+  EXPECT_EQ(r.collectives, 0);
+  EXPECT_GT(r.packets_delivered, 0);
+}
+
 }  // namespace
 }  // namespace nimcast::api

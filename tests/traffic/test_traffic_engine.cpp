@@ -303,16 +303,33 @@ TEST(TrafficEngine, FifoMixEqualsRunMany) {
   }
 }
 
-TEST(TrafficEngine, RejectsFaultyAndLossyFabrics) {
+// Faults and loss run single-phase mixes but reject compound ops up
+// front: a collective's broadcast or a churn stream's suffix waits on a
+// first phase that may never finish, so the tick chain would never stop.
+TEST(TrafficEngine, RejectsCompoundOpsOnFaultyAndLossyFabrics) {
   const Rig rig = make_rig(29);
+  WorkloadConfig wcfg = mix_config(2.0, 16);
+  wcfg.stream_fraction = 0.4;
+  wcfg.churn_probability = 1.0;
+  const Workload mixed = generate_workload(32, rig.cco, wcfg);
+  ASSERT_GT(mixed.collectives, 0);
+  ASSERT_GT(mixed.churns, 0);
+  Workload single;
+  for (const TrafficOp& op : mixed.ops) {
+    if (op.cls != OpClass::kCollective && !op.churn) single.ops.push_back(op);
+  }
+  ASSERT_FALSE(single.ops.empty());
   TrafficConfig faulty = engine_config(Policy::kPaced);
   faulty.network.faults.link_down(sim::Time::us(1.0), 0);
-  EXPECT_THROW((TrafficEngine{*rig.topology, *rig.routes, faulty}),
-               std::invalid_argument);
-  TrafficConfig lossy = engine_config(Policy::kPaced);
+  TrafficConfig lossy = engine_config(Policy::kFifo);
   lossy.network.loss_rate = 0.1;
-  EXPECT_THROW((TrafficEngine{*rig.topology, *rig.routes, lossy}),
-               std::invalid_argument);
+  lossy.style = mcast::NiStyle::kReliableFpfs;
+  for (const TrafficConfig& cfg : {faulty, lossy}) {
+    const TrafficEngine engine{*rig.topology, *rig.routes, cfg};
+    EXPECT_THROW((void)engine.run(mixed), std::invalid_argument);
+    const TrafficResult r = engine.run(single);
+    EXPECT_EQ(r.ops.size(), single.ops.size());
+  }
 }
 
 TEST(TrafficEngine, RejectsMalformedWorkloads) {
@@ -320,9 +337,33 @@ TEST(TrafficEngine, RejectsMalformedWorkloads) {
   const TrafficEngine engine{*rig.topology, *rig.routes,
                              engine_config(Policy::kFifo)};
   EXPECT_THROW((void)engine.run(Workload{}), std::invalid_argument);
+  const Workload wl = generate_workload(32, rig.cco, mix_config(2.0, 4));
+  Workload bad = wl;
+  bad.ops.front().packets = 0;
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad = wl;
+  bad.ops.back().tree.nodes.back() = 32;
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+}
+
+// Arrivals need not be sorted: each op still launches at its own
+// arrival, and the makespan counts from the earliest one.
+TEST(TrafficEngine, AcceptsArrivalsInAnyOrder) {
+  const Rig rig = make_rig(31);
+  const TrafficEngine engine{*rig.topology, *rig.routes,
+                             engine_config(Policy::kFifo)};
   Workload wl = generate_workload(32, rig.cco, mix_config(2.0, 4));
   std::swap(wl.ops.front().arrival, wl.ops.back().arrival);
-  EXPECT_THROW((void)engine.run(wl), std::invalid_argument);
+  const TrafficResult r = engine.run(wl);
+  sim::Time first = r.ops.front().arrival;
+  sim::Time last;
+  for (const OpRecord& rec : r.ops) {
+    EXPECT_EQ(rec.admitted, rec.arrival);
+    EXPECT_GT(rec.completed, rec.arrival);
+    first = std::min(first, rec.arrival);
+    last = std::max(last, rec.completed);
+  }
+  EXPECT_EQ(r.makespan, last - first);
 }
 
 }  // namespace
