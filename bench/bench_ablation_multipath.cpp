@@ -13,6 +13,7 @@
 #include "routing/multipath_up_down.hpp"
 #include "sim/rng.hpp"
 #include "topology/fat_tree.hpp"
+#include "traffic/traffic_engine.hpp"
 
 using namespace nimcast;
 
@@ -29,7 +30,7 @@ Load run_batch(const topo::Topology& topology,
                std::uint64_t seed) {
   sim::Rng rng{seed};
   const auto k = core::optimal_k(n, m).k;
-  std::vector<mcast::MulticastSpec> specs;
+  traffic::Workload workload;
   for (std::int32_t op = 0; op < ops; ++op) {
     const auto draw = rng.sample_without_replacement(
         static_cast<std::size_t>(topology.num_hosts()),
@@ -40,19 +41,17 @@ Load run_batch(const topo::Topology& topology,
     }
     const auto members = core::arrange_participants(
         chain, static_cast<topo::HostId>(draw.front()), dests);
-    specs.push_back(mcast::MulticastSpec{
-        core::HostTree::bind(core::make_kbinomial(n, k), members), m});
+    traffic::TrafficOp top;
+    top.tree = core::HostTree::bind(core::make_kbinomial(n, k), members);
+    top.packets = m;
+    workload.ops.push_back(std::move(top));
   }
-  const mcast::MulticastEngine engine{
-      topology, routes,
-      mcast::MulticastEngine::Config{netif::SystemParams{},
-                                     net::NetworkConfig{},
-                                     mcast::NiStyle::kSmartFpfs}};
-  const auto batch = engine.run_many(specs);
+  traffic::TrafficConfig cfg;
+  cfg.scheduler.policy = traffic::Policy::kFifo;
+  const traffic::TrafficEngine engine{topology, routes, cfg};
+  const auto batch = engine.run(workload);
   Load load;
-  for (const auto& op : batch.operations) {
-    load.latency_us += op.latency.as_us() / ops;
-  }
+  for (const auto& op : batch.ops) load.latency_us += op.fct().as_us() / ops;
   load.block_us = batch.total_channel_block_time.as_us();
   return load;
 }

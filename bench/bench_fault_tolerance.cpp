@@ -15,6 +15,7 @@
 #include "core/optimal_k.hpp"
 #include "mcast/multicast_engine.hpp"
 #include "sim/rng.hpp"
+#include "traffic/traffic_engine.hpp"
 
 using namespace nimcast;
 
@@ -80,30 +81,33 @@ Point sweep_point(const core::Fabric& fabric, std::int32_t n, std::int32_t m,
       }
     }
 
-    mcast::MulticastEngine::Config cfg;
+    traffic::Workload workload;
+    workload.ops.emplace_back();
+    workload.ops.front().tree = tree;
+    workload.ops.front().packets = m;
+    traffic::TrafficConfig cfg;
     cfg.network = netcfg;
+    cfg.scheduler.policy = traffic::Policy::kFifo;
     cfg.style = mcast::NiStyle::kReliableFpfs;
-    const mcast::MulticastEngine engine{fabric.topology(), fabric.routes(),
+    const traffic::TrafficEngine engine{fabric.topology(), fabric.routes(),
                                         cfg};
-    const auto batch =
-        engine.run_many({mcast::MulticastSpec{tree, m, sim::Time::zero()}});
-    const auto& r = batch.operations.front();
+    const auto batch = engine.run(workload);
+    const auto& r = batch.ops.front();
     ratio_sum += r.delivery_ratio();
     retx += batch.retransmissions;
     repairs += r.repairs;
     killed += batch.packets_killed;
     if (r.delivered_count() > 0) {
-      lat_sum += r.latency.as_us();
+      lat_sum += r.fct().as_us();
       ++lat_count;
     }
 
-    mcast::MulticastEngine::Config nr_cfg = cfg;
+    traffic::TrafficConfig nr_cfg = cfg;
     nr_cfg.repair.max_attempts = 0;
     nr_cfg.repair.reroute = false;
-    const mcast::MulticastEngine nr_engine{fabric.topology(), fabric.routes(),
+    const traffic::TrafficEngine nr_engine{fabric.topology(), fabric.routes(),
                                            nr_cfg};
-    const auto nr = nr_engine.run(tree, m);
-    ratio_nr_sum += nr.delivery_ratio();
+    ratio_nr_sum += nr_engine.run(workload).ops.front().delivery_ratio();
   }
   pt.delivery_ratio = ratio_sum / reps;
   pt.delivery_no_repair = ratio_nr_sum / reps;

@@ -9,6 +9,7 @@
 #include "core/host_tree.hpp"
 #include "core/optimal_k.hpp"
 #include "sim/rng.hpp"
+#include "traffic/traffic_engine.hpp"
 
 using namespace nimcast;
 
@@ -24,7 +25,7 @@ Load run_concurrent(const core::Fabric& fabric, std::int32_t ops,
                     std::uint64_t seed) {
   sim::Rng rng{seed};
   const auto choice = core::optimal_k(n, m);
-  std::vector<mcast::MulticastSpec> specs;
+  traffic::Workload workload;
   for (std::int32_t op = 0; op < ops; ++op) {
     const auto draw = rng.sample_without_replacement(
         static_cast<std::size_t>(fabric.num_hosts()),
@@ -38,20 +39,17 @@ Load run_concurrent(const core::Fabric& fabric, std::int32_t ops,
         use_cco ? fabric.chain()
                 : core::random_ordering(fabric.num_hosts(), rng);
     const auto members = core::arrange_participants(base, source, dests);
-    specs.push_back(mcast::MulticastSpec{
-        core::HostTree::bind(core::make_kbinomial(n, choice.k), members), m,
-        sim::Time::zero()});
+    traffic::TrafficOp top;
+    top.tree = core::HostTree::bind(core::make_kbinomial(n, choice.k), members);
+    top.packets = m;
+    workload.ops.push_back(std::move(top));
   }
-  const mcast::MulticastEngine engine{
-      fabric.topology(), fabric.routes(),
-      mcast::MulticastEngine::Config{netif::SystemParams{},
-                                     net::NetworkConfig{},
-                                     mcast::NiStyle::kSmartFpfs}};
-  const auto batch = engine.run_many(specs);
+  traffic::TrafficConfig cfg;
+  cfg.scheduler.policy = traffic::Policy::kFifo;
+  const traffic::TrafficEngine engine{fabric.topology(), fabric.routes(), cfg};
+  const auto batch = engine.run(workload);
   Load load;
-  for (const auto& op : batch.operations) {
-    load.mean_latency_us += op.latency.as_us();
-  }
+  for (const auto& op : batch.ops) load.mean_latency_us += op.fct().as_us();
   load.mean_latency_us /= static_cast<double>(ops);
   load.block_us = batch.total_channel_block_time.as_us();
   return load;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <tuple>
 
 #include "traffic/traffic_engine.hpp"
 
@@ -35,25 +34,25 @@ const char* to_string(Outcome o) {
   return "?";
 }
 
-std::int32_t MulticastResult::delivered_count() const {
+std::int32_t Delivery::delivered_count() const {
   std::int32_t n = 0;
   for (const auto& d : destinations) n += d.delivered ? 1 : 0;
   return n;
 }
 
-double MulticastResult::delivery_ratio() const {
+double Delivery::delivery_ratio() const {
   if (destinations.empty()) return 1.0;
   return static_cast<double>(delivered_count()) /
          static_cast<double>(destinations.size());
 }
 
-double MulticastResult::peak_buffer() const {
+double RunCounters::peak_buffer() const {
   double best = 0.0;
   for (const auto& b : buffers) best = std::max(best, b.peak_packets);
   return best;
 }
 
-double MulticastResult::max_buffer_integral() const {
+double RunCounters::max_buffer_integral() const {
   double best = 0.0;
   for (const auto& b : buffers) best = std::max(best, b.packet_us_integral);
   return best;
@@ -85,13 +84,9 @@ MulticastEngine::MulticastEngine(const topo::Topology& topology,
 
 MulticastResult MulticastEngine::run(const core::HostTree& tree,
                                      std::int32_t packet_count) const {
-  MultiMulticastResult batch =
-      run_many({MulticastSpec{tree, packet_count, sim::Time::zero()}});
+  MultiMulticastResult batch = run_many({MulticastSpec{tree, packet_count}});
   MulticastResult result = std::move(batch.operations.front());
-  result.buffers = std::move(batch.buffers);
-  result.total_channel_block_time = batch.total_channel_block_time;
-  result.retransmissions = batch.retransmissions;
-  result.events_dispatched = batch.events_dispatched;
+  static_cast<RunCounters&>(result) = std::move(batch);
   return result;
 }
 
@@ -99,11 +94,10 @@ MultiMulticastResult MulticastEngine::run_many(
     const std::vector<MulticastSpec>& specs) const {
   traffic::Workload workload;
   for (const MulticastSpec& spec : specs) {
-    traffic::TrafficOp op;
+    traffic::TrafficOp& op = workload.ops.emplace_back();
     op.arrival = spec.start;
     op.tree = spec.tree;
     op.packets = spec.packet_count;
-    workload.ops.push_back(std::move(op));
   }
   traffic::TrafficConfig tcfg{config_.params, config_.network,   {},
                               config_.style,  config_.reliability,
@@ -115,32 +109,14 @@ MultiMulticastResult MulticastEngine::run_many(
   MultiMulticastResult batch;
   for (traffic::OpRecord& rec : r.ops) {
     MulticastResult& op = batch.operations.emplace_back();
+    static_cast<Delivery&>(op) = std::move(rec);
     op.latency = rec.fct();
     op.ni_latency = rec.ni_completed - rec.arrival;
-    for (const DestinationStatus& d : rec.destinations) {
-      if (!d.delivered) continue;
-      op.completions.emplace_back(d.host, d.completed_at);
-      batch.makespan = std::max(batch.makespan, d.completed_at);
+    for (const auto& [host, at] : op.completions) {
+      batch.makespan = std::max(batch.makespan, at);
     }
-    std::sort(op.completions.begin(), op.completions.end(),
-              [](const auto& a, const auto& b) {
-                return std::tie(a.second, a.first) <
-                       std::tie(b.second, b.first);
-              });
-    op.packets_delivered = rec.packets_delivered;
-    op.outcome = rec.outcome;
-    op.destinations = std::move(rec.destinations);
-    op.repairs = rec.repairs;
-    op.root_handoffs = rec.root_handoffs;
-    op.effective_root = rec.effective_root;
   }
-  batch.total_channel_block_time = r.total_channel_block_time;
-  batch.buffers = std::move(r.buffers);
-  batch.retransmissions = r.retransmissions;
-  batch.deliveries_failed = r.deliveries_failed;
-  batch.packets_killed = r.packets_killed;
-  batch.faults_applied = r.faults_applied;
-  batch.events_dispatched = r.events_dispatched;
+  static_cast<RunCounters&>(batch) = std::move(r);
   return batch;
 }
 

@@ -89,18 +89,13 @@ struct RepairPolicy {
   bool root_handoff = true;
 };
 
-/// Outcome of one multicast operation.
-struct MulticastResult {
-  /// Start to last destination *host* completion (includes the final t_r)
-  /// — the paper's multicast latency.
-  sim::Time latency;
-  /// Start to last destination *NI* completion (all packets received and
-  /// receive-processed; excludes t_r).
-  sim::Time ni_latency;
-  /// Host-level completion time per destination.
+/// How one operation's payload reached its destinations — the verdict
+/// vocabulary MulticastResult and traffic::OpRecord share.
+struct Delivery {
+  /// Host-level first completion per delivered destination, in (time,
+  /// host) order.
   std::vector<std::pair<topo::HostId, sim::Time>> completions;
-  std::vector<BufferStat> buffers;
-  sim::Time total_channel_block_time;
+  /// Distinct (destination, packet) deliveries.
   std::int64_t packets_delivered = 0;
 
   Outcome outcome = Outcome::kComplete;
@@ -115,18 +110,44 @@ struct MulticastResult {
   /// The initiator that drove the final repair round: the original root,
   /// or the elected replacement after a handoff.
   topo::HostId effective_root = topo::kInvalidId;
-  /// Batch-wide retransmission count (reliable style only); populated by
-  /// run(), zero from run_many() (use MultiMulticastResult there).
-  std::int64_t retransmissions = 0;
-  /// Simulator events the whole run consumed; populated by run(), zero
-  /// from run_many() (use MultiMulticastResult there).
-  std::int64_t events_dispatched = 0;
 
   [[nodiscard]] std::int32_t delivered_count() const;
   /// delivered / destinations; 1.0 for single-host trees.
   [[nodiscard]] double delivery_ratio() const;
+};
+
+/// What one simulation run consumed and suffered, fabric-wide — the
+/// counter vocabulary MulticastResult, MultiMulticastResult and
+/// traffic::TrafficResult share.
+struct RunCounters {
+  /// System-wide contention across all operations.
+  sim::Time total_channel_block_time;
+  /// Buffer stats per NI, in ascending host id.
+  std::vector<BufferStat> buffers;
+  /// Reliable-style protocol counters summed over all NIs (zero for
+  /// other styles).
+  std::int64_t retransmissions = 0;
+  std::int64_t deliveries_failed = 0;
+  /// Worms truncated mid-flight by faults.
+  std::int64_t packets_killed = 0;
+  std::int32_t faults_applied = 0;
+  /// Simulator events the run consumed — the denominator-free side of
+  /// the events/sec throughput metric bench_scale reports.
+  std::int64_t events_dispatched = 0;
+
   [[nodiscard]] double peak_buffer() const;
   [[nodiscard]] double max_buffer_integral() const;
+};
+
+/// Outcome of one multicast operation. run() fills the RunCounters;
+/// run_many() leaves them zero per operation (the batch carries them).
+struct MulticastResult : Delivery, RunCounters {
+  /// Start to last destination *host* completion (includes the final t_r)
+  /// — the paper's multicast latency.
+  sim::Time latency;
+  /// Start to last destination *NI* completion (all packets received and
+  /// receive-processed; excludes t_r).
+  sim::Time ni_latency;
 };
 
 /// One multicast operation for the multi-operation entry point.
@@ -140,26 +161,12 @@ struct MulticastSpec {
 };
 
 /// Result of a batch of concurrent multicasts.
-struct MultiMulticastResult {
+struct MultiMulticastResult : RunCounters {
   /// Per operation, in spec order. `latency` is measured from that
   /// operation's own start time.
   std::vector<MulticastResult> operations;
   /// Completion of the last operation, from time zero.
   sim::Time makespan;
-  /// System-wide contention across all operations.
-  sim::Time total_channel_block_time;
-  /// Buffer stats per NI across the whole batch.
-  std::vector<BufferStat> buffers;
-  /// Reliable-style protocol counters summed over all NIs (zero for
-  /// other styles).
-  std::int64_t retransmissions = 0;
-  std::int64_t deliveries_failed = 0;
-  /// Worms truncated mid-flight by faults.
-  std::int64_t packets_killed = 0;
-  std::int32_t faults_applied = 0;
-  /// Simulator events this batch consumed — the denominator-free side of
-  /// the events/sec throughput metric bench_scale reports.
-  std::int64_t events_dispatched = 0;
   /// Always 0. Kept only because the benchmark in perfbench/ still reads
   /// it; it goes when that benchmark is next revised.
   std::int64_t barrier_wall_ns = 0;
@@ -296,9 +303,9 @@ class MulticastEngine {
                                     std::int32_t packet_count) const;
 
   /// Runs several multicasts in one simulation; they share NIs, hosts
-  /// and wires and therefore contend. An NI participating in several
-  /// operations demultiplexes by message id exactly as the firmware
-  /// would.
+  /// and wires and therefore contend. A thin adapter over a FIFO
+  /// traffic::TrafficEngine mix, kept because the benchmark in perfbench/
+  /// reads MultiMulticastResult.
   [[nodiscard]] MultiMulticastResult run_many(
       const std::vector<MulticastSpec>& specs) const;
 

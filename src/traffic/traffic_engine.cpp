@@ -96,20 +96,12 @@ std::int64_t widest_fanout(const std::vector<MsgPlan>& plans) {
   return static_cast<std::int64_t>(fanout);
 }
 
-/// Collectives and churn streams: a second phase launched when the first
-/// completes.
-bool compound(const TrafficOp& o) {
-  return o.cls == OpClass::kCollective || o.churn;
-}
-
 void validate_workload(const TrafficConfig& config,
                        const topo::Topology& topology,
                        const Workload& workload) {
   if (workload.ops.empty()) {
     throw std::invalid_argument("TrafficEngine: empty workload");
   }
-  const bool degraded =
-      !config.network.faults.empty() || config.network.loss_rate > 0.0;
   const auto check_hosts = [&](const core::HostTree& t) {
     for (topo::HostId h : t.nodes) {
       if (h < 0 || h >= topology.num_hosts()) {
@@ -118,13 +110,17 @@ void validate_workload(const TrafficConfig& config,
     }
   };
   for (const TrafficOp& o : workload.ops) {
+    // Collectives and churn streams launch a second phase when the first
+    // completes.
+    const bool compound = o.cls == OpClass::kCollective || o.churn;
     if (o.packets < 1) {
       throw std::invalid_argument("TrafficEngine: packets < 1");
     }
-    if (o.tree.size() < (compound(o) ? 2 : 1)) {
+    if (o.tree.size() < (compound ? 2 : 1)) {
       throw std::invalid_argument("TrafficEngine: group too small");
     }
-    if (degraded && compound(o)) {
+    if (compound && (!config.network.faults.empty() ||
+                     config.network.loss_rate > 0.0)) {
       throw std::invalid_argument(
           "TrafficEngine: compound operations (collectives, churn) cannot "
           "run under faults or loss: their second phase waits on a first "
@@ -149,20 +145,14 @@ void validate_workload(const TrafficConfig& config,
   }
 }
 
-/// Per-op coordinator state. Mutated ONLY inside coordinated events, so
-/// every admission decision is a pure function of simulated history.
+/// Per-op coordinator state. Mutated ONLY inside coordinated events (as
+/// are each record's `admitted` and `deferral_ticks`), so every
+/// admission decision is a pure function of simulated history.
 struct OpState {
   bool phase1_launched = false;
-  std::int32_t waited = 0;
   /// Messages of each phase not yet complete at every destination.
   std::int32_t left0 = 0;
   std::int32_t left1 = 0;
-  sim::Time admitted_at;
-  /// Repair state: the initiator of the next round (the root, or the
-  /// replacement elected after it died), rounds and handoffs so far.
-  topo::HostId root = topo::kInvalidId;
-  std::int32_t repairs = 0;
-  std::int32_t handoffs = 0;
 };
 
 /// One TrafficEngine::run call on one Session: the flattened mix, the
@@ -173,16 +163,15 @@ class TrafficRun {
              const routing::RouteTable& routes, const Workload& workload,
              sim::Trace* trace)
       : config_{config},
-        workload_{workload},
         plans_{build_plans(workload)},
         num_ops_{workload.ops.size()},
         op_msgs0_(num_ops_),
         op_msgs1_(num_ops_),
         op_foot_(num_ops_),
         st_(num_ops_),
-        session_{topology,       routes,          config.params,
-                 config.network, config.repair,   "TrafficEngine",
-                 trace},
+        recs_(num_ops_),
+        session_{topology,      routes,          config.params, config.network,
+                 config.repair, "TrafficEngine", trace},
         scfg_{derive_scheduler()},
         paced_{scfg_.policy == Policy::kPaced},
         sched_{scfg_, session_.network().num_channels(),
@@ -222,7 +211,14 @@ class TrafficRun {
       }
       st_[op].left0 = static_cast<std::int32_t>(op_msgs0_[op].size());
       st_[op].left1 = static_cast<std::int32_t>(op_msgs1_[op].size());
-      st_[op].root = workload.ops[op].tree.root;
+      const TrafficOp& o = workload.ops[op];
+      OpRecord& rec = recs_[op];
+      rec.cls = o.cls;
+      rec.arrival = rec.completed = rec.ni_completed = o.arrival;
+      rec.group = o.group_size();
+      rec.packets = o.packets;
+      rec.churn = o.churn;
+      rec.effective_root = o.tree.root;
     }
     // The sink that brings a message's outstanding destination count to
     // zero logs it as done for the next coordinated instant.
@@ -235,19 +231,19 @@ class TrafficRun {
   TrafficResult run() {
     // Coordination keys, reserved before anything else is scheduled: one
     // per arrival in op order, then the tick chain's — only when the mix
-    // can tick (pacing, or a compound op's second phase), so a FIFO mix
-    // of single-phase ops keys its events exactly as a run_many batch.
+    // can tick (pacing, or a compound op: the only kind with more than
+    // one message), so a FIFO mix of single-phase ops keys its events
+    // exactly as a run_many batch.
     // Every coordinated event fires before the same-instant events the
     // run schedules, and an arrival fires before a same-instant tick.
     sim::Simulator& simctx = session_.sim();
     std::vector<std::uint64_t> arrival_keys(num_ops_, 0);
     for (auto& key : arrival_keys) key = simctx.reserve_order();
-    const bool can_tick =
-        paced_ || std::any_of(op_msgs1_.begin(), op_msgs1_.end(),
-                              [](const auto& msgs) { return !msgs.empty(); });
-    if (can_tick) tick_key_ = simctx.reserve_order();
+    if (paced_ || plans_.size() > num_ops_) {
+      tick_key_ = simctx.reserve_order();
+    }
     for (std::size_t op = 0; op < num_ops_; ++op) {
-      const sim::Time at = workload_.ops[op].arrival;
+      const sim::Time at = recs_[op].arrival;
       simctx.schedule_at_keyed(at, arrival_keys[op],
                                [this, op, at] { arrive(op, at); });
     }
@@ -301,11 +297,12 @@ class TrafficRun {
   /// Runs at every coordinated instant (arrival or tick): fold the
   /// fabric's view into the scheduler (paced only — FIFO never reads
   /// it), drain the messages completed since the last instant into their
-  /// ops' phase counters, then releases before phase-1 launches, each in
-  /// op order, so freed capacity is visible to every decision at the
-  /// same instant. Only an op a drain just finished a phase of can be
-  /// due either: release needs its last phase done, a launch its
-  /// phase 0. Each phase finishes once, so each op releases once.
+  /// ops' phase counters, then, in op order, release each op whose last
+  /// phase finished and launch the second phase of each whose first did
+  /// — before any admission, so freed capacity is visible to every
+  /// decision at the same instant. Only an op a drain just finished a
+  /// phase of can be due either. Each phase finishes once, so each op
+  /// releases once.
   void settle() {
     if (paced_) {
       block_scratch_.resize(
@@ -327,24 +324,23 @@ class TrafficRun {
     done_msgs_.clear();
     std::sort(finished_.begin(), finished_.end());
     for (std::size_t op : finished_) {
-      const OpState& s = st_[op];
-      if (paced_ && s.phase1_launched && s.left0 == 0 && s.left1 == 0) {
-        sched_.release(op_foot_[op]);
-      }
-    }
-    for (std::size_t op : finished_) {
       OpState& s = st_[op];
-      if (s.phase1_launched || s.left0 != 0) continue;
-      for (std::size_t i : op_msgs1_[op]) launch_msg(i);
-      s.phase1_launched = true;
-      --awaiting_phase1_;
+      if (s.phase1_launched) {
+        if (paced_ && s.left0 == 0 && s.left1 == 0) {
+          sched_.release(op_foot_[op]);
+        }
+      } else if (s.left0 == 0) {
+        for (std::size_t i : op_msgs1_[op]) launch_msg(i);
+        s.phase1_launched = true;
+        --awaiting_phase1_;
+      }
     }
   }
 
   void admit(std::size_t op, sim::Time at) {
     if (paced_) sched_.admit(op_foot_[op]);
     OpState& s = st_[op];
-    s.admitted_at = at;
+    recs_[op].admitted = at;
     s.phase1_launched = op_msgs1_[op].empty();
     if (!s.phase1_launched) ++awaiting_phase1_;
     for (std::size_t i : op_msgs0_[op]) launch_msg(i);
@@ -385,10 +381,10 @@ class TrafficRun {
     settle();
     std::vector<std::size_t> still;
     for (std::size_t op : deferred_) {
-      if (sched_.would_admit(op_foot_[op], st_[op].waited)) {
+      if (sched_.would_admit(op_foot_[op], recs_[op].deferral_ticks)) {
         admit(op, next_tick_);
       } else {
-        ++st_[op].waited;
+        ++recs_[op].deferral_ticks;
         still.push_back(op);
       }
     }
@@ -414,11 +410,11 @@ class TrafficRun {
       bool scheduled_any = false;
       for (std::size_t i = 0; i < plans_.size(); ++i) {
         const core::HostTree& tree = *plans_[i].tree;
-        OpState& s = st_[plans_[i].op];
+        OpRecord& rec = recs_[plans_[i].op];
         const auto holds = [&](topo::HostId h) {
           return session_.arrived(i, h);
         };
-        topo::HostId root = s.root;
+        topo::HostId root = rec.effective_root;
         if (!session_.network().host_alive(root)) {
           if (!config_.repair.root_handoff) continue;
           // Nothing to hand off when every destination already holds the
@@ -430,8 +426,8 @@ class TrafficRun {
           root = session_.elect(tree.nodes, tree.root, holds);
           // Nobody holds the payload: it died with the root.
           if (root == topo::kInvalidId) continue;
-          s.root = root;
-          ++s.handoffs;
+          rec.effective_root = root;
+          ++rec.root_handoffs;
         }
         const auto rtree = session_.repair_tree(
             root, tree.nodes, [&](topo::HostId h) { return !holds(h); },
@@ -439,7 +435,7 @@ class TrafficRun {
         if (!rtree) continue;
         const net::MessageId message = session_.new_message(i);
         session_.install_tree(message, *rtree, plans_[i].packets);
-        ++s.repairs;
+        ++rec.repairs;
         session_.start_at(start_at, root, message);
         scheduled_any = true;
       }
@@ -447,22 +443,14 @@ class TrafficRun {
     });
   }
 
-  /// One op's record: timing over all its messages, deliveries counted
-  /// from `done` (per message, the destinations that completed it) and
-  /// verdicts of its last message.
-  OpRecord record(
+  /// Completes op `op`'s record: timing over all its messages,
+  /// deliveries counted from `done` (per message, the destinations that
+  /// completed it, in (time, host) order) and verdicts of its last
+  /// message.
+  void complete_record(
       std::size_t op, const std::vector<sim::Time>& msg_last,
       std::vector<std::vector<std::pair<topo::HostId, sim::Time>>>& done) {
-    const TrafficOp& o = workload_.ops[op];
-    const OpState& s = st_[op];
-    OpRecord rec;
-    rec.cls = o.cls;
-    rec.arrival = rec.completed = rec.ni_completed = o.arrival;
-    rec.admitted = s.admitted_at;
-    rec.group = o.group_size();
-    rec.packets = o.packets;
-    rec.churn = o.churn;
-    rec.deferral_ticks = s.waited;
+    OpRecord& rec = recs_[op];
     std::size_t last = 0;
     for (const auto* msgs : {&op_msgs0_[op], &op_msgs1_[op]}) {
       for (std::size_t i : *msgs) {
@@ -474,13 +462,10 @@ class TrafficRun {
       }
     }
     const core::HostTree& tree = *plans_[last].tree;
-    rec.destinations = session_.verdicts(tree.nodes, tree.root, s.root,
-                                         std::move(done[last]));
+    rec.completions = done[last];
+    rec.destinations = session_.verdicts(
+        tree.nodes, tree.root, rec.effective_root, std::move(done[last]));
     rec.outcome = mcast::outcome_of(rec.destinations);
-    rec.repairs = s.repairs;
-    rec.root_handoffs = s.handoffs;
-    rec.effective_root = s.root;
-    return rec;
   }
 
   TrafficResult finish() {
@@ -508,17 +493,17 @@ class TrafficRun {
     }
 
     TrafficResult result;
-    result.ops.reserve(num_ops_);
-    sim::Time first_arrival = workload_.ops.front().arrival;
+    sim::Time first_arrival = recs_.front().arrival;
     sim::Time last_completion;
     for (std::size_t op = 0; op < num_ops_; ++op) {
-      const OpRecord& rec =
-          result.ops.emplace_back(record(op, msg_last, done));
+      complete_record(op, msg_last, done);
+      const OpRecord& rec = recs_[op];
       result.deferral_ticks += rec.deferral_ticks;
       result.packets_delivered += rec.packets_delivered;
       first_arrival = std::min(first_arrival, rec.arrival);
       last_completion = std::max(last_completion, rec.completed);
     }
+    result.ops = std::move(recs_);
     result.makespan = last_completion - first_arrival;
     result.ticks = ticks_;
     if (result.makespan > sim::Time::zero()) {
@@ -549,13 +534,13 @@ class TrafficRun {
   }
 
   const TrafficConfig& config_;
-  const Workload& workload_;
   const std::vector<MsgPlan> plans_;
   std::size_t num_ops_;
   std::vector<std::vector<std::size_t>> op_msgs0_;
   std::vector<std::vector<std::size_t>> op_msgs1_;
   std::vector<std::vector<std::int32_t>> op_foot_;
   std::vector<OpState> st_;
+  std::vector<OpRecord> recs_;
   mcast::Session session_;
   SchedulerConfig scfg_;
   bool paced_;
@@ -579,11 +564,6 @@ class TrafficRun {
 };
 
 }  // namespace
-
-TrafficEngine::TrafficEngine(const topo::Topology& topology,
-                             const routing::RouteTable& routes,
-                             TrafficConfig config, sim::Trace* trace)
-    : topology_{topology}, routes_{routes}, config_{config}, trace_{trace} {}
 
 TrafficResult TrafficEngine::run(const Workload& workload) const {
   validate_workload(config_, topology_, workload);

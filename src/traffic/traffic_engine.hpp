@@ -31,8 +31,11 @@ struct TrafficConfig {
   mcast::RepairPolicy repair = {};
 };
 
-/// Per-operation completion record.
-struct OpRecord {
+/// Per-operation completion record. The Delivery part describes the
+/// op's last message (the group tree; a churn stream's re-bound tree; a
+/// collective's broadcast), except packets_delivered, which counts every
+/// message of the op.
+struct OpRecord : mcast::Delivery {
   OpClass cls = OpClass::kMulticast;
   sim::Time arrival;
   /// When the scheduler admitted (launched) the op; == arrival under
@@ -49,18 +52,6 @@ struct OpRecord {
   bool churn = false;
   /// Coordinator ticks the op sat in the deferred queue (paced only).
   std::int32_t deferral_ticks = 0;
-  /// Distinct (destination, packet) deliveries of this op.
-  std::int64_t packets_delivered = 0;
-  /// Verdicts of the op's last message (the group tree; a churn stream's
-  /// re-bound tree; a collective's broadcast), in tree order.
-  mcast::Outcome outcome = mcast::Outcome::kComplete;
-  std::vector<mcast::DestinationStatus> destinations;
-  /// Tree-repair rounds the op consumed, and 1 when its root died and an
-  /// elected replacement drove the repair (mcast::RepairPolicy).
-  std::int32_t repairs = 0;
-  std::int32_t root_handoffs = 0;
-  /// The original root, or the replacement after a handoff.
-  topo::HostId effective_root = topo::kInvalidId;
 
   /// Flow-completion time: offered arrival to last completion — queueing
   /// wait included, which is what a tenant observes.
@@ -68,7 +59,7 @@ struct OpRecord {
 };
 
 /// Result of one multi-tenant run.
-struct TrafficResult {
+struct TrafficResult : mcast::RunCounters {
   /// Per op, in workload order.
   std::vector<OpRecord> ops;
   /// Earliest arrival to last host-level completion.
@@ -83,17 +74,6 @@ struct TrafficResult {
   std::int64_t ticks = 0;
   /// Sum of per-op deferral ticks.
   std::int64_t deferral_ticks = 0;
-  sim::Time total_channel_block_time;
-  std::int64_t events_dispatched = 0;
-  /// Buffer stats per NI, in ascending host id.
-  std::vector<mcast::BufferStat> buffers;
-  /// Reliable-style protocol counters summed over all NIs (zero for
-  /// other styles).
-  std::int64_t retransmissions = 0;
-  std::int64_t deliveries_failed = 0;
-  /// Worms truncated mid-flight by faults.
-  std::int64_t packets_killed = 0;
-  std::int32_t faults_applied = 0;
   /// FNV-1a digest over the sorted host-completion stream — the
   /// double-run byte-identity witness.
   std::uint64_t digest = 0;
@@ -105,11 +85,9 @@ struct TrafficResult {
 /// mix of plain multicasts is the paper's "multiple multicast" batch;
 /// MulticastEngine::run and run_many are one-op and n-op FIFO mixes.
 ///
-/// Fault plans and loss are accepted for single-phase mixes (multicasts
-/// and non-churn streams). After the mix drains, repair rounds re-parent
-/// each op's missing, reachable destinations (mcast::RepairPolicy), with
-/// root hand-off when the op's root died. Compound ops are rejected under
-/// either: their second phase waits on a first that may never finish.
+/// Fault plans and loss run single-phase mixes (multicasts, non-churn
+/// streams); once the mix drains, repair rounds re-parent each op's
+/// missing destinations, with root hand-off (mcast::RepairPolicy).
 ///
 /// Arrivals and coordinator ticks are coordinated events: each replays a
 /// FIFO key reserved before the run (sim::Simulator::reserve_order), so
@@ -131,7 +109,8 @@ class TrafficEngine {
   /// `trace`, when non-null, records every run's network and NI events.
   TrafficEngine(const topo::Topology& topology,
                 const routing::RouteTable& routes, TrafficConfig config,
-                sim::Trace* trace = nullptr);
+                sim::Trace* trace = nullptr)
+      : topology_{topology}, routes_{routes}, config_{config}, trace_{trace} {}
 
   [[nodiscard]] const TrafficConfig& config() const { return config_; }
 
