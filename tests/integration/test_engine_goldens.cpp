@@ -2,12 +2,13 @@
 // every dispatched event's firing key (sim::Simulator::DispatchDigest,
 // the same shape as Goldens.PaperRigDispatchOrder) plus the event count,
 // for one small scenario per path — streaming (static with a background
-// flow, adaptive, link-fault replan, root hand-off), run_many (reliable
-// FPFS under loss, a root death with repair and hand-off), collectives
-// (reduce/allreduce salvage under faults, fault-free scatter, gather
-// hand-off) and one paced traffic mix. The digest folds absolute FIFO
-// order keys, so it moves if an engine changes the sequence of its
-// schedule / reserve_order calls even when no latency does.
+// flow, adaptive, link-fault replan, root hand-off), the FIFO
+// multiple-multicast batch (reliable FPFS under loss, a root death with
+// repair and hand-off), collectives (reduce/allreduce salvage under
+// faults, fault-free scatter, gather hand-off) and one paced traffic mix.
+// The digest folds absolute FIFO order keys, so it moves if an engine
+// changes the sequence of its schedule / reserve_order calls even when
+// no latency does.
 //
 // (The values were produced by this implementation; they pin behaviour,
 // not external truth.)
@@ -29,6 +30,7 @@
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "support/multicast_mix.hpp"
 #include "topology/irregular.hpp"
 #include "traffic/traffic_engine.hpp"
 #include "traffic/workload.hpp"
@@ -169,17 +171,18 @@ TEST(EngineGoldens, StreamingRootDeathMidStreamFailsAfterHandoff) {
   EXPECT_EQ(r.packets_delivered, 567);
 }
 
+// The "RunMany" pair pins the multiple-multicast batch, now a FIFO
+// traffic mix of plain multicasts; the digests were recorded on the
+// batch's former driver, MulticastEngine::run_many.
 TEST(EngineGoldens, RunManyReliableUnderLossDispatchOrder) {
   const Rig rig{7};
-  mcast::MulticastEngine::Config cfg;
-  cfg.style = mcast::NiStyle::kReliableFpfs;
+  traffic::TrafficConfig cfg = test::fifo_config(mcast::NiStyle::kReliableFpfs);
   cfg.network.loss_rate = 0.2;
-  const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
-  const std::vector<mcast::MulticastSpec> specs{
-      {rig.tree(16, 4), 4, sim::Time::zero()},
-      {rig.tree(12, 2, 20), 2, sim::Time::us(5.0)}};
-  mcast::MultiMulticastResult r;
-  const auto d = digest_of([&] { r = engine.run_many(specs); });
+  const traffic::TrafficEngine engine{rig.topology, rig.routes, cfg};
+  const auto mix = test::multicast_mix(
+      {{rig.tree(16, 4), 4}, {rig.tree(12, 2, 20), 2, sim::Time::us(5.0)}});
+  traffic::TrafficResult r;
+  const auto d = digest_of([&] { r = engine.run(mix); });
   EXPECT_GT(r.retransmissions, 0);
   EXPECT_EQ(d.events, UINT64_C(1059));
   EXPECT_EQ(d.fnv, UINT64_C(0x4913e2d876f71646));
@@ -188,16 +191,14 @@ TEST(EngineGoldens, RunManyReliableUnderLossDispatchOrder) {
 TEST(EngineGoldens, RunManyRootDeathRepairAndHandoffDispatchOrder) {
   const Rig rig{7};
   const auto tree = rig.tree(24, 4);
-  mcast::MulticastEngine::Config cfg;
+  traffic::TrafficConfig cfg = test::fifo_config();
   cfg.network.faults.host_down(sim::Time::us(36.0), tree.root);
-  const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
-  const std::vector<mcast::MulticastSpec> specs{
-      {tree, 4, sim::Time::zero()},
-      {rig.tree(10, 4, 30), 4, sim::Time::zero()}};
-  mcast::MultiMulticastResult r;
-  const auto d = digest_of([&] { r = engine.run_many(specs); });
-  EXPECT_EQ(r.operations[0].root_handoffs, 1);
-  EXPECT_GT(r.operations[0].repairs, 0);
+  const traffic::TrafficEngine engine{rig.topology, rig.routes, cfg};
+  const auto mix = test::multicast_mix({{tree, 4}, {rig.tree(10, 4, 30), 4}});
+  traffic::TrafficResult r;
+  const auto d = digest_of([&] { r = engine.run(mix); });
+  EXPECT_EQ(r.ops[0].root_handoffs, 1);
+  EXPECT_GT(r.ops[0].repairs, 0);
   EXPECT_EQ(d.events, UINT64_C(803));
   EXPECT_EQ(d.fnv, UINT64_C(0x0dc18fe4a3f4c17a));
 }

@@ -14,6 +14,7 @@
 #include "network/fault_plan.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
+#include "support/multicast_mix.hpp"
 #include "topology/irregular.hpp"
 
 namespace nimcast {
@@ -191,27 +192,25 @@ TEST(FaultTolerance, RecoveredLinkIsReusedAfterLinkUp) {
 
   net::FaultPlan plan;
   plan.link_down(sim::Time::us(1.0), 0).link_up(sim::Time::us(2000.0), 0);
-  mcast::MulticastEngine::Config cfg;
+  traffic::TrafficConfig cfg = test::fifo_config();
   cfg.network.faults = std::move(plan);
   cfg.repair.max_attempts = 0;  // isolate the route-rebuild path
-  const mcast::MulticastEngine engine{topology, routes, cfg};
+  const traffic::TrafficEngine engine{topology, routes, cfg};
 
   const core::Chain members{0, 1, 2};
   const auto tree =
       core::HostTree::bind(core::make_kbinomial(3, 1), members);
-  std::vector<mcast::MulticastSpec> specs;
-  specs.push_back({tree, 2, sim::Time::us(5.0)});
-  specs.push_back({tree, 2, sim::Time::us(2500.0)});
-  const auto batch = engine.run_many(specs);
+  const auto batch = engine.run(test::multicast_mix(
+      {{tree, 2, sim::Time::us(5.0)}, {tree, 2, sim::Time::us(2500.0)}}));
 
-  ASSERT_EQ(batch.operations.size(), 2u);
-  EXPECT_EQ(batch.operations[0].outcome, mcast::Outcome::kPartial);
+  ASSERT_EQ(batch.ops.size(), 2u);
+  EXPECT_EQ(batch.ops[0].outcome, mcast::Outcome::kPartial);
   // Host 1 shares the root's switch, so it delivered during the outage;
   // host 2 sits across the dead bridge.
-  for (const auto& st : batch.operations[0].destinations) {
+  for (const auto& st : batch.ops[0].destinations) {
     EXPECT_EQ(st.delivered, st.host == 1) << "host " << st.host;
   }
-  EXPECT_EQ(batch.operations[1].outcome, mcast::Outcome::kComplete);
+  EXPECT_EQ(batch.ops[1].outcome, mcast::Outcome::kComplete);
   EXPECT_EQ(batch.faults_applied, 2);
 }
 

@@ -12,6 +12,7 @@
 #include "routing/multipath_up_down.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
+#include "support/multicast_mix.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/irregular.hpp"
 
@@ -47,19 +48,16 @@ TEST(FeatureCombos, ConcurrentReliableMulticasts) {
   const routing::UpDownRouter router{topology.switches()};
   const routing::RouteTable routes{topology, router};
   const auto chain = core::cco_ordering(topology, router);
-  net::NetworkConfig lossy;
-  lossy.loss_rate = 0.1;
-  const mcast::MulticastEngine engine{
-      topology, routes,
-      mcast::MulticastEngine::Config{netif::SystemParams{}, lossy,
-                                     mcast::NiStyle::kReliableFpfs}};
+  traffic::TrafficConfig lossy =
+      test::fifo_config(mcast::NiStyle::kReliableFpfs);
+  lossy.network.loss_rate = 0.1;
+  const traffic::TrafficEngine engine{topology, routes, lossy};
   // Two overlapping operations over distinct participant sets.
   core::Chain rev{chain.rbegin(), chain.rend()};
-  const auto batch = engine.run_many(
-      {mcast::MulticastSpec{tree_on(chain, 10, 2), 4},
-       mcast::MulticastSpec{tree_on(rev, 10, 2), 4}});
-  EXPECT_EQ(batch.operations[0].completions.size(), 9u);
-  EXPECT_EQ(batch.operations[1].completions.size(), 9u);
+  const auto batch = engine.run(test::multicast_mix(
+      {{tree_on(chain, 10, 2), 4}, {tree_on(rev, 10, 2), 4}}));
+  EXPECT_EQ(batch.ops[0].completions.size(), 9u);
+  EXPECT_EQ(batch.ops[1].completions.size(), 9u);
 }
 
 TEST(FeatureCombos, MultipathRoutesDriveTheEngine) {

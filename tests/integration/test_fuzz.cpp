@@ -13,6 +13,7 @@
 #include "mcast/step_model.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
+#include "support/multicast_mix.hpp"
 #include "topology/irregular.hpp"
 
 namespace nimcast {
@@ -130,14 +131,10 @@ TEST(Fuzz, RandomConcurrentBatchesConserveCompletions) {
   const routing::UpDownRouter router{topology.switches()};
   const routing::RouteTable routes{topology, router};
   const auto chain = core::cco_ordering(topology, router);
-  const mcast::MulticastEngine engine{
-      topology, routes,
-      mcast::MulticastEngine::Config{netif::SystemParams{},
-                                     net::NetworkConfig{},
-                                     mcast::NiStyle::kSmartFpfs}};
+  const traffic::TrafficEngine engine{topology, routes, test::fifo_config()};
   for (int trial = 0; trial < 10; ++trial) {
     const auto ops = static_cast<std::int32_t>(rng.next_in(1, 6));
-    std::vector<mcast::MulticastSpec> specs;
+    std::vector<test::Multicast> specs;
     std::vector<std::int32_t> sizes;
     for (std::int32_t op = 0; op < ops; ++op) {
       const auto n = static_cast<std::int32_t>(rng.next_in(2, 20));
@@ -150,14 +147,15 @@ TEST(Fuzz, RandomConcurrentBatchesConserveCompletions) {
       }
       const auto members = core::arrange_participants(
           chain, static_cast<topo::HostId>(draw.front()), dests);
-      specs.push_back(mcast::MulticastSpec{
+      // Starts in random order: the mix need not arrive sorted.
+      specs.push_back(test::Multicast{
           core::HostTree::bind(core::make_kbinomial(n, 2), members), m,
           sim::Time::us(static_cast<double>(rng.next_in(0, 100)))});
       sizes.push_back(n);
     }
-    const auto batch = engine.run_many(specs);
+    const auto batch = engine.run(test::multicast_mix(specs));
     for (std::size_t op = 0; op < specs.size(); ++op) {
-      ASSERT_EQ(batch.operations[op].completions.size(),
+      ASSERT_EQ(batch.ops[op].completions.size(),
                 static_cast<std::size_t>(sizes[op] - 1));
     }
   }
