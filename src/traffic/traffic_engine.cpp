@@ -290,8 +290,6 @@ class TrafficRun {
 
   void launch_msg(std::size_t i) {
     session_.start(plans_[i].root(), static_cast<net::MessageId>(i + 1));
-    // A one-host tree has no destination to wait for.
-    if (plans_[i].expected == 0) done_msgs_.push_back(i);
   }
 
   /// Runs at every coordinated instant (arrival or tick): fold the

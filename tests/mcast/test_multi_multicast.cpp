@@ -131,6 +131,16 @@ TEST(MultiMulticast, ContentionSlowsOverlappingOperations) {
   EXPECT_GT(batch.ops[0].fct() + batch.ops[1].fct(), solo.latency * 2);
 }
 
+// A one-host tree has no destination: it completes at once, with no
+// verdicts.
+TEST(MultiMulticast, SingleHostTreeCompletesAtOnce) {
+  StarRig rig;
+  const auto single = rig.engine.run(tree_over({5}), 2);
+  EXPECT_EQ(single.latency, sim::Time::zero());
+  EXPECT_TRUE(single.destinations.empty());
+  EXPECT_EQ(single.outcome, Outcome::kComplete);
+}
+
 TEST(MultiMulticast, RejectsEmptyBatchAndBadSpecs) {
   StarRig rig;
   EXPECT_THROW((void)rig.batch.run(multicast_mix({})), std::invalid_argument);
