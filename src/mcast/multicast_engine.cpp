@@ -109,9 +109,9 @@ MultiMulticastResult MulticastEngine::run_many(
   MultiMulticastResult batch;
   for (traffic::OpRecord& rec : r.ops) {
     MulticastResult& op = batch.operations.emplace_back();
-    static_cast<Delivery&>(op) = std::move(rec);
     op.latency = rec.fct();
     op.ni_latency = rec.ni_completed - rec.arrival;
+    static_cast<Delivery&>(op) = std::move(rec);
     for (const auto& [host, at] : op.completions) {
       batch.makespan = std::max(batch.makespan, at);
     }

@@ -233,9 +233,9 @@ class TrafficRun {
     // per arrival in op order, then the tick chain's — only when the mix
     // can tick (pacing, or a compound op: the only kind with more than
     // one message), so a FIFO mix of single-phase ops keys its events
-    // exactly as a run_many batch.
-    // Every coordinated event fires before the same-instant events the
-    // run schedules, and an arrival fires before a same-instant tick.
+    // exactly as a run_many batch. Every coordinated event fires before
+    // the same-instant events the run schedules, and an arrival fires
+    // before a same-instant tick.
     sim::Simulator& simctx = session_.sim();
     std::vector<std::uint64_t> arrival_keys(num_ops_, 0);
     for (auto& key : arrival_keys) key = simctx.reserve_order();
