@@ -36,8 +36,7 @@ struct Communicator::Impl {
                      multicast_config(options)},
         coll_engine{fabric.topology(), fabric.routes(),
                     collectives::CollectiveEngine::Config{
-                        options.params, options.network, options.t_comb,
-                        options.repair}} {}
+                        options.params, options.network, options.repair}} {}
 
   Options options;
   core::Fabric fabric;

@@ -42,8 +42,6 @@ class Communicator {
   struct Options {
     netif::SystemParams params;
     net::NetworkConfig network;
-    /// NI combining cost for reduce/allreduce.
-    sim::Time t_comb = sim::Time::us(1.0);
     /// Seed for random topology generation (irregular systems).
     std::uint64_t seed = 1997;
     /// NI architecture multicasts and run_traffic() run on. Use

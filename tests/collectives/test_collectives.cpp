@@ -187,7 +187,7 @@ TEST(Collectives, EveryKindRunsOnIrregularNetwork) {
 TEST(Collectives, CombiningCostShiftsReduceLatency) {
   StarRig rig;
   CollectiveEngine::Config slow;
-  slow.t_comb = sim::Time::us(10.0);
+  slow.params.t_comb = sim::Time::us(10.0);
   const CollectiveEngine slow_engine{rig.topology, rig.routes, slow};
   core::Chain order;
   for (std::int32_t i = 0; i < 10; ++i) order.push_back(i);
