@@ -260,20 +260,9 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
       case ChaosOp::kCollGather:
       case ChaosOp::kCollReduce:
       case ChaosOp::kCollAllReduce: {
-        const auto kind = [op] {
-          switch (op) {
-            case ChaosOp::kCollScatter:
-              return collectives::CollectiveKind::kScatter;
-            case ChaosOp::kCollGather:
-              return collectives::CollectiveKind::kGather;
-            case ChaosOp::kCollReduce:
-              return collectives::CollectiveKind::kReduce;
-            case ChaosOp::kCollAllReduce:
-              return collectives::CollectiveKind::kAllReduce;
-            default:
-              return collectives::CollectiveKind::kBroadcast;
-          }
-        }();
+        // The kColl* ops list the kinds in CollectiveKind order.
+        const auto kind = static_cast<collectives::CollectiveKind>(
+            static_cast<int>(op) - static_cast<int>(ChaosOp::kCollBroadcast));
         collectives::CollectiveEngine::Config ccfg;
         ccfg.network.faults = plan;
         const collectives::CollectiveEngine engine{topology, routes, ccfg};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "core/kbinomial.hpp"
 #include "netif/conventional_ni.hpp"
@@ -60,14 +59,10 @@ Session::Session(const topo::Topology& topology,
   };
 }
 
-void Session::add_host(topo::HostId h) {
-  auto& host = hosts_[static_cast<std::size_t>(h)];
-  if (!host) host = std::make_unique<netif::Host>(sim_, h, params_);
-}
-
 void Session::add_ni(topo::HostId h, NiStyle style,
                      const netif::ReliabilityParams& reliability) {
-  add_host(h);
+  auto& host = hosts_[static_cast<std::size_t>(h)];
+  if (!host) host = std::make_unique<netif::Host>(sim_, h, params_);
   auto& ni = nis_[static_cast<std::size_t>(h)];
   if (ni) return;
   switch (style) {
@@ -146,16 +141,6 @@ void Session::track_completions(std::size_t keys,
       });
     };
   }
-}
-
-std::vector<Session::Completion> Session::host_completions() const {
-  std::vector<Completion> out = host_done_;
-  std::sort(out.begin(), out.end(),
-            [](const Completion& a, const Completion& b) {
-              return std::tie(a.at, a.host, a.key) <
-                     std::tie(b.at, b.host, b.key);
-            });
-  return out;
 }
 
 void Session::repair_rounds(

@@ -41,11 +41,10 @@ class Session {
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
   [[nodiscard]] net::WormholeNetwork& network() { return network_; }
   [[nodiscard]] bool faulty() const { return faulty_; }
+  [[nodiscard]] std::size_t num_hosts() const { return num_hosts_; }
 
-  /// Builds `h`'s Host unless it exists.
-  void add_host(topo::HostId h);
   /// Builds `h`'s Host and a `style` NI (bound as h's delivery sink)
-  /// unless it has one.
+  /// unless it has them.
   void add_ni(topo::HostId h, NiStyle style,
               const netif::ReliabilityParams& reliability = {});
   [[nodiscard]] netif::NetworkInterface& ni(topo::HostId h) {
@@ -97,9 +96,10 @@ class Session {
   [[nodiscard]] bool arrived(std::size_t key, topo::HostId h) const {
     return arrived_[key * num_hosts_ + static_cast<std::size_t>(h)] != 0;
   }
-  /// Host-level completions sorted by (time, host, key) — one total
-  /// order, since the ledger admits each (key, host) once.
-  [[nodiscard]] std::vector<Completion> host_completions() const;
+  /// Host-level completions in the order they fired.
+  [[nodiscard]] const std::vector<Completion>& completion_log() const {
+    return host_done_;
+  }
 
   /// Repair rounds r = 1 .. RepairPolicy::max_attempts: `round` plans
   /// and schedules round r's work to start at now + 30 us * 2^(r-1)

@@ -44,6 +44,7 @@ void NetworkInterface::install(net::MessageId message, ForwardingEntry entry) {
   MessageSlot& slot = slots_[slot_of_[id] - 1];
   slot.entry = std::move(entry);
   slot.received = 0;
+  slot.role.reset();
 }
 
 const ForwardingEntry* NetworkInterface::find_entry(net::MessageId m) const {
@@ -127,10 +128,12 @@ void NetworkInterface::release_copy(net::MessageId message,
 void NetworkInterface::inject_copy(net::MessageId message, std::int32_t index,
                                    std::int32_t packet_count,
                                    topo::HostId child,
-                                   std::int32_t route_class) {
+                                   std::int32_t route_class,
+                                   std::int32_t tag) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
-                                  route_class] {
-    transmit(message, index, packet_count, child, route_class, false, nullptr);
+                                  route_class, tag] {
+    transmit(message, index, packet_count, child, route_class, false, nullptr,
+             tag);
   });
 }
 
@@ -158,7 +161,8 @@ void NetworkInterface::send_copy_then(net::MessageId message,
 void NetworkInterface::transmit(net::MessageId message, std::int32_t index,
                                 std::int32_t packet_count, topo::HostId child,
                                 std::int32_t route_class, bool release,
-                                const std::function<void()>* then) {
+                                const std::function<void()>* then,
+                                std::int32_t tag) {
   net::Packet p;
   p.message = message;
   p.packet_index = index;
@@ -166,6 +170,7 @@ void NetworkInterface::transmit(net::MessageId message, std::int32_t index,
   p.sender = self_;
   p.dest = child;
   p.route_class = route_class;
+  p.tag = tag;
   network_.send(p);
   if (release) release_copy(message, index);
   if (then != nullptr) (*then)();

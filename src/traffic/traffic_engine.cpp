@@ -1,14 +1,17 @@
 #include "traffic/traffic_engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "mcast/session.hpp"
 #include "netif/reliable_ni.hpp"
 #include "routing/route_alternatives.hpp"
 #include "sim/rng.hpp"
+#include "traffic/collective_op.hpp"
 
 namespace nimcast::traffic {
 
@@ -41,11 +44,11 @@ struct MsgPlan {
   }
 };
 
-/// Flattens the mix: multicasts and plain streams are one phase-0 tree
-/// message; churn streams split into a phase-0 prefix on `tree` and a
-/// phase-1 suffix on `tree2`; collectives gather every member to the
-/// root (phase 0, one two-node message per member) then broadcast back
-/// down the tree (phase 1).
+/// Flattens the mix: multicasts, plain streams and real-kind collectives
+/// are one phase-0 tree message; churn streams split into a phase-0
+/// prefix on `tree` and a phase-1 suffix on `tree2`; emulated collectives
+/// gather every member to the root (phase 0, one two-node message per
+/// member) then broadcast back down the tree (phase 1).
 std::vector<MsgPlan> build_plans(const Workload& workload) {
   std::vector<MsgPlan> plans;
   for (std::size_t op = 0; op < workload.ops.size(); ++op) {
@@ -61,6 +64,12 @@ std::vector<MsgPlan> build_plans(const Workload& workload) {
         }
         break;
       case OpClass::kCollective:
+        if (o.kind) {
+          plans.push_back(MsgPlan::on_tree(op, 0, o.tree, o.packets));
+          plans.back().expected =
+              CollectiveOp::completing_hosts(*o.kind, o.tree.size());
+          break;
+        }
         for (topo::HostId h : o.tree.nodes) {
           if (h == o.tree.root) continue;
           plans.push_back(
@@ -110,21 +119,23 @@ void validate_workload(const TrafficConfig& config,
     }
   };
   for (const TrafficOp& o : workload.ops) {
-    // Collectives and churn streams launch a second phase when the first
-    // completes.
-    const bool compound = o.cls == OpClass::kCollective || o.churn;
+    const bool collective = o.cls == OpClass::kCollective;
+    // Emulated collectives and churn streams launch a second phase when
+    // the first completes.
+    const bool compound = (collective && !o.kind) || o.churn;
     if (o.packets < 1) {
       throw std::invalid_argument("TrafficEngine: packets < 1");
     }
-    if (o.tree.size() < (compound ? 2 : 1)) {
+    if (o.tree.size() < (collective || o.churn ? 2 : 1)) {
       throw std::invalid_argument("TrafficEngine: group too small");
     }
-    if (compound && (!config.network.faults.empty() ||
-                     config.network.loss_rate > 0.0)) {
+    // A second phase may wait forever on a first that faults or loss cut
+    // short; the collective firmware has no retransmit.
+    if ((compound && !config.network.faults.empty()) ||
+        ((collective || o.churn) && config.network.loss_rate > 0.0)) {
       throw std::invalid_argument(
-          "TrafficEngine: compound operations (collectives, churn) cannot "
-          "run under faults or loss: their second phase waits on a first "
-          "that may never finish");
+          "TrafficEngine: compound operations (emulated collectives, churn) "
+          "cannot run under faults or loss, nor collectives under loss");
     }
     check_hosts(o.tree);
     if (o.churn) {
@@ -168,6 +179,7 @@ class TrafficRun {
         op_msgs0_(num_ops_),
         op_msgs1_(num_ops_),
         op_foot_(num_ops_),
+        collectives_(num_ops_),
         st_(num_ops_),
         recs_(num_ops_),
         session_{topology,      routes,          config.params, config.network,
@@ -193,11 +205,17 @@ class TrafficRun {
       if (paced_) collect_edges(m, op_edges[m.op]);
       remaining_[i] = m.expected;
       const net::MessageId message = session_.new_message(i);
+      const TrafficOp& o = workload.ops[m.op];
       if (m.tree) {
         for (topo::HostId h : m.tree->nodes) {
           session_.add_ni(h, config_.style, reliability);
         }
-        session_.install_tree(message, *m.tree, m.packets);
+        if (o.cls == OpClass::kCollective && o.kind) {
+          collectives_[m.op] = std::make_unique<CollectiveOp>(
+              session_, o, i, message, config.repair.root_handoff);
+        } else {
+          session_.install_tree(message, *m.tree, m.packets);
+        }
       } else {
         session_.add_ni(m.src, config_.style, reliability);
         session_.add_ni(m.dst, config_.style, reliability);
@@ -289,7 +307,11 @@ class TrafficRun {
   }
 
   void launch_msg(std::size_t i) {
-    session_.start(plans_[i].root(), static_cast<net::MessageId>(i + 1));
+    if (CollectiveOp* c = collectives_[plans_[i].op].get()) {
+      c->start();
+    } else {
+      session_.start(plans_[i].root(), static_cast<net::MessageId>(i + 1));
+    }
   }
 
   /// Runs at every coordinated instant (arrival or tick): fold the
@@ -402,11 +424,16 @@ class TrafficRun {
   /// the same ledger key. When an op's root died, the lowest-ranked
   /// surviving destination already holding the payload is elected (at
   /// most once: every fault fires during the first drain) and drives the
-  /// rounds from then on.
+  /// rounds from then on. A real-kind collective runs its own kind's
+  /// round (CollectiveOp::repair_round).
   void repair() {
     session_.repair_rounds([&](sim::Time start_at) {
       bool scheduled_any = false;
       for (std::size_t i = 0; i < plans_.size(); ++i) {
+        if (CollectiveOp* c = collectives_[plans_[i].op].get()) {
+          if (c->repair_round(start_at)) scheduled_any = true;
+          continue;
+        }
         const core::HostTree& tree = *plans_[i].tree;
         OpRecord& rec = recs_[plans_[i].op];
         const auto holds = [&](topo::HostId h) {
@@ -444,7 +471,7 @@ class TrafficRun {
   /// Completes op `op`'s record: timing over all its messages,
   /// deliveries counted from `done` (per message, the destinations that
   /// completed it, in (time, host) order) and verdicts of its last
-  /// message.
+  /// message, or a real-kind collective's own verdicts.
   void complete_record(
       std::size_t op, const std::vector<sim::Time>& msg_last,
       std::vector<std::vector<std::pair<topo::HostId, sim::Time>>>& done) {
@@ -459,19 +486,30 @@ class TrafficRun {
         last = i;
       }
     }
-    const core::HostTree& tree = *plans_[last].tree;
-    rec.completions = done[last];
-    rec.destinations = session_.verdicts(
-        tree.nodes, tree.root, rec.effective_root, std::move(done[last]));
-    rec.outcome = mcast::outcome_of(rec.destinations);
+    if (CollectiveOp* c = collectives_[op].get()) {
+      c->complete(rec, session_.completion_log());
+    } else {
+      const core::HostTree& tree = *plans_[last].tree;
+      rec.completions = done[last];
+      rec.destinations = session_.verdicts(
+          tree.nodes, tree.root, rec.effective_root, std::move(done[last]));
+      rec.outcome = mcast::outcome_of(rec.destinations);
+    }
+    rec.root_alive = session_.network().host_alive(rec.effective_root);
   }
 
   TrafficResult finish() {
     std::vector<sim::Time> msg_last(plans_.size());
     std::vector<std::vector<std::pair<topo::HostId, sim::Time>>> done(
         plans_.size());
+    // One total order, (time, host, key): the ledger admits each (key,
+    // host) once.
+    std::vector<mcast::Session::Completion> sorted = session_.completion_log();
+    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.at, a.host, a.key) < std::tie(b.at, b.host, b.key);
+    });
     std::uint64_t digest = sim::kFnv1aBasis;
-    for (const auto& c : session_.host_completions()) {
+    for (const auto& c : sorted) {
       msg_last[c.key] = std::max(msg_last[c.key], c.at);
       done[c.key].emplace_back(c.host, c.at);
       for (const std::uint64_t word :
@@ -525,6 +563,7 @@ class TrafficRun {
     result.total_channel_block_time = network.total_block_time();
     result.packets_killed = network.packets_killed();
     result.faults_applied = network.faults_applied();
+    result.route_epoch = network.routes().epoch();
     result.events_dispatched =
         static_cast<std::int64_t>(session_.sim().events_dispatched());
     result.digest = digest;
@@ -537,6 +576,8 @@ class TrafficRun {
   std::vector<std::vector<std::size_t>> op_msgs0_;
   std::vector<std::vector<std::size_t>> op_msgs1_;
   std::vector<std::vector<std::int32_t>> op_foot_;
+  /// Per op: its CollectiveOp when it is a real-kind collective.
+  std::vector<std::unique_ptr<CollectiveOp>> collectives_;
   std::vector<OpState> st_;
   std::vector<OpRecord> recs_;
   mcast::Session session_;

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/host_tree.hpp"
 #include "core/ordering.hpp"
+#include "netif/collective_role.hpp"
 #include "sim/sim_time.hpp"
 #include "topology/topology.hpp"
 
@@ -14,7 +16,7 @@ namespace nimcast::traffic {
 enum class OpClass : std::uint8_t {
   kMulticast,   ///< one m-packet message down the group tree
   kStream,      ///< a packet stream; may churn membership mid-stream
-  kCollective,  ///< gather-to-root incast, then broadcast back down
+  kCollective,  ///< a collective: emulated, or one real kind (TrafficOp::kind)
 };
 
 [[nodiscard]] const char* to_string(OpClass c);
@@ -33,6 +35,12 @@ struct TrafficOp {
   /// Packets per logical message (kStream: the whole stream).
   std::int32_t packets = 1;
 
+  /// kCollective only. Empty: the emulated two-phase collective that
+  /// generate_workload draws (a gather incast of one two-node message
+  /// per member, then a broadcast down `tree`). Set: one message over
+  /// `tree` whose hosts run that kind's netif::CollectiveRole firmware.
+  std::optional<netif::CollectiveKind> kind;
+
   /// kStream only: membership churn mid-stream. Packets [0, split) ride
   /// `tree`; once they have all been receive-processed, packets
   /// [split, packets) ride `tree2` — the group re-bound after one member
@@ -42,8 +50,7 @@ struct TrafficOp {
   std::int32_t split = 0;
   core::HostTree tree2;
 
-  /// Destinations that must receive the full operation for it to count
-  /// as complete (group size minus the root, both phases for churn).
+  /// Hosts in the group, root included (the first tree's, for churn).
   [[nodiscard]] std::int32_t group_size() const { return tree.size(); }
 };
 
