@@ -115,9 +115,11 @@ TEST(ChaosSoak, CampaignDigestGoldens) {
 }
 
 /// The chaos-soak delivery invariants for one traffic op: no duplicate
-/// completion, one completion per delivered destination, every reachable
-/// destination delivered unless the op failed outright, and an outcome
-/// that agrees with the delivery count.
+/// completion, one completion per delivered destination (multicasts and
+/// streams; a collective's completing hosts are its kind's, not its
+/// delivery verdicts), every reachable destination delivered unless the
+/// op failed outright, and an outcome that agrees with the delivery
+/// count.
 std::vector<std::string> op_violations(const traffic::OpRecord& op) {
   std::vector<std::string> out;
   std::set<topo::HostId> seen;
@@ -127,7 +129,8 @@ std::vector<std::string> op_violations(const traffic::OpRecord& op) {
     }
   }
   const std::int32_t delivered = op.delivered_count();
-  if (static_cast<std::size_t>(delivered) != op.completions.size()) {
+  if (op.cls != traffic::OpClass::kCollective &&
+      static_cast<std::size_t>(delivered) != op.completions.size()) {
     out.push_back("completions disagree with delivered verdicts");
   }
   for (const auto& st : op.destinations) {
@@ -153,14 +156,17 @@ std::vector<std::string> op_violations(const traffic::OpRecord& op) {
 // Traffic under chaos: seeded FIFO and paced mixes of multicasts and
 // plain streams sharing one fabric, either under a random link/switch/
 // host fault plan that also kills the roots of the first ops mid-run,
-// or under 10% loss on reliable NIs. Every op must keep the chaos-soak
-// invariants, a lossy mix must still complete, and a rerun must be
-// identical.
+// or under 10% loss on reliable NIs. Under a fault plan every other
+// multicast becomes a real-kind collective (each kind in turn), whose
+// firmware shares the hosts' NIs; loss would reject those. Every op must
+// keep the chaos-soak invariants, a lossy mix must still complete, and a
+// rerun must be identical.
 TEST(ChaosSoak, TrafficMixesUnderFaultsAndLossAreClean) {
   constexpr std::int32_t kHosts = 32;
   const std::int32_t campaigns = soak_campaigns() / 2;
   std::int32_t root_handoffs = 0;
   std::int32_t repairs = 0;
+  std::int32_t collectives = 0;
   for (std::int32_t c = 0; c < campaigns; ++c) {
     SCOPED_TRACE("campaign " + std::to_string(c));
     sim::Rng rng{UINT64_C(0x7aff1c) + static_cast<std::uint64_t>(c)};
@@ -178,13 +184,23 @@ TEST(ChaosSoak, TrafficMixesUnderFaultsAndLossAreClean) {
     wcfg.collective_fraction = 0.0;
     wcfg.churn_probability = 0.0;
     wcfg.seed = rng.next_u64();
-    const traffic::Workload mix =
+    traffic::Workload mix =
         traffic::generate_workload(kHosts, fabric.chain(), wcfg);
 
     traffic::TrafficConfig cfg;
     cfg.scheduler.policy =
         c % 4 < 2 ? traffic::Policy::kFifo : traffic::Policy::kPaced;
     const bool lossy = c % 3 == 2;
+    if (!lossy) {
+      std::int32_t multicasts = 0;
+      for (traffic::TrafficOp& op : mix.ops) {
+        if (op.cls != traffic::OpClass::kMulticast || multicasts++ % 2 == 0) {
+          continue;
+        }
+        op.cls = traffic::OpClass::kCollective;
+        op.kind = static_cast<netif::CollectiveKind>((c + collectives++) % 5);
+      }
+    }
     if (lossy) {
       cfg.network.loss_rate = 0.1;
       cfg.style = mcast::NiStyle::kReliableFpfs;
@@ -227,9 +243,11 @@ TEST(ChaosSoak, TrafficMixesUnderFaultsAndLossAreClean) {
       EXPECT_EQ(again.ops[op].completions, r.ops[op].completions);
     }
   }
-  // The campaigns must actually exercise repair and root fail-over.
+  // The campaigns must actually exercise repair, root fail-over and the
+  // collective firmware.
   EXPECT_GT(repairs, 0);
   EXPECT_GT(root_handoffs, 0);
+  EXPECT_GT(collectives, 0);
 }
 
 }  // namespace

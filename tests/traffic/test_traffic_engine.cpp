@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -329,6 +331,97 @@ TEST(TrafficEngine, RejectsCompoundOpsOnFaultyAndLossyFabrics) {
     EXPECT_THROW((void)engine.run(mixed), std::invalid_argument);
     const TrafficResult r = engine.run(single);
     EXPECT_EQ(r.ops.size(), single.ops.size());
+  }
+}
+
+/// Makes every collective of `wl` a real `kind` collective, or, without a
+/// kind, a real one of each kind in turn.
+void make_collectives_real(Workload& wl,
+                           std::optional<netif::CollectiveKind> kind = {}) {
+  std::uint8_t next = 0;
+  for (TrafficOp& op : wl.ops) {
+    if (op.cls != OpClass::kCollective) continue;
+    op.kind = kind ? *kind : static_cast<netif::CollectiveKind>(next++ % 5);
+  }
+}
+
+// Real-kind collectives are single-phase, so a fault plan runs them, with
+// repair and hand-off; their firmware has no retransmit, so loss rejects
+// them up front.
+TEST(TrafficEngine, RunsRealCollectivesUnderFaultsButNotUnderLoss) {
+  const Rig rig = make_rig(29);
+  WorkloadConfig wcfg = mix_config(2.0, 16);
+  wcfg.collective_fraction = 0.5;
+  wcfg.churn_probability = 0.0;
+  Workload wl = generate_workload(32, rig.cco, wcfg);
+  ASSERT_GE(wl.collectives, 5);
+  make_collectives_real(wl);
+  TrafficConfig faulty = engine_config(Policy::kPaced);
+  faulty.network.faults.link_down(sim::Time::us(1.0), 0);
+  std::int32_t killed = 0;
+  for (const TrafficOp& op : wl.ops) {
+    if (op.cls != OpClass::kCollective || killed == 3) continue;
+    faulty.network.faults.host_down(op.arrival + sim::Time::us(20.0),
+                                    op.tree.root);
+    ++killed;
+  }
+  const TrafficEngine engine{*rig.topology, *rig.routes, faulty};
+  const TrafficResult r = engine.run(wl);
+  ASSERT_EQ(r.ops.size(), wl.ops.size());
+  std::int32_t handoffs = 0;
+  for (const OpRecord& rec : r.ops) handoffs += rec.root_handoffs;
+  EXPECT_GT(handoffs, 0);
+  expect_same_result(r, engine.run(wl));
+
+  TrafficConfig lossy = engine_config(Policy::kFifo);
+  lossy.network.loss_rate = 0.1;
+  lossy.style = mcast::NiStyle::kReliableFpfs;
+  const TrafficEngine lossy_engine{*rig.topology, *rig.routes, lossy};
+  EXPECT_THROW((void)lossy_engine.run(wl), std::invalid_argument);
+}
+
+// Real all-reduces and multicasts on one fabric, their firmware sharing
+// each host's NI: every all-reduce moves its packets up and back down
+// every tree edge, 2 (group - 1) packets each, every op completes at
+// every host, and a rerun is identical.
+TEST(TrafficEngine, RealAllReducesShareHostNisWithMulticasts) {
+  const Rig rig = make_rig(41);
+  WorkloadConfig wcfg = mix_config(20.0, 24);
+  wcfg.stream_fraction = 0.0;
+  wcfg.collective_fraction = 0.5;
+  Workload wl = generate_workload(32, rig.cco, wcfg);
+  ASSERT_GT(wl.collectives, 0);
+  ASSERT_GT(wl.multicasts, 0);
+  make_collectives_real(wl, netif::CollectiveKind::kAllReduce);
+  std::set<topo::HostId> in_collectives;
+  std::set<topo::HostId> in_multicasts;
+  for (const TrafficOp& op : wl.ops) {
+    (op.kind ? in_collectives : in_multicasts)
+        .insert(op.tree.nodes.begin(), op.tree.nodes.end());
+  }
+  EXPECT_TRUE(std::any_of(
+      in_collectives.begin(), in_collectives.end(),
+      [&](topo::HostId h) { return in_multicasts.contains(h); }));
+  for (const Policy policy : {Policy::kFifo, Policy::kPaced}) {
+    SCOPED_TRACE(to_string(policy));
+    const TrafficEngine engine{*rig.topology, *rig.routes,
+                               engine_config(policy)};
+    const TrafficResult r = engine.run(wl);
+    ASSERT_EQ(r.ops.size(), wl.ops.size());
+    for (std::size_t i = 0; i < r.ops.size(); ++i) {
+      const TrafficOp& op = wl.ops[i];
+      const OpRecord& rec = r.ops[i];
+      const auto edges = static_cast<std::int64_t>(op.tree.size() - 1);
+      EXPECT_EQ(rec.outcome, mcast::Outcome::kComplete) << "op " << i;
+      if (op.kind) {
+        EXPECT_EQ(rec.packets_delivered, 2 * edges * op.packets) << "op " << i;
+        EXPECT_EQ(rec.completions.size(), op.tree.nodes.size()) << "op " << i;
+        EXPECT_EQ(rec.contributors, op.tree.nodes) << "op " << i;
+      } else {
+        EXPECT_EQ(rec.packets_delivered, edges * op.packets) << "op " << i;
+      }
+    }
+    expect_same_result(r, engine.run(wl));
   }
 }
 
