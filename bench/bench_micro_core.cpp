@@ -3,8 +3,10 @@
 // sizes, participant arrangement, the step-model executor, the event
 // queue (batch churn and a 1024-host run's fixed-delay mix), route
 // construction (irregular wiring, the up*/down* BFS, the route table
-// build), one FPFS receive-and-forward through an NI, a full end-to-end
-// multicast simulation, and whole multi-tenant traffic mixes. These
+// build), the NI coprocessor's task queue, one FPFS receive-and-forward
+// through an NI, a full end-to-end multicast simulation, the fixed
+// per-call scaffolding of a 1024-host engine call, and whole
+// multi-tenant traffic mixes. These
 // guard the experiment harness's own performance — regenerating the
 // figures runs hundreds of thousands of these operations.
 
@@ -20,7 +22,9 @@
 #include "core/fabric.hpp"
 #include "core/optimal_k.hpp"
 #include "harness/testbed.hpp"
+#include "mcast/multicast_engine.hpp"
 #include "mcast/step_model.hpp"
+#include "netif/serial_server.hpp"
 #include "netif/smart_ni.hpp"
 #include "routing/up_down.hpp"
 #include "sim/event_queue.hpp"
@@ -133,6 +137,33 @@ void BM_EventQueueFixedDelays(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueFixedDelays)->Arg(64)->Arg(700);
 
+// An NI coprocessor's task churn: `batch` receive tasks (t_rcv, low
+// lane), each of which queues two send copies (t_snd, normal lane), every
+// task capturing its packet as the firmware's do, served by one worker
+// until the simulator drains. Items are tasks.
+void BM_SerialServerChurn(benchmark::State& state) {
+  const auto batch = state.range(0);
+  sim::Simulator simctx;
+  netif::SerialServer server{simctx};
+  std::int64_t sink = 0;
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < batch; ++i) {
+      net::Packet p;
+      p.packet_index = static_cast<std::int32_t>(i);
+      server.enqueue_low(sim::Time::ns(500), [&server, &sink, p] {
+        for (std::int32_t c = 0; c < 2; ++c) {
+          server.enqueue(sim::Time::ns(2000),
+                         [&sink, p, c] { sink += p.packet_index + c; });
+        }
+      });
+    }
+    simctx.run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * batch * 3);
+}
+BENCHMARK(BM_SerialServerChurn)->Arg(64)->Arg(1024);
+
 /// The 1024-host irregular fabric of fabric-scale runs: 256 switches, 4
 /// hosts each, 8 ports.
 topo::Topology irregular_1024() {
@@ -195,6 +226,28 @@ BENCHMARK(BM_FullMulticastSimulation)
     ->Args({16, 8})
     ->Args({64, 8})
     ->Args({64, 32});
+
+// A one-packet broadcast to every host of the 1024-host irregular fabric
+// through MulticastEngine::run: 1,023 receive tasks and as many copies,
+// so building the session (network, hosts, NIs, forwarding entries),
+// reducing the result and tearing it all down weigh as much as the
+// drain. The first call, outside the timing, materializes the routes.
+void BM_SessionScaffold(benchmark::State& state) {
+  const auto topology = irregular_1024();
+  const routing::UpDownRouter router{topology.switches()};
+  const routing::RouteTable routes{topology, router};
+  const auto chain = core::cco_ordering(topology, router);
+  const auto n = topology.num_hosts();
+  const auto tree = core::HostTree::bind(
+      core::make_kbinomial(n, core::optimal_k(n, 1).k), chain);
+  const mcast::MulticastEngine engine{topology, routes,
+                                      mcast::MulticastEngine::Config{}};
+  benchmark::DoNotOptimize(engine.run(tree, 1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.run(tree, 1));
+  }
+}
+BENCHMARK(BM_SessionScaffold)->Unit(benchmark::kMicrosecond);
 
 // One FPFS receive-and-forward at an intermediate NI: receive processing
 // (t_rcv), the forwarding-entry lookup, holding the packet, and one copy

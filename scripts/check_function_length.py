@@ -2,12 +2,12 @@
 """Fails when an engine function grows past a fixed length.
 
 Scans every *.hpp / *.cpp under src/mcast, src/collectives,
-src/traffic and src/netif and measures each function body that is not
-nested inside another function: namespace-scope functions and member
-functions, whether defined in or out of their class. A body's length
-runs from the line of its opening brace to the line of its closing
-brace; lambdas and local classes count toward the function that
-contains them. Any body longer than LIMIT lines is reported and the
+src/traffic, src/netif and src/sim and measures each function body
+that is not nested inside another function: namespace-scope functions
+and member functions, whether defined in or out of their class. A
+body's length runs from the line of its opening brace to the line of
+its closing brace; lambdas and local classes count toward the function
+that contains them. Any body longer than LIMIT lines is reported and the
 script exits 1.
 
 Usage (from anywhere; takes no flags):
@@ -21,7 +21,8 @@ import sys
 
 LIMIT = 150
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DIRS = ("src/mcast", "src/collectives", "src/traffic", "src/netif")
+DIRS = ("src/mcast", "src/collectives", "src/traffic", "src/netif",
+        "src/sim")
 
 SCOPE_RE = re.compile(
     r"^(template\s*<.*>\s*)?(namespace|class|struct|union|enum)\b"

@@ -82,9 +82,48 @@ MulticastEngine::MulticastEngine(const topo::Topology& topology,
   }
 }
 
+namespace {
+
+/// Runs `workload` (plain multicasts) as a FIFO traffic mix under the
+/// engine's configuration and maps each op onto a MulticastResult.
+MultiMulticastResult run_fifo(const topo::Topology& topology,
+                              const routing::RouteTable& routes,
+                              const MulticastEngine::Config& config,
+                              sim::Trace* trace,
+                              const traffic::Workload& workload) {
+  traffic::TrafficConfig tcfg{config.params, config.network,   {},
+                              config.style,  config.reliability,
+                              config.repair};
+  tcfg.scheduler.policy = traffic::Policy::kFifo;
+  traffic::TrafficResult r =
+      traffic::TrafficEngine{topology, routes, tcfg, trace}.run(workload);
+
+  MultiMulticastResult batch;
+  for (traffic::OpRecord& rec : r.ops) {
+    MulticastResult& op = batch.operations.emplace_back();
+    op.latency = rec.fct();
+    op.ni_latency = rec.ni_completed - rec.arrival;
+    static_cast<Delivery&>(op) = std::move(rec);
+    for (const auto& [host, at] : op.completions) {
+      batch.makespan = std::max(batch.makespan, at);
+    }
+  }
+  static_cast<RunCounters&>(batch) = std::move(r);
+  return batch;
+}
+
+}  // namespace
+
 MulticastResult MulticastEngine::run(const core::HostTree& tree,
                                      std::int32_t packet_count) const {
-  MultiMulticastResult batch = run_many({MulticastSpec{tree, packet_count}});
+  // The one-op mix is built here, not through run_many, so the tree (an
+  // unordered_map of children) is copied once.
+  traffic::Workload workload;
+  traffic::TrafficOp& op = workload.ops.emplace_back();
+  op.tree = tree;
+  op.packets = packet_count;
+  MultiMulticastResult batch =
+      run_fifo(topology_, routes_, config_, trace_, workload);
   MulticastResult result = std::move(batch.operations.front());
   static_cast<RunCounters&>(result) = std::move(batch);
   return result;
@@ -99,25 +138,7 @@ MultiMulticastResult MulticastEngine::run_many(
     op.tree = spec.tree;
     op.packets = spec.packet_count;
   }
-  traffic::TrafficConfig tcfg{config_.params, config_.network,   {},
-                              config_.style,  config_.reliability,
-                              config_.repair};
-  tcfg.scheduler.policy = traffic::Policy::kFifo;
-  traffic::TrafficResult r =
-      traffic::TrafficEngine{topology_, routes_, tcfg, trace_}.run(workload);
-
-  MultiMulticastResult batch;
-  for (traffic::OpRecord& rec : r.ops) {
-    MulticastResult& op = batch.operations.emplace_back();
-    op.latency = rec.fct();
-    op.ni_latency = rec.ni_completed - rec.arrival;
-    static_cast<Delivery&>(op) = std::move(rec);
-    for (const auto& [host, at] : op.completions) {
-      batch.makespan = std::max(batch.makespan, at);
-    }
-  }
-  static_cast<RunCounters&>(batch) = std::move(r);
-  return batch;
+  return run_fifo(topology_, routes_, config_, trace_, workload);
 }
 
 }  // namespace nimcast::mcast

@@ -24,12 +24,15 @@ void NetworkInterface::install_role(net::MessageId message,
   role.folded.assign(static_cast<std::size_t>(role.packets), 0);
   role.child_folded.assign(role.children.size(), 0);
   install(message, ForwardingEntry{{}, role.packets, false, 0});
-  find_slot(message)->role = std::make_unique<CollectiveRole>(std::move(role));
+  // The role joins its slot's allocation; a slot the message already had
+  // moves into it.
+  auto& slot = slots_[slot_of_[static_cast<std::size_t>(message)] - 1];
+  slot.reset(new RoleSlot(std::move(*slot), std::move(role)));
 }
 
 const CollectiveRole* NetworkInterface::role(net::MessageId message) const {
   const MessageSlot* slot = find_slot(message);
-  return slot == nullptr ? nullptr : slot->role.get();
+  return slot == nullptr ? nullptr : slot->role;
 }
 
 void NetworkInterface::start_role(net::MessageId message) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <utility>
+
 #include "netif/serial_server.hpp"
 #include "netif/system_params.hpp"
 #include "topology/ids.hpp"
@@ -26,13 +28,15 @@ class Host {
   [[nodiscard]] const SerialServer& cpu() const { return cpu_; }
 
   /// Queues one software send start-up (t_s); `then` runs at completion.
-  void software_send(SerialServer::Action then) {
-    cpu_.enqueue(params_.t_s, std::move(then));
+  template <typename F>
+  void software_send(F&& then) {
+    cpu_.enqueue(params_.t_s, std::forward<F>(then));
   }
 
   /// Queues one software message-receive (t_r); `then` runs at completion.
-  void software_receive(SerialServer::Action then) {
-    cpu_.enqueue(params_.t_r, std::move(then));
+  template <typename F>
+  void software_receive(F&& then) {
+    cpu_.enqueue(params_.t_r, std::forward<F>(then));
   }
 
  private:

@@ -36,15 +36,42 @@ void NetworkInterface::install(net::MessageId message, ForwardingEntry entry) {
   const auto id = static_cast<std::size_t>(message);
   if (id >= slot_of_.size()) slot_of_.resize(id + 1, 0);
   if (slot_of_[id] == 0) {
-    slots_.emplace_back();
+    slots_.emplace_back(new MessageSlot{});
     slot_of_[id] = static_cast<std::uint32_t>(slots_.size());
   }
-  // A reinstall keeps the slot (and any packets it still holds) but
-  // restarts the message's receive count.
-  MessageSlot& slot = slots_[slot_of_[id] - 1];
+  auto& owned = slots_[slot_of_[id] - 1];
+  if (owned->role != nullptr) {
+    // A reinstall drops the role: the state moves to a plain slot.
+    auto plain = std::unique_ptr<MessageSlot, SlotDeleter>(
+        new MessageSlot(std::move(*owned)));
+    plain->role = nullptr;
+    owned = std::move(plain);
+  }
+  // A reinstall keeps the slot's packet states (and any packets it still
+  // holds) but restarts the message's receive count.
+  MessageSlot& slot = *owned;
   slot.entry = std::move(entry);
   slot.received = 0;
-  slot.role.reset();
+}
+
+void NetworkInterface::SlotDeleter::operator()(
+    MessageSlot* slot) const noexcept {
+  if (slot->role != nullptr) {
+    delete static_cast<RoleSlot*>(slot);
+  } else {
+    delete slot;
+  }
+}
+
+NetworkInterface::PacketState& NetworkInterface::packet_state(
+    MessageSlot& slot, std::int32_t index) {
+  auto& packets = slot.packets;
+  const auto i = static_cast<std::size_t>(index);
+  if (i >= packets.size()) {
+    packets.resize(
+        std::max(i + 1, static_cast<std::size_t>(slot.entry.packet_count)));
+  }
+  return packets[i];
 }
 
 const ForwardingEntry* NetworkInterface::find_entry(net::MessageId m) const {
@@ -100,16 +127,11 @@ void NetworkInterface::hold_packet(net::MessageId message, std::int32_t index,
                            ": hold_packet for unknown message " +
                            std::to_string(message));
   }
-  auto& outstanding = slot->outstanding;
-  const auto i = static_cast<std::size_t>(index);
-  if (i >= outstanding.size()) {
-    outstanding.resize(std::max(
-        i + 1, static_cast<std::size_t>(slot->entry.packet_count)), 0);
-  }
-  assert(outstanding[i] == 0 && "packet already held");
+  PacketState& packet = packet_state(*slot, index);
+  assert(packet.outstanding == 0 && "packet already held");
   buffer_.acquire();
   if (copies > 0) {
-    outstanding[i] = copies;
+    packet.outstanding = copies;
   } else {
     buffer_.release();
   }
@@ -119,8 +141,8 @@ void NetworkInterface::release_copy(net::MessageId message,
                                     std::int32_t index) {
   MessageSlot* slot = find_slot(message);
   assert(slot != nullptr &&
-         static_cast<std::size_t>(index) < slot->outstanding.size());
-  auto& count = slot->outstanding[static_cast<std::size_t>(index)];
+         static_cast<std::size_t>(index) < slot->packets.size());
+  auto& count = slot->packets[static_cast<std::size_t>(index)].outstanding;
   assert(count > 0 && "release_copy on a packet not held");
   if (--count == 0) buffer_.release();
 }
@@ -132,8 +154,7 @@ void NetworkInterface::inject_copy(net::MessageId message, std::int32_t index,
                                    std::int32_t tag) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
                                   route_class, tag] {
-    transmit(message, index, packet_count, child, route_class, false, nullptr,
-             tag);
+    transmit(message, index, packet_count, child, route_class, false, tag);
   });
 }
 
@@ -142,26 +163,13 @@ void NetworkInterface::send_copy(net::MessageId message, std::int32_t index,
                                  std::int32_t route_class) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
                                   route_class] {
-    transmit(message, index, packet_count, child, route_class, true, nullptr);
-  });
-}
-
-void NetworkInterface::send_copy_then(net::MessageId message,
-                                      std::int32_t index,
-                                      std::int32_t packet_count,
-                                      topo::HostId child,
-                                      std::int32_t route_class,
-                                      std::function<void()> then) {
-  coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
-                                  route_class, then = std::move(then)] {
-    transmit(message, index, packet_count, child, route_class, true, &then);
+    transmit(message, index, packet_count, child, route_class, true);
   });
 }
 
 void NetworkInterface::transmit(net::MessageId message, std::int32_t index,
                                 std::int32_t packet_count, topo::HostId child,
                                 std::int32_t route_class, bool release,
-                                const std::function<void()>* then,
                                 std::int32_t tag) {
   net::Packet p;
   p.message = message;
@@ -173,7 +181,6 @@ void NetworkInterface::transmit(net::MessageId message, std::int32_t index,
   p.tag = tag;
   network_.send(p);
   if (release) release_copy(message, index);
-  if (then != nullptr) (*then)();
   if (trace_) {
     trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
                    "sent msg=" + std::to_string(message) + " pkt=" +

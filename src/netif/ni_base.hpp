@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -81,7 +80,7 @@ class NetworkInterface : public net::DeliverySink {
       deliver(packet);
       return;
     }
-    CollectiveRole* role = slot->role.get();
+    CollectiveRole* role = slot->role;
     ++role->delivered;
     buffer_.acquire();
     coproc_.enqueue_low(params_.t_rcv, [this, role, packet] {
@@ -143,9 +142,17 @@ class NetworkInterface : public net::DeliverySink {
   /// member selection off its last copy this way — the continuation
   /// enqueues before the coprocessor picks its next task, so the issue
   /// stream's timing is byte-identical to enqueueing everything upfront.
+  template <typename F>
   void send_copy_then(net::MessageId message, std::int32_t index,
                       std::int32_t packet_count, topo::HostId child,
-                      std::int32_t route_class, std::function<void()> then);
+                      std::int32_t route_class, F then) {
+    coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child,
+                                    route_class,
+                                    then = std::move(then)]() mutable {
+      transmit(message, index, packet_count, child, route_class, true);
+      then();
+    });
+  }
 
   /// Declares that packet `index` is resident in NI memory and will be
   /// copied out `copies` times. Acquires a buffer slot (released
@@ -166,8 +173,70 @@ class NetworkInterface : public net::DeliverySink {
                            const ForwardingEntry& entry);
 
   /// The installed entry for `m`, or nullptr. The pointer stays valid
-  /// across later installs (a reinstall overwrites the same entry).
+  /// across later installs (a reinstall overwrites the same entry), save
+  /// one that turns `m` from a multicast into a collective role or back,
+  /// which moves the message to a new slot.
   [[nodiscard]] const ForwardingEntry* find_entry(net::MessageId m) const;
+
+  /// One copy of a held packet awaiting its child's acknowledgment
+  /// (reliable NI): the armed retransmission timer and the attempts
+  /// burned so far.
+  struct PendingCopy {
+    sim::EventId timer;
+    std::int32_t attempts = 0;
+    bool live = false;  ///< sent, not yet ACKed or abandoned
+  };
+
+  /// One packet of a message at this NI.
+  struct PacketState {
+    /// Copies still to inject or acknowledge; > 0 while the packet
+    /// occupies a buffer slot.
+    std::int32_t outstanding = 0;
+    /// Reliable NI: a data copy was already receive-processed.
+    bool seen = false;
+  };
+
+  /// Everything the NI keeps per message: the forwarding entry, how many
+  /// distinct packets finished receive processing, the per-packet states
+  /// (sized on first use, so leaves of the unreliable styles never
+  /// allocate them), the reliable NI's per-copy ACK state, and the
+  /// collective role when the message is one.
+  struct MessageSlot {
+    ForwardingEntry entry;
+    std::int32_t received = 0;
+    /// Entries of `pending`: per (packet, child position in
+    /// entry.children), packet-major, allocated on the first send (an
+    /// array and its count, not a vector, keep a slot at 88 bytes).
+    std::uint32_t pending_size = 0;
+    std::vector<PacketState> packets;
+    std::unique_ptr<PendingCopy[]> pending;
+    /// The collective role, held in the same allocation (a RoleSlot) so
+    /// forwarding slots do not carry its size; null for a multicast.
+    CollectiveRole* role = nullptr;
+  };
+
+  /// Packet `index`'s state in `slot`, sizing the table on first use.
+  PacketState& packet_state(MessageSlot& slot, std::int32_t index);
+
+  /// The slot of an installed message, or nullptr. Inline: every
+  /// received packet and every injected copy looks its message up.
+  [[nodiscard]] const MessageSlot* find_slot(net::MessageId m) const {
+    const auto id = static_cast<std::size_t>(m);
+    if (m < 0 || id >= slot_of_.size() || slot_of_[id] == 0) return nullptr;
+    return slots_[slot_of_[id] - 1].get();
+  }
+  [[nodiscard]] MessageSlot* find_slot(net::MessageId m) {
+    return const_cast<MessageSlot*>(std::as_const(*this).find_slot(m));
+  }
+
+  /// The one send path behind inject_copy, send_copy and send_copy_then,
+  /// run inside their coprocessor completion: builds packet `index` of
+  /// `message` for `child` with `tag`, hands it to the network, releases
+  /// its buffer copy when `release`, and records the "sent" trace line.
+  void transmit(net::MessageId message, std::int32_t index,
+                std::int32_t packet_count, topo::HostId child,
+                std::int32_t route_class, bool release,
+                std::int32_t tag = -1);
 
   sim::Simulator& sim_;
   net::WormholeNetwork& network_;
@@ -178,39 +247,6 @@ class NetworkInterface : public net::DeliverySink {
   BufferTracker buffer_;
 
  private:
-  /// Everything the NI keeps per message: the forwarding entry, how many
-  /// distinct packets finished receive processing, each held packet's
-  /// outstanding-copy count (> 0 while it occupies a buffer slot; sized
-  /// on the first hold, so leaves never allocate it), and the collective
-  /// role when the message is one.
-  struct MessageSlot {
-    ForwardingEntry entry;
-    std::int32_t received = 0;
-    std::vector<std::int32_t> outstanding;
-    std::unique_ptr<CollectiveRole> role;
-  };
-
-  /// The slot of an installed message, or nullptr. Inline: every
-  /// received packet and every injected copy looks its message up.
-  [[nodiscard]] const MessageSlot* find_slot(net::MessageId m) const {
-    const auto id = static_cast<std::size_t>(m);
-    if (m < 0 || id >= slot_of_.size() || slot_of_[id] == 0) return nullptr;
-    return &slots_[slot_of_[id] - 1];
-  }
-  [[nodiscard]] MessageSlot* find_slot(net::MessageId m) {
-    return const_cast<MessageSlot*>(std::as_const(*this).find_slot(m));
-  }
-
-  /// The one send path behind inject_copy, send_copy and send_copy_then,
-  /// run inside their coprocessor completion: builds packet `index` of
-  /// `message` for `child` with `tag`, hands it to the network, releases
-  /// its buffer copy when `release`, runs `then` when given, and records
-  /// the "sent" trace line — in that order.
-  void transmit(net::MessageId message, std::int32_t index,
-                std::int32_t packet_count, topo::HostId child,
-                std::int32_t route_class, bool release,
-                const std::function<void()>* then, std::int32_t tag = -1);
-
   // The collective firmware (collective_role.cpp).
   void role_handle(CollectiveRole& role, const net::Packet& packet);
   /// Reduce up phase: folds one child packet into the local partial.
@@ -219,12 +255,29 @@ class NetworkInterface : public net::DeliverySink {
   void role_progress(CollectiveRole& role, net::MessageId message,
                      std::int32_t goal);
 
+  /// A collective role message's slot: the role lives inline. A slot is
+  /// a RoleSlot exactly when its `role` is set.
+  struct RoleSlot final : MessageSlot {
+    RoleSlot(MessageSlot&& base, CollectiveRole r)
+        : MessageSlot(std::move(base)), held{std::move(r)} {
+      role = &held;
+    }
+    RoleSlot(RoleSlot&&) = delete;
+    CollectiveRole held;
+  };
+  /// Deletes a slot as what it is (MessageSlot has no virtual members).
+  struct SlotDeleter {
+    void operator()(MessageSlot* slot) const noexcept;
+  };
+
   /// Message ids are dense (1..N in every engine), so a vector indexed
   /// by id maps each installed message to its slot (index + 1; 0 = not
-  /// installed). Slots live in a deque: find_entry pointers held by
-  /// streams and repair rounds survive later installs.
+  /// installed; four bytes per id, as an NI in a mix sees most ids).
+  /// Each slot is owned on its own: find_entry and role pointers held by
+  /// streams, repair rounds and queued firmware tasks survive later
+  /// installs of other messages.
   std::vector<std::uint32_t> slot_of_;
-  std::deque<MessageSlot> slots_;
+  std::vector<std::unique_ptr<MessageSlot, SlotDeleter>> slots_;
 };
 
 }  // namespace nimcast::netif

@@ -73,13 +73,45 @@ void ReliableFpfsNi::start_from_host(net::MessageId message, Host& host) {
     for (std::int32_t j = 0; j < entry->packet_count; ++j) {
       hold_packet(message, j, copies);
     }
+    MessageSlot& slot = *find_slot(message);
     for (std::int32_t j = 0; j < entry->packet_count; ++j) {
+      await_acks(slot, j);
       for (topo::HostId child : entry->children) {
-        pending_.emplace(edge_key(message, j, child), PendingSend{});
         reliable_send(message, j, entry->packet_count, child);
       }
     }
   });
+}
+
+void ReliableFpfsNi::await_acks(MessageSlot& slot, std::int32_t index) {
+  const std::size_t fanout = slot.entry.children.size();
+  if (!slot.pending) {
+    const std::size_t size =
+        static_cast<std::size_t>(slot.entry.packet_count) * fanout;
+    slot.pending = std::make_unique<PendingCopy[]>(size);
+    slot.pending_size = static_cast<std::uint32_t>(size);
+  }
+  const std::size_t first = static_cast<std::size_t>(index) * fanout;
+  if (first + fanout > slot.pending_size) {
+    throw std::logic_error("ReliableFpfsNi: packet index past the message");
+  }
+  for (std::size_t c = 0; c < fanout; ++c) {
+    PendingCopy& copy = slot.pending[first + c];
+    if (!copy.live) copy = PendingCopy{{}, 0, true};
+  }
+}
+
+ReliableFpfsNi::PendingCopy* ReliableFpfsNi::pending_copy(
+    net::MessageId message, std::int32_t index, topo::HostId child) {
+  MessageSlot* slot = find_slot(message);
+  if (slot == nullptr) return nullptr;
+  const auto& kids = slot->entry.children;
+  const auto pos = static_cast<std::size_t>(
+      std::find(kids.begin(), kids.end(), child) - kids.begin());
+  const std::size_t i = static_cast<std::size_t>(index) * kids.size() + pos;
+  if (pos == kids.size() || i >= slot->pending_size) return nullptr;
+  PendingCopy& copy = slot->pending[i];
+  return copy.live ? &copy : nullptr;
 }
 
 void ReliableFpfsNi::reliable_send(net::MessageId message, std::int32_t index,
@@ -87,10 +119,11 @@ void ReliableFpfsNi::reliable_send(net::MessageId message, std::int32_t index,
                                    topo::HostId child) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child] {
     // The ACK may have arrived while this (re)transmission sat in the
-    // coprocessor queue; if so the pending entry is gone and sending a
-    // copy now would only waste wire time (and double-release buffers).
-    if (!pending_.contains(edge_key(message, index, child))) return;
-    auto& pending = pending_[edge_key(message, index, child)];
+    // coprocessor queue; if so the copy no longer awaits one and sending
+    // it now would only waste wire time (and double-release buffers).
+    PendingCopy* copy = pending_copy(message, index, child);
+    if (copy == nullptr) return;
+    PendingCopy& pending = *copy;
     net::Packet p;
     p.message = message;
     p.packet_index = index;
@@ -120,9 +153,9 @@ void ReliableFpfsNi::reliable_send(net::MessageId message, std::int32_t index,
 void ReliableFpfsNi::on_timeout(net::MessageId message, std::int32_t index,
                                 std::int32_t packet_count,
                                 topo::HostId child) {
-  auto it = pending_.find(edge_key(message, index, child));
-  if (it == pending_.end()) return;  // ACKed in the meantime
-  auto& pending = it->second;
+  PendingCopy* copy = pending_copy(message, index, child);
+  if (copy == nullptr) return;  // ACKed in the meantime
+  PendingCopy& pending = *copy;
   // A child cut off by a fault cannot ACK no matter how often we retry;
   // abandon the edge immediately instead of burning the budget.
   const bool unreachable = !network_.reachable(self_, child);
@@ -131,7 +164,7 @@ void ReliableFpfsNi::on_timeout(net::MessageId message, std::int32_t index,
     ++retx_count_;
   }
   if (unreachable || pending.attempts > reliability_.max_retransmissions) {
-    pending_.erase(it);
+    pending.live = false;
     ++gave_up_;
     // The edge's buffer obligation is met by abandonment: without this
     // the slot would leak and the NI would report held buffers forever.
@@ -173,11 +206,10 @@ void ReliableFpfsNi::send_ack(const net::Packet& data) {
 }
 
 void ReliableFpfsNi::handle_ack(const net::Packet& ack) {
-  const auto key = edge_key(ack.message, ack.packet_index, ack.sender);
-  auto it = pending_.find(key);
-  if (it == pending_.end()) return;  // duplicate ACK
-  sim_.cancel(it->second.timer);
-  pending_.erase(it);
+  PendingCopy* copy = pending_copy(ack.message, ack.packet_index, ack.sender);
+  if (copy == nullptr) return;  // duplicate ACK
+  sim_.cancel(copy->timer);
+  copy->live = false;
   // The child has the packet; this copy's buffer obligation is met.
   release_copy(ack.message, ack.packet_index);
 }
@@ -197,17 +229,18 @@ void ReliableFpfsNi::deliver(const net::Packet& packet) {
   // previous ACK was lost, and duplicates must be re-ACKed too.
   send_ack(packet);
   coproc_.enqueue_low(params_.t_rcv, [this, packet] {
-    const ForwardingEntry* entry = find_entry(packet.message);
-    if (entry == nullptr) {
+    MessageSlot* slot = find_slot(packet.message);
+    if (slot == nullptr) {
       throw std::logic_error("ReliableFpfsNi: packet for unknown message");
     }
-    const auto id = std::pair{packet.message, packet.packet_index};
-    if (!seen_.insert(id).second) {
+    PacketState& state = packet_state(*slot, packet.packet_index);
+    if (state.seen) {
       ++dup_count_;
       return;  // duplicate data: do not re-forward or re-count
     }
-    on_packet_received(packet, *entry);
-    note_data_processed(packet, *entry);
+    state.seen = true;
+    on_packet_received(packet, slot->entry);
+    note_data_processed(packet, slot->entry);
   });
 }
 
@@ -216,9 +249,8 @@ void ReliableFpfsNi::on_packet_received(const net::Packet& packet,
   if (entry.children.empty()) return;
   hold_packet(packet.message, packet.packet_index,
               static_cast<std::int32_t>(entry.children.size()));
+  await_acks(*find_slot(packet.message), packet.packet_index);
   for (topo::HostId child : entry.children) {
-    pending_.emplace(edge_key(packet.message, packet.packet_index, child),
-                     PendingSend{});
     reliable_send(packet.message, packet.packet_index, packet.packet_count,
                   child);
   }

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <set>
-#include <unordered_map>
 
 #include "netif/ni_base.hpp"
 #include "network/network_config.hpp"
@@ -50,6 +48,10 @@ struct ReliabilityParams {
 ///     be lost too);
 ///   - duplicate data packets are detected by (message, index) and not
 ///     re-forwarded or re-counted;
+///   - the per-copy ACK state (timer, attempts) and the duplicate filter
+///     live in the NI's message slot as dense per-(packet, child) and
+///     per-packet tables, so the protocol allocates per message, not per
+///     copy;
 ///   - a packet's NI buffer slot is released when every child has
 ///     ACKed it, not when the copies were injected — reliability is what
 ///     actually forces multicast buffering at NIs.
@@ -89,19 +91,15 @@ class ReliableFpfsNi final : public NetworkInterface {
                           const ForwardingEntry& entry) override;
 
  private:
-  struct PendingSend {
-    sim::EventId timer;
-    std::int32_t attempts = 0;
-  };
-
-  static std::uint64_t edge_key(net::MessageId m, std::int32_t index,
-                                topo::HostId child) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint16_t>(m)) << 48) |
-           (static_cast<std::uint64_t>(static_cast<std::uint16_t>(index))
-            << 32) |
-           static_cast<std::uint32_t>(child);
-  }
-
+  /// Marks every copy of held packet `index` as awaiting its child's ACK
+  /// (sizing the slot's table on first use); a copy already awaiting one
+  /// keeps its state.
+  void await_acks(MessageSlot& slot, std::int32_t index);
+  /// The ACK state of `message`'s packet `index` to `child` while that
+  /// copy awaits its ACK, else nullptr.
+  [[nodiscard]] PendingCopy* pending_copy(net::MessageId message,
+                                          std::int32_t index,
+                                          topo::HostId child);
   /// Queues (or re-queues) one copy and arms the timer at injection.
   void reliable_send(net::MessageId message, std::int32_t index,
                      std::int32_t packet_count, topo::HostId child);
@@ -117,8 +115,6 @@ class ReliableFpfsNi final : public NetworkInterface {
   ReliabilityParams reliability_;
   sim::Time base_timeout_;
   sim::Rng backoff_rng_;
-  std::unordered_map<std::uint64_t, PendingSend> pending_;
-  std::set<std::pair<net::MessageId, std::int32_t>> seen_;
   std::int64_t retx_count_ = 0;
   std::int64_t dup_count_ = 0;
   std::int64_t gave_up_ = 0;

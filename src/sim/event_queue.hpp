@@ -235,6 +235,11 @@ class EventQueue {
   /// Pre-sizes the slot slab and heap for `n` concurrent events.
   void reserve(std::size_t n);
 
+  /// The overflow arena of this queue's callbacks. Components that keep
+  /// their own EventCallbacks (NI task rings) place large captures here
+  /// too; the queue, and so the arena, must outlive them.
+  [[nodiscard]] EventPool& pool() { return *pool_; }
+
   /// Time of the earliest pending event. Queue must be non-empty.
   [[nodiscard]] Time next_time() const {
     assert(!heap_.empty() && "next_time() on empty queue");

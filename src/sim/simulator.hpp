@@ -87,6 +87,10 @@ class Simulator {
   /// Pre-sizes the event queue for `n` concurrent events.
   void reserve_events(std::size_t n) { queue_.reserve(n); }
 
+  /// Overflow storage for callbacks too large for EventCallback's inline
+  /// buffer (see EventQueue::pool).
+  [[nodiscard]] EventPool& callback_pool() { return queue_.pool(); }
+
   /// Dispatch-order fingerprint for golden tests: an FNV-1a digest of
   /// every dispatched event's firing key, in dispatch order, plus the
   /// event count. Each key folds as the three words (time, 0, order) —
