@@ -29,17 +29,15 @@ Measured measure(std::int32_t children, std::int32_t m,
                           std::vector<topo::SwitchId>(hosts, 0), "star"};
   const routing::UpDownRouter router{topology.switches()};
   const routing::RouteTable routes{topology, router};
-  core::HostTree tree;
-  tree.root = 0;
-  tree.nodes = {0, 1};
-  tree.children[0] = {1};
-  tree.children[1] = {};
+  std::vector<topo::HostId> nodes{0, 1};
+  std::vector<std::vector<topo::HostId>> kids{{1}, {}};
   for (std::int32_t c = 0; c < children; ++c) {
     const topo::HostId leaf = 2 + c;
-    tree.nodes.push_back(leaf);
-    tree.children[1].push_back(leaf);
-    tree.children[leaf] = {};
+    nodes.push_back(leaf);
+    kids[1].push_back(leaf);
+    kids.emplace_back();
   }
+  const core::HostTree tree{std::move(nodes), kids};
   mcast::MulticastEngine engine{
       topology, routes,
       mcast::MulticastEngine::Config{netif::SystemParams{},

@@ -26,15 +26,10 @@ core::HostTree tree(const core::Chain& chain, std::int32_t n,
 }
 
 core::HostTree star(const core::Chain& chain, std::int32_t n) {
-  core::HostTree t;
-  t.root = chain[0];
-  t.nodes.assign(chain.begin(), chain.begin() + n);
-  t.children[t.root] = {};
-  for (std::int32_t i = 1; i < n; ++i) {
-    t.children[t.root].push_back(chain[static_cast<std::size_t>(i)]);
-    t.children[chain[static_cast<std::size_t>(i)]] = {};
-  }
-  return t;
+  std::vector<topo::HostId> nodes(chain.begin(), chain.begin() + n);
+  std::vector<std::vector<topo::HostId>> kids(nodes.size());
+  kids[0].assign(nodes.begin() + 1, nodes.end());
+  return {std::move(nodes), kids};
 }
 
 double mean_latency(const std::vector<double>& v) {

@@ -3,7 +3,7 @@
 // sizes, participant arrangement, the step-model executor, the event
 // queue (batch churn and a 1024-host run's fixed-delay mix), route
 // construction (irregular wiring, the up*/down* BFS, the route table
-// build), the NI coprocessor's task queue, one FPFS receive-and-forward
+// build) and lookup, the NI coprocessor's task queue, one FPFS receive-and-forward
 // through an NI, a full end-to-end multicast simulation, the fixed
 // per-call scaffolding of a 1024-host engine call, and whole
 // multi-tenant traffic mixes. These
@@ -195,6 +195,29 @@ void BM_RouteTableBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteTableBuild);
+
+// Lookups of already materialized routes: 4096 random host pairs on the
+// 1024-host fabric, walked in a fixed order (the per-worm path() call).
+void BM_RouteTableLookup(benchmark::State& state) {
+  const auto topology = irregular_1024();
+  const routing::UpDownRouter router{topology.switches()};
+  const routing::RouteTable table{topology, router};
+  sim::Rng rng{11};
+  std::vector<std::pair<topo::HostId, topo::HostId>> pairs(4096);
+  for (auto& [src, dst] : pairs) {
+    src = static_cast<topo::HostId>(rng.next_below(1024));
+    dst = static_cast<topo::HostId>(rng.next_below(1024));
+    (void)table.path(src, dst);
+  }
+  for (auto _ : state) {
+    for (const auto& [src, dst] : pairs) {
+      benchmark::DoNotOptimize(&table.path(src, dst));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pairs.size()));
+}
+BENCHMARK(BM_RouteTableLookup);
 
 // Rejection-sampled wiring at the chaos (32) and paper (64) host counts.
 void BM_MakeIrregular(benchmark::State& state) {

@@ -77,15 +77,15 @@ core::RotationPlan plan_for(const core::Fabric& fabric, std::int32_t rotation,
 /// The first hop below `member`'s virtual root: the host all of this
 /// member's packets funnel through.
 topo::HostId relay_of(const core::RotationMember& member) {
-  return member.tree.children.at(member.tree.root).front();
+  return member.tree.children(member.tree.root).front();
 }
 
 /// Deepest first-child descent from the relay — a destination whose
 /// route shares the member's subtree wires.
 topo::HostId deep_leaf_of(const core::RotationMember& member) {
   topo::HostId h = relay_of(member);
-  while (!member.tree.children.at(h).empty()) {
-    h = member.tree.children.at(h).front();
+  while (!member.tree.children(h).empty()) {
+    h = member.tree.children(h).front();
   }
   return h;
 }

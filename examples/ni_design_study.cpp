@@ -31,16 +31,14 @@ mcast::MulticastResult run_fanout(std::int32_t children, std::int32_t m,
                           std::vector<topo::SwitchId>(hosts, 0), "star"};
   const routing::UpDownRouter router{topology.switches()};
   const routing::RouteTable routes{topology, router};
-  core::HostTree tree;
-  tree.root = 0;
-  tree.nodes = {0, 1};
-  tree.children[0] = {1};
-  tree.children[1] = {};
+  std::vector<topo::HostId> nodes{0, 1};
+  std::vector<std::vector<topo::HostId>> kids{{1}, {}};
   for (std::int32_t c = 0; c < children; ++c) {
-    tree.nodes.push_back(2 + c);
-    tree.children[1].push_back(2 + c);
-    tree.children[2 + c] = {};
+    nodes.push_back(2 + c);
+    kids[1].push_back(2 + c);
+    kids.emplace_back();
   }
+  const core::HostTree tree{std::move(nodes), kids};
   mcast::MulticastEngine engine{
       topology, routes,
       mcast::MulticastEngine::Config{netif::SystemParams{},

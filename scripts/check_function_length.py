@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fails when an engine function grows past a fixed length.
 
-Scans every *.hpp / *.cpp under src/mcast, src/collectives,
+Scans every *.hpp / *.cpp under src/core, src/mcast, src/collectives,
 src/traffic, src/netif and src/sim and measures each function body
 that is not nested inside another function: namespace-scope functions
 and member functions, whether defined in or out of their class. A
@@ -21,8 +21,8 @@ import sys
 
 LIMIT = 150
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DIRS = ("src/mcast", "src/collectives", "src/traffic", "src/netif",
-        "src/sim")
+DIRS = ("src/core", "src/mcast", "src/collectives", "src/traffic",
+        "src/netif", "src/sim")
 
 SCOPE_RE = re.compile(
     r"^(template\s*<.*>\s*)?(namespace|class|struct|union|enum)\b"

@@ -31,8 +31,9 @@ std::string to_dot(const HostTree& tree) {
       os << "  h" << h << " [label=\"" << h << "\"];\n";
     }
   }
-  for (topo::HostId h : tree.nodes) {
-    const auto& kids = tree.children.at(h);
+  for (std::size_t r = 0; r < tree.nodes.size(); ++r) {
+    const topo::HostId h = tree.nodes[r];
+    const auto kids = tree.children_at(r);
     for (std::size_t i = 0; i < kids.size(); ++i) {
       os << "  h" << h << " -> h" << kids[i] << " [label=\"" << i + 1
          << "\"];\n";

@@ -116,8 +116,8 @@ MultiMulticastResult run_fifo(const topo::Topology& topology,
 
 MulticastResult MulticastEngine::run(const core::HostTree& tree,
                                      std::int32_t packet_count) const {
-  // The one-op mix is built here, not through run_many, so the tree (an
-  // unordered_map of children) is copied once.
+  // The one-op mix is built here, not through run_many, so the tree is
+  // copied once.
   traffic::Workload workload;
   traffic::TrafficOp& op = workload.ops.emplace_back();
   op.tree = tree;

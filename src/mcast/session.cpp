@@ -90,13 +90,14 @@ net::MessageId Session::new_message(std::size_t key) {
 
 void Session::install_tree(net::MessageId message, const core::HostTree& tree,
                            std::int32_t packets, std::int32_t route_class) {
-  for (topo::HostId h : tree.nodes) {
+  for (std::size_t r = 0; r < tree.nodes.size(); ++r) {
+    const auto kids = tree.children_at(r);
     netif::ForwardingEntry entry;
-    entry.children = tree.children.at(h);
+    entry.children.assign(kids.begin(), kids.end());
     entry.packet_count = packets;
-    entry.is_destination = (h != tree.root);
+    entry.is_destination = r != 0;
     entry.route_class = route_class;
-    ni(h).install(message, std::move(entry));
+    ni(tree.nodes[r]).install(message, std::move(entry));
   }
 }
 
@@ -184,21 +185,29 @@ std::optional<core::HostTree> Session::repair_tree(
 std::vector<DestinationStatus> Session::verdicts(
     const std::vector<topo::HostId>& nodes, topo::HostId root,
     topo::HostId reference,
-    std::vector<std::pair<topo::HostId, sim::Time>> done) const {
-  std::sort(done.begin(), done.end());
+    std::span<const std::pair<topo::HostId, sim::Time>> done) {
+  constexpr sim::Time kNever = sim::Time::max();
+  if (done_at_.empty()) done_at_.assign(num_hosts_, kNever);
+  for (const auto& [h, at] : done) {
+    sim::Time& first = done_at_[static_cast<std::size_t>(h)];
+    first = std::min(first, at);
+  }
   std::vector<DestinationStatus> out;
+  out.reserve(nodes.size());
   for (topo::HostId h : nodes) {
     if (h == root) continue;
     DestinationStatus st;
     st.host = h;
     st.reachable = network_.reachable(reference, h);
-    const auto it = std::lower_bound(
-        done.begin(), done.end(), std::make_pair(h, sim::Time::zero()));
-    if (it != done.end() && it->first == h) {
+    if (const sim::Time at = done_at_[static_cast<std::size_t>(h)];
+        at != kNever) {
       st.delivered = true;
-      st.completed_at = it->second;
+      st.completed_at = at;
     }
     out.push_back(st);
+  }
+  for (const auto& [h, at] : done) {
+    done_at_[static_cast<std::size_t>(h)] = kNever;
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -123,12 +124,12 @@ class Session {
       std::int32_t fanout) const;
 
   /// One verdict per host of `nodes` except `root`, in order: reachable
-  /// from `reference` on the end-of-run routes, delivered at its `done`
-  /// time when listed there.
+  /// from `reference` on the end-of-run routes, delivered at its
+  /// earliest `done` time when listed there.
   [[nodiscard]] std::vector<DestinationStatus> verdicts(
       const std::vector<topo::HostId>& nodes, topo::HostId root,
       topo::HostId reference,
-      std::vector<std::pair<topo::HostId, sim::Time>> done) const;
+      std::span<const std::pair<topo::HostId, sim::Time>> done);
 
  private:
   const topo::Topology& topology_;
@@ -148,6 +149,9 @@ class Session {
   std::vector<std::uint8_t> arrived_;
   std::function<void(std::size_t)> on_first_;
   std::vector<Completion> host_done_;
+  /// verdicts' per-host completion index: Time::max() except while a
+  /// call fills it.
+  std::vector<sim::Time> done_at_;
 };
 
 /// kComplete when every destination delivered (or there are none),

@@ -136,8 +136,9 @@ class AdaptiveSelector {
       // every ejection channel are member-independent (same source, same
       // destinations) and would only add common-mode noise to every
       // score.
-      for (topo::HostId h : m.tree->nodes) {
-        if (h == root_ || m.tree->children.at(h).empty()) continue;
+      for (std::size_t i = 0; i < m.tree->nodes.size(); ++i) {
+        const topo::HostId h = m.tree->nodes[i];
+        if (h == root_ || m.tree->children_at(i).empty()) continue;
         m.senders.push_back(h);
         m.footprint.push_back(session.network().injection_channel_id(h));
       }
@@ -658,10 +659,10 @@ class StreamRun {
       result.member_packets.push_back(n);
       const auto& tree = plan_.members[static_cast<std::size_t>(r)].tree;
       std::int64_t bottleneck_ns = 0;
-      for (topo::HostId h : tree.nodes) {
+      for (std::size_t j = 0; j < tree.nodes.size(); ++j) {
         std::int64_t work =
-            static_cast<std::int64_t>(tree.children.at(h).size()) * t_snd_ns;
-        if (h != root_) work += config_.params.t_rcv.count_ns();
+            static_cast<std::int64_t>(tree.children_at(j).size()) * t_snd_ns;
+        if (tree.nodes[j] != root_) work += config_.params.t_rcv.count_ns();
         bottleneck_ns = std::max(bottleneck_ns, work);
       }
       result.member_ni_work_us.push_back(static_cast<double>(n) *

@@ -9,6 +9,7 @@ namespace nimcast::routing {
 RouteTable::RouteTable(const topo::Topology& topology, const Router& router,
                        std::int32_t epoch)
     : topology_{&topology},
+      host_switch_{topology.host_switches().data()},
       router_{&router},
       num_hosts_{topology.num_hosts()},
       num_vcs_{router.virtual_channels()},
@@ -16,15 +17,15 @@ RouteTable::RouteTable(const topo::Topology& topology, const Router& router,
       num_switches_{
           static_cast<std::size_t>(topology.switches().num_vertices())},
       component_{router.host_reach_components(topology.switches())},
-      store_{std::make_unique<Store>()} {
-  store_->route_id = std::make_unique<std::atomic<std::uint32_t>[]>(pairs());
-  store_->blocks.resize((pairs() + kBlockRoutes - 1) / kBlockRoutes);
+      route_id_{std::make_unique<std::atomic<std::uint32_t>[]>(pairs())},
+      blocks_{std::make_unique<std::unique_ptr<SwitchRoute[]>[]>(num_blocks())},
+      fill_{std::make_unique<FillState>()} {
   // unreachable_pairs = hosts² − Σ_component (hosts in component)².
   // Hosts on a dead switch (component -1) reach nobody, themselves
   // included, so they contribute no c² term and stay subtracted.
   std::vector<std::int64_t> hosts_in_component(component_.size(), 0);
   for (topo::HostId h = 0; h < num_hosts_; ++h) {
-    const auto c = component(topology.switch_of(h));
+    const auto c = component(switch_of(h));
     if (c >= 0) ++hosts_in_component[static_cast<std::size_t>(c)];
   }
   const auto total = static_cast<std::int64_t>(num_hosts_);
@@ -41,29 +42,29 @@ RouteTable::RouteTable(const topo::Topology& topology,
 }
 
 const SwitchRoute& RouteTable::path(topo::HostId src, topo::HostId dst) const {
-  const auto s = topology_->switch_of(src);
-  const auto d = topology_->switch_of(dst);
-  auto& slot = store_->route_id[pair(s, d)];
+  const auto s = switch_of(src);
+  const auto d = switch_of(dst);
+  auto& slot = route_id_[pair(s, d)];
   if (const auto id = slot.load(std::memory_order_acquire); id != 0) {
-    return store_->route(id - 1);
+    return route(id - 1);
   }
-  std::lock_guard lock{store_->fill_mutex};
+  std::lock_guard lock{fill_->mutex};
   if (const auto id = slot.load(std::memory_order_relaxed); id != 0) {
-    return store_->route(id - 1);
+    return route(id - 1);
   }
   auto r = router_->try_route(s, d);
   // Routability must agree with the component map, or reachable() and
   // path() would contradict each other.
   assert(r.has_value() ==
          (component(s) >= 0 && component(s) == component(d)));
-  const auto id = store_->materialized.load(std::memory_order_relaxed);
-  auto& block = store_->blocks[id / kBlockRoutes];
+  const auto id = fill_->materialized.load(std::memory_order_relaxed);
+  auto& block = blocks_[id / kBlockRoutes];
   if (!block) block = std::make_unique<SwitchRoute[]>(kBlockRoutes);
-  SwitchRoute& route = block[id % kBlockRoutes];
-  if (r) route = *std::move(r);  // unreachable pairs keep the empty route
-  store_->materialized.store(id + 1, std::memory_order_relaxed);
+  SwitchRoute& filled = block[id % kBlockRoutes];
+  if (r) filled = *std::move(r);  // unreachable pairs keep the empty route
+  fill_->materialized.store(id + 1, std::memory_order_relaxed);
   slot.store(id + 1, std::memory_order_release);
-  return route;
+  return filled;
 }
 
 bool RouteTable::disjoint(const topo::Graph& g, topo::HostId a, topo::HostId b,
@@ -77,19 +78,19 @@ bool RouteTable::disjoint(const topo::Graph& g, topo::HostId a, topo::HostId b,
 }
 
 std::size_t RouteTable::routes_materialized() const {
-  return store_->materialized.load(std::memory_order_relaxed);
+  return fill_->materialized.load(std::memory_order_relaxed);
 }
 
 std::size_t RouteTable::memory_bytes() const {
   const std::uint32_t routes =
-      store_->materialized.load(std::memory_order_relaxed);
+      fill_->materialized.load(std::memory_order_relaxed);
   std::size_t bytes = pairs() * sizeof(std::atomic<std::uint32_t>);
-  bytes += store_->blocks.capacity() * sizeof(store_->blocks.front());
+  bytes += num_blocks() * sizeof(blocks_[0]);
   const std::size_t blocks_used = (routes + kBlockRoutes - 1) / kBlockRoutes;
   bytes += blocks_used * kBlockRoutes * sizeof(SwitchRoute);
   bytes += component_.capacity() * sizeof(std::int32_t);
   for (std::uint32_t id = 0; id < routes; ++id) {
-    const SwitchRoute& r = store_->route(id);
+    const SwitchRoute& r = route(id);
     bytes += r.switches.capacity() * sizeof(topo::SwitchId) +
              r.links.capacity() * sizeof(topo::LinkId) +
              r.vcs.capacity() * sizeof(std::uint8_t);

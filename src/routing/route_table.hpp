@@ -58,8 +58,8 @@ class RouteTable {
                                         topo::HostId dst) const;
 
   [[nodiscard]] bool reachable(topo::HostId src, topo::HostId dst) const {
-    const auto a = component(topology_->switch_of(src));
-    return a >= 0 && a == component(topology_->switch_of(dst));
+    const auto a = component(switch_of(src));
+    return a >= 0 && a == component(switch_of(dst));
   }
 
   /// True when every host pair has a legal route (always the case before
@@ -106,28 +106,30 @@ class RouteTable {
   /// published route id stays valid while other threads append.
   static constexpr std::uint32_t kBlockRoutes = 16;
 
-  /// The route store, boxed so RouteTable stays movable.
+  /// The fill lock and route count, boxed so RouteTable stays movable.
   ///
-  /// Publication: a filler (holding `fill_mutex`) writes the route into
-  /// its block — allocating the block and storing its pointer first if
-  /// needed — then release-stores id+1 into `route_id`. A reader that
-  /// acquire-loads a non-zero id therefore sees both the block pointer
-  /// and the route; `blocks` itself is sized once and never reallocated.
-  struct Store {
-    /// num_switches² entries: 0 = not yet materialized, else route id+1.
-    std::unique_ptr<std::atomic<std::uint32_t>[]> route_id;
-    /// Enough block slots for every switch pair; null until first used.
-    std::vector<std::unique_ptr<SwitchRoute[]>> blocks;
-    mutable std::mutex fill_mutex;
+  /// Publication: a filler (holding `mutex`) writes the route into its
+  /// block — allocating the block and storing its pointer in `blocks_`
+  /// first if needed — then release-stores id+1 into `route_id_`. A
+  /// reader that acquire-loads a non-zero id therefore sees both the
+  /// block pointer and the route; `blocks_` is sized once and never
+  /// reallocated.
+  struct FillState {
+    std::mutex mutex;
     /// Routes materialized so far, which is also the next route id.
-    /// Written under fill_mutex.
+    /// Written under `mutex`.
     std::atomic<std::uint32_t> materialized{0};
-
-    [[nodiscard]] const SwitchRoute& route(std::uint32_t id) const {
-      return blocks[id / kBlockRoutes][id % kBlockRoutes];
-    }
   };
 
+  [[nodiscard]] const SwitchRoute& route(std::uint32_t id) const {
+    return blocks_[id / kBlockRoutes][id % kBlockRoutes];
+  }
+  [[nodiscard]] topo::SwitchId switch_of(topo::HostId h) const {
+    return host_switch_[h];
+  }
+  [[nodiscard]] std::size_t num_blocks() const {
+    return (pairs() + kBlockRoutes - 1) / kBlockRoutes;
+  }
   [[nodiscard]] std::size_t pairs() const {
     return num_switches_ * num_switches_;
   }
@@ -140,6 +142,8 @@ class RouteTable {
   }
 
   const topo::Topology* topology_;
+  /// The topology's per-host attached switches (Topology::host_switches).
+  const topo::SwitchId* host_switch_;
   std::shared_ptr<const Router> owned_;  ///< null when non-owning
   const Router* router_;
   std::int32_t num_hosts_;
@@ -148,7 +152,12 @@ class RouteTable {
   std::int64_t unreachable_pairs_ = 0;
   std::size_t num_switches_;
   std::vector<std::int32_t> component_;  ///< per-switch, -1 = dead
-  std::unique_ptr<Store> store_;
+  /// The route store, read by path() without the lock: num_switches²
+  /// route ids (0 = not yet materialized, else route id+1) and enough
+  /// block slots for every switch pair (null until first used).
+  std::unique_ptr<std::atomic<std::uint32_t>[]> route_id_;
+  std::unique_ptr<std::unique_ptr<SwitchRoute[]>[]> blocks_;
+  std::unique_ptr<FillState> fill_;
 };
 
 }  // namespace nimcast::routing

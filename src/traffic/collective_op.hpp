@@ -130,7 +130,7 @@ class CollectiveOp {
       done = rec.completions;
     }
     rec.destinations =
-        session_.verdicts(tree_.nodes, tree_.root, eff_root_, std::move(done));
+        session_.verdicts(tree_.nodes, tree_.root, eff_root_, done);
     if (kind_ == Kind::kReduce) {
       for (auto& st : rec.destinations) st.completed_at = root_completed_at;
     }
@@ -149,7 +149,7 @@ class CollectiveOp {
                                            topo::HostId h) {
     std::vector<topo::HostId> out{h};
     for (std::size_t i = 0; i < out.size(); ++i) {
-      const auto& kids = t.children.at(out[i]);
+      const auto kids = t.children(out[i]);
       out.insert(out.end(), kids.begin(), kids.end());
     }
     return out;
@@ -159,16 +159,18 @@ class CollectiveOp {
   /// latest round.
   void install(net::MessageId message, const core::HostTree& t, Kind kind) {
     std::vector<topo::HostId> parent(session_.num_hosts(), topo::kInvalidId);
-    for (topo::HostId h : t.nodes) {
-      for (topo::HostId c : t.children.at(h)) {
-        parent[static_cast<std::size_t>(c)] = h;
+    for (std::size_t r = 0; r < t.nodes.size(); ++r) {
+      for (topo::HostId c : t.children_at(r)) {
+        parent[static_cast<std::size_t>(c)] = t.nodes[r];
       }
     }
-    for (topo::HostId h : t.nodes) {
+    for (std::size_t r = 0; r < t.nodes.size(); ++r) {
+      const topo::HostId h = t.nodes[r];
+      const auto kids = t.children_at(r);
       netif::CollectiveRole role;
       role.kind = kind;
       role.parent = parent[static_cast<std::size_t>(h)];
-      role.children = t.children.at(h);
+      role.children.assign(kids.begin(), kids.end());
       role.packets = packets_;
       if (kind == Kind::kScatter || h == t.root) {
         for (topo::HostId c : role.children) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -85,8 +87,9 @@ std::vector<MsgPlan> build_plans(const Workload& workload) {
 void collect_edges(const MsgPlan& m,
                    std::vector<std::pair<topo::HostId, topo::HostId>>& out) {
   if (m.tree) {
-    for (topo::HostId h : m.tree->nodes) {
-      for (topo::HostId c : m.tree->children.at(h)) out.emplace_back(h, c);
+    const core::HostTree& t = *m.tree;
+    for (std::size_t r = 0; r < t.nodes.size(); ++r) {
+      for (topo::HostId c : t.children_at(r)) out.emplace_back(t.nodes[r], c);
     }
   } else {
     out.emplace_back(m.src, m.dst);
@@ -98,8 +101,8 @@ std::int64_t widest_fanout(const std::vector<MsgPlan>& plans) {
   std::size_t fanout = 1;
   for (const MsgPlan& m : plans) {
     if (!m.tree) continue;
-    for (topo::HostId h : m.tree->nodes) {
-      fanout = std::max(fanout, m.tree->children.at(h).size());
+    for (std::size_t r = 0; r < m.tree->nodes.size(); ++r) {
+      fanout = std::max(fanout, m.tree->children_at(r).size());
     }
   }
   return static_cast<std::int64_t>(fanout);
@@ -468,21 +471,34 @@ class TrafficRun {
     });
   }
 
+  /// Per message, the destinations that completed it in (time, host)
+  /// order: one CSR array over the completion log.
+  struct Deliveries {
+    std::vector<std::size_t> offsets;  ///< messages + 1
+    std::vector<std::pair<topo::HostId, sim::Time>> entries;
+
+    [[nodiscard]] std::span<const std::pair<topo::HostId, sim::Time>> of(
+        std::size_t msg) const {
+      return std::span{entries}.subspan(offsets[msg],
+                                        offsets[msg + 1] - offsets[msg]);
+    }
+  };
+
   /// Completes op `op`'s record: timing over all its messages,
-  /// deliveries counted from `done` (per message, the destinations that
-  /// completed it, in (time, host) order) and verdicts of its last
-  /// message, or a real-kind collective's own verdicts.
-  void complete_record(
-      std::size_t op, const std::vector<sim::Time>& msg_last,
-      std::vector<std::vector<std::pair<topo::HostId, sim::Time>>>& done) {
+  /// deliveries counted from `done` and verdicts of its last message, or
+  /// a real-kind collective's own verdicts.
+  void complete_record(std::size_t op, const Deliveries& done) {
     OpRecord& rec = recs_[op];
     std::size_t last = 0;
     for (const auto* msgs : {&op_msgs0_[op], &op_msgs1_[op]}) {
       for (std::size_t i : *msgs) {
-        rec.completed = std::max(rec.completed, msg_last[i]);
+        const auto delivered = done.of(i);
+        if (!delivered.empty()) {
+          rec.completed = std::max(rec.completed, delivered.back().second);
+        }
         rec.ni_completed = std::max(rec.ni_completed, msg_ni_last_[i]);
         rec.packets_delivered +=
-            static_cast<std::int64_t>(done[i].size()) * plans_[i].packets;
+            static_cast<std::int64_t>(delivered.size()) * plans_[i].packets;
         last = i;
       }
     }
@@ -490,34 +506,65 @@ class TrafficRun {
       c->complete(rec, session_.completion_log());
     } else {
       const core::HostTree& tree = *plans_[last].tree;
-      rec.completions = done[last];
-      rec.destinations = session_.verdicts(
-          tree.nodes, tree.root, rec.effective_root, std::move(done[last]));
+      const auto completions = done.of(last);
+      rec.completions.assign(completions.begin(), completions.end());
+      rec.destinations = session_.verdicts(tree.nodes, tree.root,
+                                           rec.effective_root, completions);
       rec.outcome = mcast::outcome_of(rec.destinations);
     }
     rec.root_alive = session_.network().host_alive(rec.effective_root);
   }
 
-  TrafficResult finish() {
-    std::vector<sim::Time> msg_last(plans_.size());
-    std::vector<std::vector<std::pair<topo::HostId, sim::Time>>> done(
-        plans_.size());
-    // One total order, (time, host, key): the ledger admits each (key,
-    // host) once.
-    std::vector<mcast::Session::Completion> sorted = session_.completion_log();
-    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-      return std::tie(a.at, a.host, a.key) < std::tie(b.at, b.host, b.key);
-    });
+  /// Walks the completion log once in one total order, (time, host, key),
+  /// into `done`, and returns the order's digest. The ledger admits each
+  /// (key, host) once, and the log is appended in dispatch order, so its
+  /// times never decrease: only a run of equal times needs the (host,
+  /// key) tie-break.
+  std::uint64_t reduce_log(Deliveries& done) const {
+    const std::vector<mcast::Session::Completion>& log =
+        session_.completion_log();
+    done.offsets.assign(plans_.size() + 1, 0);
+    for (const auto& c : log) ++done.offsets[c.key + 1];
+    std::partial_sum(done.offsets.begin(), done.offsets.end(),
+                     done.offsets.begin());
+    done.entries.resize(log.size());
+    std::vector<std::size_t> next(done.offsets.begin(),
+                                  done.offsets.end() - 1);
     std::uint64_t digest = sim::kFnv1aBasis;
-    for (const auto& c : sorted) {
-      msg_last[c.key] = std::max(msg_last[c.key], c.at);
-      done[c.key].emplace_back(c.host, c.at);
+    const auto take = [&](const mcast::Session::Completion& c) {
+      done.entries[next[c.key]++] = {c.host, c.at};
       for (const std::uint64_t word :
            {static_cast<std::uint64_t>(c.at.count_ns()),
             static_cast<std::uint64_t>(c.host), std::uint64_t{c.key}}) {
         digest = sim::fnv1a(digest, word);
       }
+    };
+    std::vector<mcast::Session::Completion> tie;
+    std::size_t i = 0;
+    while (i < log.size()) {
+      std::size_t j = i + 1;
+      while (j < log.size() && log[j].at == log[i].at) ++j;
+      if (j < log.size() && log[j].at < log[i].at) {
+        throw std::logic_error("TrafficEngine: completion log out of order");
+      }
+      if (j - i == 1) {
+        take(log[i]);
+      } else {
+        tie.assign(log.begin() + static_cast<std::ptrdiff_t>(i),
+                   log.begin() + static_cast<std::ptrdiff_t>(j));
+        std::sort(tie.begin(), tie.end(), [](const auto& a, const auto& b) {
+          return std::tie(a.host, a.key) < std::tie(b.host, b.key);
+        });
+        for (const auto& c : tie) take(c);
+      }
+      i = j;
     }
+    return digest;
+  }
+
+  TrafficResult finish() {
+    Deliveries done;
+    const std::uint64_t digest = reduce_log(done);
     for (std::size_t i = 0; i < plans_.size(); ++i) {
       // Without a fault plan to blame, a missing destination is a bug.
       if (remaining_[i] != 0 && !session_.faulty()) {
@@ -532,7 +579,7 @@ class TrafficRun {
     sim::Time first_arrival = recs_.front().arrival;
     sim::Time last_completion;
     for (std::size_t op = 0; op < num_ops_; ++op) {
-      complete_record(op, msg_last, done);
+      complete_record(op, done);
       const OpRecord& rec = recs_[op];
       result.deferral_ticks += rec.deferral_ticks;
       result.packets_delivered += rec.packets_delivered;

@@ -64,13 +64,7 @@ struct BridgeRig {
   /// Root 0 with children {1, 2} and 1 -> {3}: the down path to host 3
   /// hops through host 1's NI before crossing the bridge.
   [[nodiscard]] static core::HostTree chain_tree() {
-    core::HostTree t;
-    t.root = 0;
-    t.nodes = {0, 1, 2, 3};
-    t.children[0] = {1, 2};
-    t.children[1] = {3};
-    t.children[2] = {};
-    t.children[3] = {};
+    const core::HostTree t{{0, 1, 2, 3}, {{1, 2}, {3}, {}, {}}};
     return t;
   }
 };
@@ -173,13 +167,7 @@ TEST(CollectiveFaults, RevivedLinkLetsRepairRoundComplete) {
   // the far side reachable again, and the repair round re-parents the
   // missing hosts and completes the broadcast.
   const BridgeRig rig;
-  core::HostTree star;
-  star.root = 0;
-  star.nodes = {0, 1, 2, 3};
-  star.children[0] = {1, 2, 3};
-  star.children[1] = {};
-  star.children[2] = {};
-  star.children[3] = {};
+  const core::HostTree star{{0, 1, 2, 3}, {{1, 2, 3}, {}, {}, {}}};
 
   net::FaultPlan plan;
   plan.link_down(sim::Time::us(1.0), 0).link_up(sim::Time::us(300.0), 0);

@@ -90,14 +90,9 @@ TEST(Collectives, ScatterOnDirectStarHasExactSerializedLatency) {
       rig.run(CollectiveKind::kScatter, n, m, /*k=*/core::ceil_log2(n));
   core::Chain order;
   for (std::int32_t i = 0; i < n; ++i) order.push_back(i);
-  core::HostTree star;
-  star.root = 0;
-  star.nodes = order;
-  star.children[0] = {};
-  for (std::int32_t i = 1; i < n; ++i) {
-    star.children[0].push_back(i);
-    star.children[i] = {};
-  }
+  std::vector<std::vector<topo::HostId>> kids(order.size());
+  kids[0].assign(order.begin() + 1, order.end());
+  const core::HostTree star{order, kids};
   const auto direct = rig.engine.run(CollectiveKind::kScatter, star, m);
   const netif::SystemParams p;
   const sim::Time expected = p.t_s + p.t_snd * ((n - 1) * m) +
@@ -199,10 +194,7 @@ TEST(Collectives, CombiningCostShiftsReduceLatency) {
 
 TEST(Collectives, RejectsBadArguments) {
   StarRig rig;
-  core::HostTree t;
-  t.root = 0;
-  t.nodes = {0};
-  t.children[0] = {};
+  const core::HostTree t{{0}, {{}}};
   EXPECT_THROW((void)rig.engine.run(CollectiveKind::kReduce, t, 1),
                std::invalid_argument);
   EXPECT_THROW((void)rig.run(CollectiveKind::kGather, 4, 0),

@@ -65,7 +65,7 @@ std::vector<std::pair<topo::HostId, topo::HostId>> edges_of(
     const HostTree& tree) {
   std::vector<std::pair<topo::HostId, topo::HostId>> edges;
   for (topo::HostId h : tree.nodes) {
-    for (topo::HostId c : tree.children.at(h)) edges.emplace_back(h, c);
+    for (topo::HostId c : tree.children(h)) edges.emplace_back(h, c);
   }
   std::sort(edges.begin(), edges.end());
   return edges;
@@ -79,7 +79,7 @@ std::int32_t recompute_bound(const RotationPlan& plan) {
     for (topo::HostId h : m.tree.nodes) {
       work[h] +=
           (h == m.tree.root ? 0 : 2) +
-          3 * static_cast<std::int32_t>(m.tree.children.at(h).size());
+          3 * static_cast<std::int32_t>(m.tree.children(h).size());
     }
   }
   std::int32_t best = 0;
@@ -121,12 +121,45 @@ TEST(RotationPlanner, MembersSpanParticipantsWithinFanoutBound) {
     EXPECT_EQ(nodes, sorted_participants);
     std::map<topo::HostId, int> child_count;
     for (topo::HostId h : m.tree.nodes) {
-      EXPECT_LE(m.tree.children.at(h).size(), static_cast<std::size_t>(k));
-      for (topo::HostId c : m.tree.children.at(h)) ++child_count[c];
+      EXPECT_LE(m.tree.children(h).size(), static_cast<std::size_t>(k));
+      for (topo::HostId c : m.tree.children(h)) ++child_count[c];
     }
     // Every non-root host has exactly one parent; the root has none.
     for (topo::HostId h : m.tree.nodes) {
       EXPECT_EQ(child_count[h], h == m.tree.root ? 0 : 1);
+    }
+  }
+}
+
+// Members r >= 1 are virtual-root trees: the source sends to one relay,
+// which roots a k-binomial over the rest of the member's chain. Their
+// children equal the old map-form construction (bind the sub-tree, then
+// give the source the relay as its only child).
+TEST(RotationPlanner, VirtualRootMembersMatchMapReference) {
+  const IrregularRig rig;
+  const std::int32_t k = optimal_k(64, 4).k;
+  const RotationPlan plan = plan_rotation(rig.topology, rig.routes, rig.router,
+                                          rig.cco, config_for(4, k));
+  ASSERT_GE(plan.size(), 2);
+  for (std::size_t r = 1; r < plan.members.size(); ++r) {
+    const HostTree& tree = plan.members[r].tree;
+    const Chain dests(tree.nodes.begin() + 1, tree.nodes.end());
+    const RankTree sub =
+        make_kbinomial(static_cast<std::int32_t>(dests.size()), k);
+    std::map<topo::HostId, std::vector<topo::HostId>> ref;
+    ref[tree.root] = {dests.front()};
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      auto& kids = ref[dests[i]];
+      for (std::int32_t c : sub.children[i]) {
+        kids.push_back(dests[static_cast<std::size_t>(c)]);
+      }
+    }
+    ASSERT_EQ(tree.root, rig.cco.front());
+    for (topo::HostId h : tree.nodes) {
+      const auto kids = tree.children(h);
+      EXPECT_EQ(std::vector<topo::HostId>(kids.begin(), kids.end()),
+                ref.at(h))
+          << "member " << r << " host " << h;
     }
   }
 }

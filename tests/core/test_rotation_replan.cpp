@@ -51,7 +51,7 @@ std::int32_t recompute_bound(const RotationPlan& plan) {
     for (topo::HostId h : m.tree.nodes) {
       work[h] +=
           (h == m.tree.root ? 0 : 2) +
-          3 * static_cast<std::int32_t>(m.tree.children.at(h).size());
+          3 * static_cast<std::int32_t>(m.tree.children(h).size());
     }
   }
   std::int32_t best = 0;

@@ -15,7 +15,17 @@
 //     56,997 blocks (6,712,052 bytes) per call before.
 //
 // Both counts were measured with this test's rigs (Release, GCC 12,
-// libstdc++); each run prints the current counts.
+// libstdc++); each run prints the current counts. While trees were hash
+// maps of child vectors, copying the tree into the one-op mix cost 1,656
+// of the 1024-host call's 12,367 blocks (910 blocks for the 64-host
+// call); a dense tree copies in two blocks.
+//
+// The tree cases pin the dense HostTree layout: binding a 1024-node tree
+// allocates at most two blocks, and the trees of a traffic64-style mix
+// (256 ops, 2560 ops/ms, groups of 4-24 on the 64-host rig) hold at most
+// 32 bytes of heap per node, chunk overhead included. The map form
+// allocated 2,055 blocks for that bind and held 90.5 bytes per node of
+// that mix.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +33,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <malloc.h>
+
 #include <new>
 #include <string>
+#include <vector>
 
 #include "core/fabric.hpp"
 #include "core/host_tree.hpp"
@@ -32,6 +45,7 @@
 #include "core/optimal_k.hpp"
 #include "mcast/multicast_engine.hpp"
 #include "sim/rng.hpp"
+#include "traffic/workload.hpp"
 
 namespace {
 
@@ -145,6 +159,52 @@ TEST(AllocBudget, Broadcast1024Hosts16Packets) {
   report(a);
   constexpr std::int64_t kBefore = 56997;
   EXPECT_LE(a.blocks, kBefore * 4 / 10);
+}
+
+TEST(AllocBudget, Bind1024NodeTreeInTwoBlocks) {
+  sim::Rng rng{1024};
+  const core::Chain order = core::random_ordering(1024, rng);
+  const core::RankTree shape = core::make_kbinomial(1024, 3);
+  const std::int64_t blocks0 = g_blocks.load();
+  const core::HostTree tree = core::HostTree::bind(shape, order);
+  const std::int64_t blocks = g_blocks.load() - blocks0;
+  EXPECT_EQ(tree.size(), 1024);
+  EXPECT_LE(blocks, 2);
+}
+
+TEST(AllocBudget, TrafficMixTreesHeapPerNode) {
+  sim::Rng rng{1997};
+  const auto fabric = core::Fabric::irregular(topo::IrregularConfig{}, rng);
+  traffic::WorkloadConfig cfg;
+  cfg.num_ops = 256;
+  cfg.ops_per_ms = 2560.0;
+  cfg.min_group = 4;
+  cfg.max_group = 24;
+  const traffic::Workload mix =
+      traffic::generate_workload(fabric.num_hosts(), fabric.chain(), cfg);
+  std::vector<core::HostTree> copies;
+  copies.reserve(2 * mix.ops.size());
+  std::int64_t nodes = 0;
+  // Copies hold exactly the heap of their originals; malloc's own count
+  // of in-use bytes includes every chunk's header and rounding.
+  const auto in_use0 = static_cast<std::int64_t>(mallinfo2().uordblks);
+  for (const traffic::TrafficOp& op : mix.ops) {
+    for (const core::HostTree* t : {&op.tree, &op.tree2}) {
+      if (t->size() == 0) continue;
+      copies.push_back(*t);
+      nodes += t->size();
+    }
+  }
+  const auto heap =
+      static_cast<std::int64_t>(mallinfo2().uordblks) - in_use0;
+  ASSERT_GT(nodes, 0);
+  const double per_node =
+      static_cast<double>(heap) / static_cast<double>(nodes);
+  ::testing::Test::RecordProperty("bytes_per_node", std::to_string(per_node));
+  std::printf("trees: %zu, nodes: %lld, heap: %lld bytes, %.1f B/node\n",
+              copies.size(), static_cast<long long>(nodes),
+              static_cast<long long>(heap), per_node);
+  EXPECT_LE(per_node, 32.0);
 }
 
 }  // namespace

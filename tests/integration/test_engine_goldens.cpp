@@ -91,10 +91,10 @@ struct Rig {
 mcast::MulticastEngine::Config::BackgroundFlow flow_through(
     const core::RotationMember& member, std::int32_t packets) {
   mcast::MulticastEngine::Config::BackgroundFlow flow;
-  flow.src = member.tree.children.at(member.tree.root).front();
+  flow.src = member.tree.children(member.tree.root).front();
   topo::HostId leaf = flow.src;
-  while (!member.tree.children.at(leaf).empty()) {
-    leaf = member.tree.children.at(leaf).front();
+  while (!member.tree.children(leaf).empty()) {
+    leaf = member.tree.children(leaf).front();
   }
   flow.dst = leaf;
   flow.packets = packets;

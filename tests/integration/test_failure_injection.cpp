@@ -113,21 +113,13 @@ struct EngineRig {
 
 TEST(FailureInjection, EngineRejectsForeignHosts) {
   EngineRig rig;
-  core::HostTree t;
-  t.root = 0;
-  t.nodes = {0, 99};
-  t.children[0] = {99};
-  t.children[99] = {};
+  const core::HostTree t{{0, 99}, {{99}, {}}};
   EXPECT_THROW((void)rig.engine.run(t, 1), std::invalid_argument);
 }
 
 TEST(FailureInjection, EngineRejectsZeroPackets) {
   EngineRig rig;
-  core::HostTree t;
-  t.root = 0;
-  t.nodes = {0, 1};
-  t.children[0] = {1};
-  t.children[1] = {};
+  const core::HostTree t{{0, 1}, {{1}, {}}};
   EXPECT_THROW((void)rig.engine.run(t, 0), std::invalid_argument);
 }
 

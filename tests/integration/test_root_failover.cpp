@@ -262,7 +262,7 @@ TEST(RootFailover, ReliableInteriorHostDeathWithUnackedBuffersIsPartial) {
   // The root's first child relays to its own subtree, so at 10us it sits
   // mid-protocol: received packets buffered, ACKs and forwards pending.
   const topo::HostId victim = tree.nodes[1];
-  ASSERT_FALSE(tree.children.at(victim).empty());
+  ASSERT_FALSE(tree.children(victim).empty());
   net::FaultPlan plan;
   plan.host_down(sim::Time::us(10.0), victim);
   mcast::MulticastEngine::Config cfg;
@@ -347,7 +347,7 @@ TEST(RootFailover, ReduceLeafDeathRefoldsOnlyMissingContributors) {
   const IrregularRig rig;
   const auto tree = tree_over(rig.cco, 12, 3);
   const topo::HostId victim = tree.nodes.back();
-  ASSERT_TRUE(tree.children.at(victim).empty()) << "victim must be a leaf";
+  ASSERT_TRUE(tree.children(victim).empty()) << "victim must be a leaf";
   net::FaultPlan plan;
   plan.host_down(sim::Time::us(1.0), victim);
   collectives::CollectiveEngine::Config cfg;
@@ -427,8 +427,8 @@ TEST(RootFailover, StreamingMemberKillSustainsRotationThroughput) {
   ASSERT_GE(plan4.size(), 3);
   const auto plan1 = rotation_plan(rig, 16, 1);
   const core::HostTree& fixed_tree = plan1.members.front().tree;
-  const topo::HostId victim = fixed_tree.children.at(fixed_tree.root)[0];
-  ASSERT_FALSE(fixed_tree.children.at(victim).empty());
+  const topo::HostId victim = fixed_tree.children(fixed_tree.root)[0];
+  ASSERT_FALSE(fixed_tree.children(victim).empty());
 
   auto run_plan = [&](const core::RotationPlan& plan) {
     net::FaultPlan faults;

@@ -61,15 +61,15 @@ struct Rig {
 /// down this member funnels through, so a unicast flow originating here
 /// backs up exactly this member's forwarding path.
 topo::HostId relay_of(const core::RotationMember& member) {
-  return member.tree.children.at(member.tree.root).front();
+  return member.tree.children(member.tree.root).front();
 }
 
 /// Deepest first-child descent from `member`'s relay: a destination
 /// whose route shares the member's subtree wires.
 topo::HostId deep_leaf_of(const core::RotationMember& member) {
   topo::HostId h = relay_of(member);
-  while (!member.tree.children.at(h).empty()) {
-    h = member.tree.children.at(h).front();
+  while (!member.tree.children(h).empty()) {
+    h = member.tree.children(h).front();
   }
   return h;
 }

@@ -56,24 +56,13 @@ struct Rig {
 
 /// source 0 -> intermediate 1 -> leaves {2, 3}.
 core::HostTree chain_fanout_tree() {
-  core::HostTree t;
-  t.root = 0;
-  t.nodes = {0, 1, 2, 3};
-  t.children[0] = {1};
-  t.children[1] = {2, 3};
-  t.children[2] = {};
-  t.children[3] = {};
+  const core::HostTree t{{0, 1, 2, 3}, {{1}, {2, 3}, {}, {}}};
   return t;
 }
 
 /// source 0 -> children {1, 2} directly.
 core::HostTree flat_tree() {
-  core::HostTree t;
-  t.root = 0;
-  t.nodes = {0, 1, 2};
-  t.children[0] = {1, 2};
-  t.children[1] = {};
-  t.children[2] = {};
+  const core::HostTree t{{0, 1, 2}, {{1, 2}, {}, {}}};
   return t;
 }
 
@@ -131,11 +120,7 @@ TEST(Disciplines, HostCompletionLagsNiCompletionByTr) {
 
 TEST(Disciplines, SingleDestinationDegenerateTree) {
   Rig rig;
-  core::HostTree t;
-  t.root = 0;
-  t.nodes = {0, 1};
-  t.children[0] = {1};
-  t.children[1] = {};
+  const core::HostTree t{{0, 1}, {{1}, {}}};
   const auto result = rig.run(t, 1, mcast::NiStyle::kSmartFpfs);
   // t_s + t_snd + network(0 hops) + t_rcv + t_r
   const SystemParams p;
@@ -186,12 +171,7 @@ TEST(Disciplines, ConventionalSlowerThanSmartOnForwardingTree) {
 TEST(Disciplines, SmartStylesTieOnSingleChildChain) {
   // With one child per node the two disciplines degenerate to the same
   // schedule.
-  core::HostTree t;
-  t.root = 0;
-  t.nodes = {0, 1, 2};
-  t.children[0] = {1};
-  t.children[1] = {2};
-  t.children[2] = {};
+  const core::HostTree t{{0, 1, 2}, {{1}, {2}, {}}};
   Rig a;
   Rig b;
   const auto ra = a.run(t, 5, mcast::NiStyle::kSmartFpfs);
