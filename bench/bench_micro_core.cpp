@@ -107,12 +107,9 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(10000);
 
-void BM_EventQueueFixedDelays(benchmark::State& state) {
-  // fabric1024's schedule mix — 100 ns hops 34.4%, 500 / 2000 / 3000 ns
-  // NI and drain costs 21.4% each, 12.5 us host start-up 1.3% — at a
-  // constant pending depth: every pop schedules one event at its firing
-  // time plus the next delay of the (shuffled) mix.
-  const auto depth = state.range(0);
+// fabric1024's schedule mix — 100 ns hops 34.4%, 500 / 2000 / 3000 ns
+// NI and drain costs 21.4% each, 12.5 us host start-up 1.3% — shuffled.
+std::vector<sim::Time> fixed_delay_mix() {
   std::vector<sim::Time> mix;
   for (const auto& [ns, per_mille] :
        {std::pair{100, 344}, std::pair{500, 214}, std::pair{2000, 214},
@@ -124,18 +121,46 @@ void BM_EventQueueFixedDelays(benchmark::State& state) {
   for (std::size_t i = mix.size() - 1; i > 0; --i) {
     std::swap(mix[i], mix[static_cast<std::size_t>(rng.next_below(i + 1))]);
   }
+  return mix;
+}
+
+// The mix at a constant pending depth: every pop schedules one event at
+// its firing time plus the next delay. `schedule(q, when)` schedules one
+// event; the popped one is dropped uninvoked.
+template <typename Schedule>
+void fixed_delays(benchmark::State& state, Schedule schedule) {
+  const auto depth = state.range(0);
+  const std::vector<sim::Time> mix = fixed_delay_mix();
   sim::EventQueue q;
   std::size_t next = 0;
   for (std::int64_t i = 0; i < depth; ++i) {
-    q.schedule(mix[next++ % mix.size()], [] {});
+    schedule(q, mix[next++ % mix.size()]);
   }
   for (auto _ : state) {
     auto fired = q.pop();
-    q.schedule(fired.time + mix[next++ % mix.size()], [] {});
+    schedule(q, fired.time + mix[next++ % mix.size()]);
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// Generic events: an empty EventCallback each.
+void BM_EventQueueFixedDelays(benchmark::State& state) {
+  fixed_delays(state, [](sim::EventQueue& q, sim::Time when) {
+    q.schedule(when, [] {});
+  });
+}
 BENCHMARK(BM_EventQueueFixedDelays)->Arg(64)->Arg(700);
+
+// Typed twin: the same mix as typed events, the form of the hot hop,
+// completion and NI finish events.
+void BM_EventQueueFixedDelaysTyped(benchmark::State& state) {
+  fixed_delays(state, [](sim::EventQueue& q, sim::Time when) {
+    q.schedule(
+        when, [](void*, std::uint64_t) {}, nullptr, 0,
+        sim::EventKind::kNetwork);
+  });
+}
+BENCHMARK(BM_EventQueueFixedDelaysTyped)->Arg(64)->Arg(700);
 
 // An NI coprocessor's task churn: `batch` receive tasks (t_rcv, low
 // lane), each of which queues two send copies (t_snd, normal lane), every

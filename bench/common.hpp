@@ -186,8 +186,8 @@ inline ChurnResult churn_new(std::uint64_t total_events, int depth) {
       [](sim::EventQueue& qq, sim::EventId id) { return qq.cancel(id); },
       [](sim::EventQueue& qq) {
         auto fired = qq.pop();
-        return std::pair<sim::Time, sim::EventCallback>{
-            fired.time, std::move(fired.cb)};
+        return std::pair<sim::Time, sim::EventQueue::Fired>{
+            fired.time, std::move(fired)};
       });
 }
 

@@ -27,7 +27,8 @@ void SerialServer::start_next() {
     source.pop_front(task);
     ++active_;
     busy_time_ += task.duration;
-    sim_.schedule_in(task.duration, [this, i] { finish(i); });
+    sim_.schedule_in(task.duration, &finish_event, this, i,
+                     sim::EventKind::kNi);
   }
 }
 

@@ -30,7 +30,7 @@ namespace nimcast::netif {
 /// rings (normal and low lane), which allocate nothing until their first
 /// task, grow by doubling, and give a large ring back when it drains. A
 /// started task moves into a worker slot the server keeps, and its
-/// completion event captures only (server, slot). Actions larger than
+/// completion is a typed event on (server, slot). Actions larger than
 /// EventCallback's inline buffer live in the simulator's EventPool, so the
 /// server must not outlive its simulator.
 class SerialServer {
@@ -89,6 +89,7 @@ class SerialServer {
     sim::Time duration;
     sim::EventCallback on_done;
   };
+  static_assert(sizeof(Task) == 64, "a ring task is one cache line");
 
   /// FIFO ring of tasks, open at both ends: power-of-two capacity,
   /// allocated on the first push and doubled when full (in FIFO order).
@@ -115,7 +116,7 @@ class SerialServer {
       ++count_;
     }
     /// Moves the front task into `out` and removes it. Each entry holds
-    /// an inline action buffer (80 bytes a task), so a ring that a burst
+    /// an inline action buffer (64 bytes a task), so a ring that a burst
     /// grew past kKeptCapacity gives its storage back once it drains:
     /// idle servers do not hold their busiest moment's ring.
     void pop_front(Task& out) {
@@ -147,6 +148,11 @@ class SerialServer {
   void start_next();
   /// Completion event of worker slot `i`.
   void finish(std::uint32_t i);
+  /// finish(slot) as a typed event's thunk.
+  static void finish_event(void* server, std::uint64_t slot) {
+    static_cast<SerialServer*>(server)->finish(
+        static_cast<std::uint32_t>(slot));
+  }
 
   sim::Simulator& sim_;
   std::int32_t workers_;

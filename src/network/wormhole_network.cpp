@@ -265,8 +265,14 @@ void WormholeNetwork::progress(Worm* w) {
     return;
   }
   channel_busy_[static_cast<std::size_t>(chan)] = 1;
-  ++chan_acq_[static_cast<std::size_t>(chan)];
-  w->acquired_at.push_back(sim_.now());
+  acquire_next(w);
+}
+
+void WormholeNetwork::acquire_next(Worm* w) {
+  ++chan_acq_[static_cast<std::size_t>(w->path[w->next])];
+  if (config_.release_model == ReleaseModel::kPipelined) {
+    w->acquired_at.push_back(sim_.now());
+  }
   ++w->next;
   if (w->next == w->path.size()) {
     schedule_drain(w);
@@ -275,9 +281,18 @@ void WormholeNetwork::progress(Worm* w) {
   }
 }
 
+void WormholeNetwork::hop_event(void* net, std::uint64_t worm) {
+  static_cast<WormholeNetwork*>(net)->progress(reinterpret_cast<Worm*>(worm));
+}
+
+void WormholeNetwork::complete_event(void* net, std::uint64_t worm) {
+  static_cast<WormholeNetwork*>(net)->complete(reinterpret_cast<Worm*>(worm));
+}
+
 void WormholeNetwork::schedule_hop(Worm* w) {
-  w->pending =
-      sim_.schedule_at(sim_.now() + config_.t_hop, [this, w] { progress(w); });
+  w->pending = sim_.schedule_at(sim_.now() + config_.t_hop, &hop_event, this,
+                                reinterpret_cast<std::uintptr_t>(w),
+                                sim::EventKind::kNetwork);
 }
 
 void WormholeNetwork::schedule_drain(Worm* w) {
@@ -309,7 +324,9 @@ void WormholeNetwork::schedule_drain(Worm* w) {
       w->pending_releases.push_back(PendingRelease{chan, eid});
     }
   }
-  w->pending = sim_.schedule_at(delivery, [this, w] { complete(w); });
+  w->pending = sim_.schedule_at(delivery, &complete_event, this,
+                                reinterpret_cast<std::uintptr_t>(w),
+                                sim::EventKind::kNetwork);
 }
 
 void WormholeNetwork::release_channel(std::int32_t chan) {
@@ -332,14 +349,7 @@ void WormholeNetwork::release_channel(std::int32_t chan) {
   total_block_ += sim_.now() - next->block_start;
   chan_block_ns_[c] += (sim_.now() - next->block_start).count_ns();
   assert(next->path[next->next] == chan);
-  ++chan_acq_[c];
-  next->acquired_at.push_back(sim_.now());
-  ++next->next;
-  if (next->next == next->path.size()) {
-    schedule_drain(next);
-  } else {
-    schedule_hop(next);
-  }
+  acquire_next(next);
 }
 
 bool WormholeNetwork::packet_lost(const Packet& p) const {

@@ -200,7 +200,9 @@ class WormholeNetwork {
   struct Worm {
     Packet packet;
     std::vector<std::int32_t> path;      ///< channel ids, injection..ejection
-    std::vector<sim::Time> acquired_at;  ///< per-channel acquisition times
+    /// Per-channel acquisition times; kept in pipelined mode only, the
+    /// one release model that reads them.
+    std::vector<sim::Time> acquired_at;
     /// Pipelined mode: staggered releases not yet fired — cancelled and
     /// released on kill.
     std::vector<PendingRelease> pending_releases;
@@ -243,6 +245,12 @@ class WormholeNetwork {
   /// (and, in pipelined mode, the staggered upstream releases).
   void schedule_drain(Worm* w);
   void complete(Worm* w);
+  /// progress(w) and complete(w) as typed events' thunks: the target is
+  /// the network, the word the worm.
+  static void hop_event(void* net, std::uint64_t worm);
+  static void complete_event(void* net, std::uint64_t worm);
+  /// Takes channel path[w->next] for `w` and schedules its next step.
+  void acquire_next(Worm* w);
   void release_channel(std::int32_t chan);
 
   /// Applies one fault event: updates the liveness mask, condemns the

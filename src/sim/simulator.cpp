@@ -29,7 +29,7 @@ std::uint64_t Simulator::run(std::uint64_t event_limit) {
     if (++fired > event_limit) {
       throw std::runtime_error("Simulator::run: event limit exceeded");
     }
-    ev.cb();
+    ev();
   }
   return fired;
 }
@@ -42,7 +42,7 @@ std::uint64_t Simulator::run_until(Time until, std::uint64_t event_limit) {
     if (++fired > event_limit) {
       throw std::runtime_error("Simulator::run_until: event limit exceeded");
     }
-    ev.cb();
+    ev();
   }
   if (until > now_) now_ = until;
   return fired;
@@ -52,7 +52,7 @@ bool Simulator::step() {
   if (queue_.empty()) return false;
   auto ev = queue_.pop();
   begin_dispatch(ev);
-  ev.cb();
+  ev();
   return true;
 }
 

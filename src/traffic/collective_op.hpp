@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -66,6 +67,9 @@ class CollectiveOp {
     }
   }
 
+  /// The op's ledger key: the plan index its completions are logged under.
+  [[nodiscard]] std::size_t key() const { return key_; }
+
   /// One repair round after a drain: re-parents the still-needy,
   /// reachable participants under the effective root (Session::
   /// repair_tree) and starts them at `start_at` under a new message id.
@@ -96,17 +100,17 @@ class CollectiveOp {
     return true;
   }
 
-  /// Writes the op's verdicts into `rec` (`log`: the session's completion
-  /// log). A destination is delivered when its kind's obligation is met:
-  /// its message or result arrived, its message reached the root
-  /// (gather), or its contribution folded into the root's result
-  /// (reduce, stamped with the root's completion).
-  void complete(OpRecord& rec,
-                const std::vector<mcast::Session::Completion>& log) {
+  /// Writes the op's verdicts into `rec` (`completions`: the session's
+  /// completion log entries of key(), in log order). A destination is
+  /// delivered when its kind's obligation is met: its message or result
+  /// arrived, its message reached the root (gather), or its contribution
+  /// folded into the root's result (reduce, stamped with the root's
+  /// completion).
+  void complete(
+      OpRecord& rec,
+      std::span<const std::pair<topo::HostId, sim::Time>> completions) {
     settle();
-    for (const auto& c : log) {
-      if (c.key == key_) rec.completions.emplace_back(c.host, c.at);
-    }
+    rec.completions.assign(completions.begin(), completions.end());
     rec.packets_delivered = packets_delivered_;
     rec.repairs = repairs_;
     rec.root_handoffs = root_handoffs_;

@@ -471,16 +471,27 @@ class TrafficRun {
     });
   }
 
-  /// Per message, the destinations that completed it in (time, host)
-  /// order: one CSR array over the completion log.
+  /// Per message, the destinations that completed it: in (time, host)
+  /// order, and in completion-log order. Two CSR arrays over the log
+  /// that share their offsets.
   struct Deliveries {
+    using Entry = std::pair<topo::HostId, sim::Time>;
     std::vector<std::size_t> offsets;  ///< messages + 1
-    std::vector<std::pair<topo::HostId, sim::Time>> entries;
+    std::vector<Entry> entries;
+    std::vector<Entry> logged;
 
-    [[nodiscard]] std::span<const std::pair<topo::HostId, sim::Time>> of(
-        std::size_t msg) const {
-      return std::span{entries}.subspan(offsets[msg],
-                                        offsets[msg + 1] - offsets[msg]);
+    [[nodiscard]] std::span<const Entry> of(std::size_t msg) const {
+      return slice(entries, msg);
+    }
+    [[nodiscard]] std::span<const Entry> in_log_order(std::size_t msg) const {
+      return slice(logged, msg);
+    }
+
+   private:
+    [[nodiscard]] std::span<const Entry> slice(const std::vector<Entry>& v,
+                                               std::size_t msg) const {
+      return std::span{v}.subspan(offsets[msg],
+                                  offsets[msg + 1] - offsets[msg]);
     }
   };
 
@@ -503,7 +514,7 @@ class TrafficRun {
       }
     }
     if (CollectiveOp* c = collectives_[op].get()) {
-      c->complete(rec, session_.completion_log());
+      c->complete(rec, done.in_log_order(c->key()));
     } else {
       const core::HostTree& tree = *plans_[last].tree;
       const auto completions = done.of(last);
@@ -528,8 +539,11 @@ class TrafficRun {
     std::partial_sum(done.offsets.begin(), done.offsets.end(),
                      done.offsets.begin());
     done.entries.resize(log.size());
+    done.logged.resize(log.size());
     std::vector<std::size_t> next(done.offsets.begin(),
                                   done.offsets.end() - 1);
+    for (const auto& c : log) done.logged[next[c.key]++] = {c.host, c.at};
+    std::copy(done.offsets.begin(), done.offsets.end() - 1, next.begin());
     std::uint64_t digest = sim::kFnv1aBasis;
     const auto take = [&](const mcast::Session::Completion& c) {
       done.entries[next[c.key]++] = {c.host, c.at};

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -26,7 +27,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(Time::us(3.0), [&] { fired.push_back(3); });
   q.schedule(Time::us(1.0), [&] { fired.push_back(1); });
   q.schedule(Time::us(2.0), [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop()();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -36,7 +37,7 @@ TEST(EventQueue, SameTimeFiresInScheduleOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(Time::us(5.0), [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop()();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
@@ -78,7 +79,7 @@ TEST(EventQueue, PopReturnsTimeAndCallback) {
   q.schedule(Time::us(9.0), [&] { ++hits; });
   auto fired = q.pop();
   EXPECT_EQ(fired.time, Time::us(9.0));
-  fired.cb();
+  fired();
   EXPECT_EQ(hits, 1);
 }
 
@@ -91,7 +92,7 @@ TEST(EventQueue, ManyInterleavedScheduleCancel) {
         q.schedule(Time::us(static_cast<double>(i)), [&] { ++fired; }));
   }
   for (std::size_t i = 0; i < ids.size(); i += 2) q.cancel(ids[i]);
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop()();
   EXPECT_EQ(fired, 50);
 }
 
@@ -156,7 +157,7 @@ TEST(EventQueue, LargeCallbackRoundTrips) {
   q.schedule(Time::us(1.0), [payload, &got] {
     for (const std::uint64_t v : payload) got += v;
   });
-  q.pop().cb();
+  q.pop()();
   EXPECT_EQ(got, 32u * 33u / 2u);
 
   // Cancelled oversize callbacks release their pool chunk cleanly.
@@ -176,7 +177,7 @@ TEST(EventQueue, ReserveDoesNotDisturbPending) {
     });
   }
   q.reserve(1024);
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop()();
   EXPECT_EQ(fired, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
 }
 
@@ -224,7 +225,7 @@ TEST(EventQueue, FuzzAgainstMultimapModel) {
       auto fired_event = q.pop();
       ASSERT_EQ(fired_event.time, Time::ns(front->first.first));
       const std::size_t before = fired.size();
-      fired_event.cb();
+      fired_event();
       ASSERT_EQ(fired.size(), before + 1);
       ASSERT_EQ(fired.back(), front->second);
       const Key popped_key = front->first;
@@ -246,23 +247,30 @@ TEST(EventQueue, FuzzAgainstMultimapModel) {
     auto front = model.begin();
     auto fired_event = q.pop();
     ASSERT_EQ(fired_event.time, Time::ns(front->first.first));
-    fired_event.cb();
+    fired_event();
     ASSERT_EQ(fired.back(), front->second);
     model.erase(front);
   }
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
-  // Simulator-shaped interleavings: pop the earliest event, then schedule
-  // at now plus a delay drawn mostly from a few fixed costs (delay lanes)
-  // and sometimes at random (heap), cancel lane heads, middles and tails,
-  // and replay a reserved FIFO key at distinct times the way a
-  // coordinator chain does. Checked against a std::multimap ordered by
-  // the full (time, order) firing key.
+/// A typed event that appends its tag to the vector it targets.
+void push_tag(void* fired, std::uint64_t tag) {
+  static_cast<std::vector<int>*>(fired)->push_back(static_cast<int>(tag));
+}
+
+// Simulator-shaped interleavings: pop the earliest event, then schedule
+// at now plus a delay drawn mostly from a few fixed costs (delay lanes)
+// and sometimes at random (heap), cancel lane heads, middles and tails,
+// and replay a reserved FIFO key at distinct times the way a
+// coordinator chain does. Checked against a std::multimap ordered by
+// the full (time, order) firing key. With `mixed`, every other plain
+// event is a typed one, so typed and generic events share lanes, heap
+// and same-time FIFO runs.
+void lane_fuzz(std::uint64_t seed, bool mixed) {
   using Key = std::tuple<Time::rep, std::uint64_t>;
   constexpr std::array<Time::rep, 5> kFixed{100, 500, 2000, 3000, 12500};
-  Rng rng{20261017};
+  Rng rng{seed};
   EventQueue q;
   std::multimap<Key, int> model;
   struct Live {
@@ -291,7 +299,11 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
     const int tag = next_tag++;
     const Key key{when, counter++};
     const EventId id =
-        q.schedule(Time::ns(when), [tag, &fired] { fired.push_back(tag); });
+        mixed && tag % 2 == 1
+            ? q.schedule(Time::ns(when), &push_tag, &fired,
+                         static_cast<std::uint64_t>(tag), EventKind::kNetwork)
+            : q.schedule(Time::ns(when),
+                         [tag, &fired] { fired.push_back(tag); });
     model.emplace(key, tag);
     live.push_back(Live{id, key});
   };
@@ -314,7 +326,7 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
       auto ev = q.pop();
       ASSERT_EQ(ev.time, Time::ns(std::get<0>(front->first)));
       ASSERT_EQ(ev.order, std::get<1>(front->first));
-      ev.cb();
+      ev();
       ASSERT_EQ(fired.back(), front->second);
       now = std::get<0>(front->first);
       if (ev.order == chain_key) chain_pending = false;
@@ -380,12 +392,18 @@ TEST(EventQueue, LaneFuzzAgainstMultimapModel) {
     auto ev = q.pop();
     ASSERT_EQ(ev.time, Time::ns(std::get<0>(front->first)));
     ASSERT_EQ(ev.order, std::get<1>(front->first));
-    ev.cb();
+    ev();
     ASSERT_EQ(fired.back(), front->second);
     model.erase(front);
   }
   EXPECT_TRUE(q.empty());
   EXPECT_LE(q.slot_capacity(), peak + 4);
+}
+
+TEST(EventQueue, LaneFuzzAgainstMultimapModel) { lane_fuzz(20261017, false); }
+
+TEST(EventQueue, TypedAndGenericFuzzAgainstMultimapModel) {
+  lane_fuzz(20261020, true);
 }
 
 TEST(EventQueue, RetryTimerChurnKeepsLaneStorageBounded) {
@@ -408,7 +426,7 @@ TEST(EventQueue, RetryTimerChurnKeepsLaneStorageBounded) {
   for (int step = 0; step < 200'000; ++step) {
     traffic = false;
     auto ev = q.pop();
-    ev.cb();
+    ev();
     ASSERT_TRUE(traffic) << "a retransmit timer fired";
     const Time now = ev.time;
     q.schedule(now + Time::ns(kHop), [&traffic] { traffic = true; });
@@ -454,7 +472,7 @@ TEST(EventQueue, DrainedLaneIsHandedToANewDelay) {
     q.schedule(Time::ns(10), [&fired, i] { fired.push_back(i); });
   }
   EXPECT_EQ(q.lane_capacity(), occupied);
-  for (int i = 0; i < 40; ++i) q.pop().cb();
+  for (int i = 0; i < 40; ++i) q.pop()();
   EXPECT_EQ(fired.size(), 40u);
 
   // Drain every lane; a new recurring delay now takes one over, and its
@@ -466,9 +484,81 @@ TEST(EventQueue, DrainedLaneIsHandedToANewDelay) {
     q.schedule(Time::ns(10 + 777), [&fired, i] { fired.push_back(i); });
   }
   EXPECT_GT(q.lane_capacity(), occupied);
-  while (!q.empty()) q.pop().cb();
+  while (!q.empty()) q.pop()();
   ASSERT_EQ(fired.size(), 40u);
   for (int i = 0; i < 40; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
+}
+
+TEST(EventQueue, TypedEventRoundTrips) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(Time::us(2.0), [&fired] { fired.push_back(2); });
+  q.schedule(Time::us(1.0), &push_tag, &fired, 1, EventKind::kNi);
+  auto first = q.pop();
+  EXPECT_EQ(first.time, Time::us(1.0));
+  EXPECT_EQ(first.kind, EventKind::kNi);
+  EXPECT_EQ(first.target, &fired);
+  EXPECT_EQ(first.arg, 1u);
+  first();
+  auto second = q.pop();
+  EXPECT_EQ(second.kind, EventKind::kGeneric);
+  second();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, TypedEventCancelsAtLaneHeadMiddleAndTail) {
+  // Seven typed events at one instant: the first takes the heap, the
+  // rest share the lane of their delay. Cancel the lane's head (tag 1),
+  // a middle entry (tag 3) and its tail (tag 6).
+  EventQueue q;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int tag = 0; tag < 7; ++tag) {
+    ids.push_back(q.schedule(Time::ns(100), &push_tag, &fired,
+                             static_cast<std::uint64_t>(tag),
+                             EventKind::kNetwork));
+  }
+  ASSERT_GT(q.lane_capacity(), 0u);
+  for (const int tag : {1, 3, 6}) {
+    EXPECT_TRUE(q.cancel(ids[static_cast<std::size_t>(tag)]));
+    EXPECT_FALSE(q.cancel(ids[static_cast<std::size_t>(tag)]));
+  }
+  EXPECT_EQ(q.size(), 4u);
+  while (!q.empty()) q.pop()();
+  EXPECT_EQ(fired, (std::vector<int>{0, 2, 4, 5}));
+  EXPECT_EQ(q.callback_capacity(), 0u) << "typed events use no side store";
+}
+
+TEST(EventQueue, PoppedGenericEventsReturnTheirStorageUninvoked) {
+  // Popping without invoking is how benchmarks and tests drain a queue:
+  // the popped event owns its callback and frees it when dropped, so
+  // neither the slots nor the side store nor the pool grow, and a
+  // capture's destructor runs exactly once.
+  EventQueue q;
+  const auto token = std::make_shared<int>(0);
+  std::array<std::uint64_t, 16> big{};
+  static_assert(sizeof(big) > EventCallback::kInlineCapacity);
+  Time now = Time::zero();
+  for (int i = 0; i < 8; ++i) q.schedule(Time::ns(100 + i), [token] {});
+  for (int step = 0; step < 100'000; ++step) {
+    {
+      auto ev = q.pop();
+      now = ev.time;
+      EXPECT_EQ(ev.kind, EventKind::kGeneric);
+    }
+    if (step % 2 == 0) {
+      q.schedule(now + Time::ns(100), [token] {});
+    } else {
+      q.schedule(now + Time::ns(100), [token, big] { (void)big; });
+    }
+  }
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_LE(q.slot_capacity(), 9u);
+  EXPECT_LE(q.callback_capacity(), 64u);
+  EXPECT_LE(q.pool().bytes_reserved(), std::size_t{64} * 1024);
+  EXPECT_EQ(token.use_count(), 9);  // ours + one per pending callback
+  while (!q.empty()) q.pop();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
