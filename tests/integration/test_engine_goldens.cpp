@@ -175,6 +175,87 @@ TEST(EngineGoldens, StreamingRootDeathMidStreamFailsAfterHandoff) {
   EXPECT_EQ(r.packets_delivered, 567);
 }
 
+/// FNV digest of every StreamingResult field, in declaration order.
+std::uint64_t result_digest(const mcast::StreamingResult& r) {
+  std::uint64_t d = sim::kFnv1aBasis;
+  const auto fold = [&d](auto word) {
+    d = sim::fnv1a(d, static_cast<std::uint64_t>(word));
+  };
+  fold(r.makespan.count_ns());
+  fold(r.ni_makespan.count_ns());
+  fold(std::bit_cast<std::uint64_t>(r.flits_per_us));
+  fold(r.p99_gap.count_ns());
+  fold(r.stream_packets);
+  fold(r.rotation_requested);
+  fold(r.rotation_used);
+  fold(std::bit_cast<std::uint64_t>(r.overlap_mean));
+  fold(std::bit_cast<std::uint64_t>(r.overlap_max));
+  fold(r.outcome);
+  for (const auto& p : r.destinations) {
+    fold(p.host);
+    fold(p.delivered);
+    fold(p.reachable);
+    fold(p.completed_at.count_ns());
+  }
+  fold(r.repairs);
+  fold(r.replans);
+  fold(r.root_handoffs);
+  fold(r.packets_resent);
+  fold(r.effective_root);
+  fold(r.packets_delivered);
+  fold(r.total_channel_block_time.count_ns());
+  fold(r.events_dispatched);
+  fold(r.selection);
+  for (const std::int64_t n : r.member_packets) fold(n);
+  for (const double us : r.member_ni_work_us) {
+    fold(std::bit_cast<std::uint64_t>(us));
+  }
+  fold(r.telemetry_snapshots);
+  fold(r.telemetry_digest);
+  return d;
+}
+
+// Value golden for a 16-packet stream under static and adaptive
+// selection on six conditions: an R = 4 plan clean, under a link fault
+// and under 2% loss, and an R = 2 plan with the root killed at 36, 54
+// and 80 µs (R = 2, so each kill leaves survivors holding indices the
+// others miss and the per-packet hand-off runs). Like
+// CollectiveResultValues it pins what a caller reads, so it holds across
+// rewires of the streaming driver that add or move a coordination event.
+TEST(EngineGoldens, StreamingResultValues) {
+  const Rig rig{1997};
+  const auto wide = rig.plan(4);
+  const auto narrow = rig.plan(2);
+  const topo::HostId root = wide.members[0].tree.root;
+  std::vector<mcast::MulticastEngine::Config> configs(6);
+  configs[1].network.faults.link_down(sim::Time::us(40.0),
+                                      rig.topology.switches().num_edges() / 2);
+  configs[2].network.loss_rate = 0.02;
+  configs[3].network.faults.host_down(sim::Time::us(36.0), root);
+  configs[4].network.faults.host_down(sim::Time::us(54.0), root);
+  configs[5].network.faults.host_down(sim::Time::us(80.0), root);
+  constexpr mcast::Selection kSelections[] = {mcast::Selection::kStatic,
+                                              mcast::Selection::kAdaptive};
+  constexpr std::uint64_t kExpected[6][2] = {
+      {UINT64_C(0x9d6d7895f2f71a6d), UINT64_C(0x5a07a150d778b518)},
+      {UINT64_C(0x26feeb38c987bc83), UINT64_C(0x98eea962da578103)},
+      {UINT64_C(0xc575d677b4ddf333), UINT64_C(0x51d880270b49d57f)},
+      {UINT64_C(0x0638b5a5d8abb9dc), UINT64_C(0x6f9673860b8f2ef2)},
+      {UINT64_C(0x951f41d6fe4b6cab), UINT64_C(0xe33a5056a9fcf160)},
+      {UINT64_C(0x79c9a92fdb6b5a8d), UINT64_C(0xaa2b5a34bd1c75dc)}};
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      mcast::MulticastEngine::Config cfg = configs[c];
+      cfg.selection = kSelections[s];
+      const mcast::MulticastEngine engine{rig.topology, rig.routes, cfg};
+      const auto r = engine.run_streaming(c < 3 ? wide : narrow, 16);
+      EXPECT_EQ(result_digest(r), kExpected[c][s])
+          << "condition " << c << ", " << mcast::to_string(kSelections[s])
+          << std::hex << " digest 0x" << result_digest(r);
+    }
+  }
+}
+
 // The "RunMany" pair pins the multiple-multicast batch, now a FIFO
 // traffic mix of plain multicasts; the digests were recorded on the
 // batch's former driver, MulticastEngine::run_many.
