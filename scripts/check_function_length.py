@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fails when an engine function grows past a fixed length.
 
-Scans every *.hpp / *.cpp under src/core, src/mcast, src/collectives,
-src/traffic, src/netif and src/sim and measures each function body
+Scans every *.hpp / *.cpp under every directory of src/ and measures
+each function body
 that is not nested inside another function: namespace-scope functions
 and member functions, whether defined in or out of their class. A
 body's length runs from the line of its opening brace to the line of
@@ -21,8 +21,8 @@ import sys
 
 LIMIT = 150
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DIRS = ("src/core", "src/mcast", "src/collectives", "src/traffic",
-        "src/netif", "src/sim")
+DIRS = tuple(sorted(str(d.relative_to(ROOT))
+                   for d in (ROOT / "src").iterdir() if d.is_dir()))
 
 SCOPE_RE = re.compile(
     r"^(template\s*<.*>\s*)?(namespace|class|struct|union|enum)\b"

@@ -125,6 +125,36 @@ std::uint64_t fold_completions(
   return d;
 }
 
+/// A campaign's stream: a rotation plan over `members`, run on `engine`;
+/// returns `d` with the run's observables folded in.
+std::uint64_t stream_campaign(const mcast::MulticastEngine& engine,
+                              const core::Fabric& fabric,
+                              const core::Chain& members,
+                              const ChaosConfig& config, CampaignResult& out,
+                              std::uint64_t d) {
+  const auto n = static_cast<std::int32_t>(members.size());
+  core::RotationConfig rc;
+  rc.rotation_trees = config.rotation_trees;
+  rc.fanout_bound = std::clamp(core::optimal_k(n, 4).k, 1, n - 1);
+  const core::RotationPlan rplan = core::plan_rotation(
+      fabric.topology(), fabric.routes(), *fabric.updown(), members, rc);
+  const auto r = engine.run_streaming(rplan, config.stream_packets);
+  out.outcome = mcast::to_string(r.outcome);
+  out.repairs = r.repairs;
+  out.replans = r.replans;
+  out.root_handoffs = r.root_handoffs;
+  // A per-packet handoff legitimately loses the indices only the dead
+  // source held, so reachable destinations may hold partial streams;
+  // with the source alive, reachable must mean full.
+  check_statuses(out, r.destinations, r.outcome, r.root_handoffs == 0);
+  d = mix_time(d, r.makespan);
+  d = mix_time(d, r.ni_makespan);
+  d = mix(d, static_cast<std::uint64_t>(r.packets_delivered));
+  d = mix(d, static_cast<std::uint64_t>(r.packets_resent));
+  d = mix(d, static_cast<std::uint64_t>(r.effective_root));
+  return fold_statuses(d, r.destinations);
+}
+
 }  // namespace
 
 ChaosSoak::ChaosSoak(ChaosConfig config) : config_{config} {
@@ -217,28 +247,7 @@ CampaignResult ChaosSoak::campaign(const ChaosConfig& config,
                          : mcast::NiStyle::kSmartFpfs;
         const mcast::MulticastEngine engine{topology, routes, ecfg};
         if (op == ChaosOp::kStreaming) {
-          core::RotationConfig rc;
-          rc.rotation_trees = config.rotation_trees;
-          rc.fanout_bound = std::clamp(core::optimal_k(n, 4).k, 1, n - 1);
-          const core::RotationPlan rplan =
-              core::plan_rotation(topology, routes, *fabric.updown(),
-                                  members, rc);
-          const auto r = engine.run_streaming(rplan, config.stream_packets);
-          out.outcome = mcast::to_string(r.outcome);
-          out.repairs = r.repairs;
-          out.replans = r.replans;
-          out.root_handoffs = r.root_handoffs;
-          // A per-packet handoff legitimately loses the indices only the
-          // dead source held, so reachable destinations may hold partial
-          // streams; with the source alive, reachable must mean full.
-          check_statuses(out, r.destinations, r.outcome,
-                         r.root_handoffs == 0);
-          d = mix_time(d, r.makespan);
-          d = mix_time(d, r.ni_makespan);
-          d = mix(d, static_cast<std::uint64_t>(r.packets_delivered));
-          d = mix(d, static_cast<std::uint64_t>(r.packets_resent));
-          d = mix(d, static_cast<std::uint64_t>(r.effective_root));
-          d = fold_statuses(d, r.destinations);
+          d = stream_campaign(engine, fabric, members, config, out, d);
         } else {
           const auto r = engine.run(tree, m);
           out.outcome = mcast::to_string(r.outcome);

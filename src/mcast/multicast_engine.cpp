@@ -1,6 +1,7 @@
 #include "mcast/multicast_engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "traffic/traffic_engine.hpp"
@@ -84,20 +85,29 @@ MulticastEngine::MulticastEngine(const topo::Topology& topology,
 
 namespace {
 
-/// Runs `workload` (plain multicasts) as a FIFO traffic mix under the
-/// engine's configuration and maps each op onto a MulticastResult.
+/// Runs `workload` as a FIFO traffic mix under the engine's
+/// configuration.
+traffic::TrafficResult run_mix(const topo::Topology& topology,
+                               const routing::RouteTable& routes,
+                               const MulticastEngine::Config& config,
+                               sim::Trace* trace,
+                               const traffic::Workload& workload) {
+  traffic::TrafficConfig tcfg{config.params, config.network,   {},
+                              config.style,  config.reliability,
+                              config.repair};
+  tcfg.scheduler.policy = traffic::Policy::kFifo;
+  return traffic::TrafficEngine{topology, routes, tcfg, trace}.run(workload);
+}
+
+/// Runs `workload` (plain multicasts) as a FIFO traffic mix and maps each
+/// op onto a MulticastResult.
 MultiMulticastResult run_fifo(const topo::Topology& topology,
                               const routing::RouteTable& routes,
                               const MulticastEngine::Config& config,
                               sim::Trace* trace,
                               const traffic::Workload& workload) {
-  traffic::TrafficConfig tcfg{config.params, config.network,   {},
-                              config.style,  config.reliability,
-                              config.repair};
-  tcfg.scheduler.policy = traffic::Policy::kFifo;
   traffic::TrafficResult r =
-      traffic::TrafficEngine{topology, routes, tcfg, trace}.run(workload);
-
+      run_mix(topology, routes, config, trace, workload);
   MultiMulticastResult batch;
   for (traffic::OpRecord& rec : r.ops) {
     MulticastResult& op = batch.operations.emplace_back();
@@ -139,6 +149,25 @@ MultiMulticastResult MulticastEngine::run_many(
     op.packets = spec.packet_count;
   }
   return run_fifo(topology_, routes_, config_, trace_, workload);
+}
+
+StreamingResult MulticastEngine::run_streaming(
+    const core::RotationPlan& plan, std::int32_t stream_packets) const {
+  traffic::Workload workload;
+  workload.background = config_.background;
+  traffic::TrafficOp& op = workload.ops.emplace_back();
+  op.cls = traffic::OpClass::kStream;
+  // An owner-less aliasing pointer: the op borrows the caller's plan.
+  op.rotation = std::shared_ptr<const core::RotationPlan>{
+      std::shared_ptr<const void>{}, &plan};
+  op.packets = stream_packets;
+  op.selection = config_.selection;
+  traffic::TrafficResult r =
+      run_mix(topology_, routes_, config_, trace_, workload);
+  StreamingResult result = std::move(r.ops.front().stream);
+  result.total_channel_block_time = r.total_channel_block_time;
+  result.events_dispatched = r.events_dispatched;
+  return result;
 }
 
 }  // namespace nimcast::mcast

@@ -318,8 +318,13 @@ class MulticastEngine {
   /// the classes in one packet-major round-robin (FpfsNi::
   /// start_streaming), so consecutive stream packets leave down
   /// *different* trees and the per-packet NI forwarding load rotates
-  /// across hosts. A plan of size 1 is byte-identical to run() over the
-  /// fixed tree with the same packet count.
+  /// across hosts. A one-op FIFO traffic mix of a rotation stream
+  /// (traffic::StreamOp) plus the background flows as untracked load.
+  ///
+  /// On a loss-free fabric a plan of size 1 is byte-identical to run()
+  /// over the fixed tree with the same packet count. Under loss they
+  /// part: run() throws on a shortfall, while the stream repairs from
+  /// the root and reports what arrived (docs/robustness.md).
   ///
   /// Under faults, repair prefers a surviving rotation member — the
   /// first whose channel footprint dodges every dead channel — and only

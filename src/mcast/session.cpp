@@ -126,22 +126,28 @@ void Session::drain() {
 
 void Session::track_completions(std::size_t keys,
                                 std::function<void(std::size_t)> on_first) {
+  tracked_keys_ = keys;
   arrived_.assign(keys * num_hosts_, 0);
   on_first_ = std::move(on_first);
   for (auto& slot : nis_) {
     if (!slot) continue;
     slot->on_message_at_ni = [this](topo::HostId dest, net::MessageId msg) {
-      const std::size_t key = message_key_[static_cast<std::size_t>(msg - 1)];
-      auto& seen = arrived_[key * num_hosts_ + static_cast<std::size_t>(dest)];
-      if (seen != 0) return;
-      seen = 1;
-      if (on_first_) on_first_(key);
-      host(dest).software_receive([this, dest, msg, key] {
-        host_done_.push_back(Completion{key, dest, sim_.now()});
-        ni(dest).after_host_receive(msg, host(dest));
-      });
+      const std::size_t key = key_of(msg);
+      if (key < tracked_keys_) complete(key, dest, msg);
     };
   }
+}
+
+void Session::complete(std::size_t key, topo::HostId dest,
+                       net::MessageId message) {
+  auto& seen = arrived_[key * num_hosts_ + static_cast<std::size_t>(dest)];
+  if (seen != 0) return;
+  seen = 1;
+  if (on_first_) on_first_(key);
+  host(dest).software_receive([this, dest, message, key] {
+    host_done_.push_back(Completion{key, dest, sim_.now()});
+    ni(dest).after_host_receive(message, host(dest));
+  });
 }
 
 void Session::repair_rounds(

@@ -86,14 +86,20 @@ class Session {
     topo::HostId host = topo::kInvalidId;
     sim::Time at;
   };
-  /// Wires every NI's message completion into the ledger: the first
-  /// time a destination's NI completes any message of a key,
+  /// Wires every NI's message completion into the ledger as
+  /// complete(key, dest, message) for keys below `keys`; messages of
+  /// larger keys are untracked. Call after every NI is built.
+  void track_completions(std::size_t keys,
+                         std::function<void(std::size_t)> on_first = {});
+  /// The first time `dest` completes a message of tracked `key`,
   /// `on_first(key)` runs and the host's t_r is queued, after which the
   /// host-level completion is logged and the NI sees after_host_receive.
   /// Later completions of the same key at the same destination (repair
-  /// resends) are ignored. Call after every NI is built.
-  void track_completions(std::size_t keys,
-                         std::function<void(std::size_t)> on_first = {});
+  /// resends) are ignored.
+  void complete(std::size_t key, topo::HostId dest, net::MessageId message);
+  [[nodiscard]] std::size_t key_of(net::MessageId message) const {
+    return message_key_[static_cast<std::size_t>(message - 1)];
+  }
   [[nodiscard]] bool arrived(std::size_t key, topo::HostId h) const {
     return arrived_[key * num_hosts_ + static_cast<std::size_t>(h)] != 0;
   }
@@ -146,6 +152,7 @@ class Session {
   std::vector<std::unique_ptr<netif::Host>> hosts_;
   std::vector<std::unique_ptr<netif::NetworkInterface>> nis_;
   std::vector<std::size_t> message_key_;
+  std::size_t tracked_keys_ = 0;
   std::vector<std::uint8_t> arrived_;
   std::function<void(std::size_t)> on_first_;
   std::vector<Completion> host_done_;

@@ -1,31 +1,31 @@
-// MulticastEngine::run_streaming: a sustained stream from one source to
-// every other participant over a rotation plan, on one Session. The run
-// splits along the paper's seams — validation, install, launch, repair
-// and result reduction — and the adaptive per-packet member choice
-// lives in its own type.
+#pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
-#include <stdexcept>
+#include <span>
+#include <utility>
+#include <vector>
 
-#include "mcast/multicast_engine.hpp"
+#include "core/rotation.hpp"
 #include "mcast/session.hpp"
 #include "netif/smart_ni.hpp"
+#include "routing/route_alternatives.hpp"
 #include "sim/rng.hpp"
+#include "traffic/traffic_engine.hpp"
 
-namespace nimcast::mcast {
-namespace {
+namespace nimcast::traffic {
 
 /// Directed switch-channel ids condemned by the current fault state, in
 /// the numbering routing::edge_channel_footprint uses — so a footprint
 /// intersection against this set tells whether a rotation member's
 /// static routes dodge every dead link and switch. Sorted by
 /// construction (link id ascending, then direction, then VC).
-std::vector<std::int32_t> dead_switch_channels(const topo::Topology& topology,
-                                               const topo::SubgraphMask& mask,
-                                               std::int32_t vcs) {
+inline std::vector<std::int32_t> dead_switch_channels(
+    const topo::Topology& topology, const topo::SubgraphMask& mask,
+    std::int32_t vcs) {
   std::vector<std::int32_t> dead;
   if (!mask.any_dead()) return dead;
   const topo::Graph& g = topology.switches();
@@ -42,50 +42,6 @@ std::vector<std::int32_t> dead_switch_channels(const topo::Topology& topology,
     }
   }
   return dead;
-}
-
-void validate_stream(const MulticastEngine::Config& config,
-                     const topo::Topology& topology,
-                     const core::RotationPlan& plan,
-                     std::int32_t stream_packets) {
-  if (config.style != NiStyle::kSmartFpfs) {
-    throw std::invalid_argument(
-        "run_streaming: rotation streaming requires NiStyle::kSmartFpfs");
-  }
-  if (stream_packets < 1) {
-    throw std::invalid_argument("run_streaming: stream_packets < 1");
-  }
-  if (plan.members.empty()) {
-    throw std::invalid_argument("run_streaming: empty rotation plan");
-  }
-  const core::HostTree& base = plan.members.front().tree;
-  std::vector<topo::HostId> base_sorted = base.nodes;
-  std::sort(base_sorted.begin(), base_sorted.end());
-  if (base_sorted.empty() || base_sorted.front() < 0 ||
-      base_sorted.back() >= topology.num_hosts()) {
-    throw std::invalid_argument("run_streaming: host out of range");
-  }
-  for (const auto& member : plan.members) {
-    if (member.tree.root != base.root) {
-      throw std::invalid_argument("run_streaming: members disagree on root");
-    }
-    std::vector<topo::HostId> nodes = member.tree.nodes;
-    std::sort(nodes.begin(), nodes.end());
-    if (nodes != base_sorted) {
-      throw std::invalid_argument(
-          "run_streaming: members disagree on participants");
-    }
-  }
-  for (const auto& flow : config.background) {
-    if (flow.src < 0 || flow.src >= topology.num_hosts() || flow.dst < 0 ||
-        flow.dst >= topology.num_hosts() || flow.src == flow.dst) {
-      throw std::invalid_argument("run_streaming: bad background flow");
-    }
-    if (flow.packets < 1) {
-      throw std::invalid_argument(
-          "run_streaming: background flow packets < 1");
-    }
-  }
 }
 
 /// Congestion-aware per-packet member choice (Selection::kAdaptive).
@@ -107,7 +63,7 @@ void validate_stream(const MulticastEngine::Config& config,
 /// fabric byte-identical to the static g mod R rotation.
 class AdaptiveSelector {
  public:
-  AdaptiveSelector(Session& session, const topo::Topology& topology,
+  AdaptiveSelector(mcast::Session& session, const topo::Topology& topology,
                    std::int32_t vcs, const netif::SystemParams& params,
                    const core::RotationPlan& plan, std::int32_t rotation,
                    std::int32_t stream_packets)
@@ -125,7 +81,7 @@ class AdaptiveSelector {
         prev_block_(
             static_cast<std::size_t>(session.network().num_channels()), 0),
         snap_period_{sim::Time::ns(w_pkt_)},
-        next_snap_{snap_period_} {
+        snap_key_{session.sim().reserve_order()} {
     std::vector<std::uint8_t> in_union(prev_block_.size(), 0);
     for (std::size_t r = 0; r < members_.size(); ++r) {
       Member& m = members_[r];
@@ -157,13 +113,13 @@ class AdaptiveSelector {
   /// Telemetry snapshots: a self-rescheduling chain with one
   /// steady-state packet period between samples — long enough for fresh
   /// block-time deltas, short enough to react within a handful of
-  /// packets. The chain replays one FIFO key reserved here, during
-  /// setup, so each sample fires before every same-instant event the run
-  /// schedules and sees the state as of the start of that instant. It
-  /// stops once the stream has fully issued or the root died, after at
-  /// most one trailing no-op snapshot.
+  /// packets. The chain replays one FIFO key the constructor reserved
+  /// during run set-up, before the arrival keys, so each sample fires
+  /// before every same-instant event of the run and sees the state as of
+  /// the start of that instant. It stops once the stream has fully
+  /// issued or the root died, after at most one trailing no-op snapshot.
   void start() {
-    snap_key_ = session_.sim().reserve_order();
+    next_snap_ = session_.sim().now() + snap_period_;
     schedule_snapshot();
   }
 
@@ -286,7 +242,7 @@ class AdaptiveSelector {
     ++snapshots_;
   }
 
-  Session& session_;
+  mcast::Session& session_;
   const topo::Topology& topology_;
   std::int32_t vcs_;
   topo::HostId root_;
@@ -303,142 +259,212 @@ class AdaptiveSelector {
   std::int32_t faults_seen_ = 0;
   sim::Time snap_period_;
   sim::Time next_snap_;
-  std::uint64_t snap_key_ = 0;
+  std::uint64_t snap_key_;
 };
 
-/// One run_streaming call on one Session.
-class StreamRun {
+/// The traffic engine's bookkeeping for one rotation stream op
+/// (TrafficOp::rotation): a sustained stream of `packets` fixed-size
+/// packets from the plan's root to every other participant, one message
+/// per member tree that carries packets. The root's NI interleaves the
+/// members packet-major (FpfsNi::start_streaming), so consecutive
+/// stream packets leave down different trees. The op keeps the
+/// per-(host, stream packet) arrival table — a destination's t_r follows
+/// its last distinct packet, logged under the op's ledger key — and
+/// what repair, hand-off and the verdicts need.
+class StreamOp {
  public:
-  StreamRun(const MulticastEngine::Config& config,
-            const topo::Topology& topology,
-            const routing::RouteTable& routes, sim::Trace* trace,
-            const core::RotationPlan& plan, std::int32_t stream_packets)
-      : config_{config},
+  /// Installs the members as messages of ledger key `message_key`
+  /// (untracked: the op completes destinations itself, under `key`) and
+  /// binds member r >= 1's table to route class `first_class + r - 1`;
+  /// member 0 stays on class 0. `op` must outlive the object.
+  StreamOp(mcast::Session& session, const TrafficOp& op, std::size_t key,
+           std::size_t message_key, std::int32_t first_class,
+           const TrafficConfig& config, const topo::Topology& topology,
+           std::int32_t vcs)
+      : session_{session},
         topology_{topology},
-        routes_{routes},
-        plan_{plan},
-        base_{plan.members.front().tree},
+        config_{config},
+        plan_{*op.rotation},
+        base_{plan_.members.front().tree},
         root_{base_.root},
-        S_{stream_packets},
-        R_{std::min(plan.size(), stream_packets)},
-        adaptive_{config.selection == Selection::kAdaptive && R_ > 1},
-        session_{topology,      routes,        config.params,
-                 config.network, config.repair, "MulticastEngine", trace},
-        eff_root_{root_} {}
-
-  StreamingResult run() {
-    install();
-    launch();
-    session_.drain();
-    const bool lossy = config_.network.loss_rate > 0.0;
-    if ((session_.faulty() || lossy) && config_.repair.max_attempts > 0) {
-      repair();
-    }
-    return finish();
-  }
-
- private:
-  /// Route classes, NIs, forwarding state and the reassembly sink.
-  void install() {
-    // Rotation members ride their decorrelated routes via route classes;
-    // member 0 (and any member planned on the primary table) stays on
-    // class 0, so an R = 1 plan leaves the network untouched.
-    for (std::int32_t r = 1; r < R_; ++r) {
-      const auto& member = plan_.members[static_cast<std::size_t>(r)];
-      if (member.table) session_.network().bind_route_class(r, *member.table);
-    }
-    for (topo::HostId h : base_.nodes) session_.add_ni(h, NiStyle::kSmartFpfs);
-    for (const auto& flow : config_.background) {
-      session_.add_ni(flow.src, NiStyle::kSmartFpfs);
-      session_.add_ni(flow.dst, NiStyle::kSmartFpfs);
-    }
-    // One message per streaming class; member r's tree carries class r.
-    // Static: class r holds the stream packets congruent to r mod R,
-    // with per-class packet indices. Adaptive: any packet may ride any
-    // class, so every class is installed with the full stream as
-    // packet_count and the *global* stream index as packet index — a
-    // class carries the sparse index subset the selector routes to it.
+        S_{op.packets},
+        R_{std::min(plan_.size(), S_)},
+        adaptive_{op.selection == mcast::Selection::kAdaptive && R_ > 1},
+        vcs_{vcs},
+        key_{key},
+        message_key_{message_key} {
+    // Static: class r holds the stream packets congruent to r mod R, with
+    // per-class packet indices. Adaptive: any packet may ride any class,
+    // so every class is installed with the full stream as packet_count
+    // and the *global* stream index as packet index — a class carries
+    // the sparse index subset the selector routes to it.
     for (std::int32_t r = 0; r < R_; ++r) {
+      const auto& member = plan_.members[static_cast<std::size_t>(r)];
+      const std::int32_t cls = r == 0 ? 0 : first_class + r - 1;
+      if (r > 0 && member.table) {
+        session_.network().bind_route_class(cls, *member.table);
+      }
       std::vector<std::int32_t> indices;
       const std::int32_t step = adaptive_ ? 1 : R_;
       for (std::int32_t g = adaptive_ ? 0 : r; g < S_; g += step) {
         indices.push_back(g);
       }
-      const net::MessageId message = session_.new_message();
-      session_.install_tree(message,
-                            plan_.members[static_cast<std::size_t>(r)].tree,
-                            static_cast<std::int32_t>(indices.size()), r);
-      stream_index_.push_back(std::move(indices));
-      stream_messages_.push_back(message);
+      const net::MessageId message = session_.new_message(message_key_);
+      session_.install_tree(message, member.tree,
+                            static_cast<std::int32_t>(indices.size()), cls);
+      messages_.push_back(message);
+      index_.emplace_back(message, std::move(indices));
     }
-    // Background unicast flows: one message per flow, a two-node chain
-    // on the primary table. Their packets contend for wires and
-    // coprocessors but never enter stream accounting.
-    for (const auto& flow : config_.background) {
-      session_.install_unicast(session_.new_message(), flow.src, flow.dst,
-                               flow.packets);
-      stream_index_.emplace_back();
-    }
-    const auto num_hosts = static_cast<std::size_t>(topology_.num_hosts());
-    arrival_.resize(num_hosts);
-    seen_count_.assign(num_hosts, 0);
+    arrival_.resize(session_.num_hosts());
+    seen_count_.assign(session_.num_hosts(), 0);
     for (topo::HostId h : base_.nodes) {
       if (h != root_) {
         arrival_[static_cast<std::size_t>(h)].assign(
             static_cast<std::size_t>(S_), kNotYet);
       }
     }
-    session_.for_each_ni([this](netif::NetworkInterface& ni) {
-      ni.on_packet_at_ni = [this](topo::HostId dest, const net::Packet& p) {
-        on_packet(dest, p);
-      };
-    });
+    if (adaptive_) {
+      selector_.emplace(session_, topology_, vcs_, config.params, plan_, R_,
+                        S_);
+    }
+    result_.effective_root = root_;
   }
 
-  /// Per-destination reassembly: the first receive-processing of each
-  /// stream index counts; the host's t_r follows the last one. Events
-  /// dispatch in time order, so the latest stamp is the makespan.
+  /// Route classes the members bound, from first_class on.
+  [[nodiscard]] std::int32_t classes() const { return R_ - 1; }
+
+  /// The sorted switch channels the carrying members' routes cross.
+  [[nodiscard]] std::vector<std::int32_t> footprint() const {
+    std::vector<std::int32_t> foot;
+    for (std::int32_t r = 0; r < R_; ++r) {
+      foot = routing::footprint_union(
+          foot, plan_.members[static_cast<std::size_t>(r)].footprint);
+    }
+    return foot;
+  }
+
+  /// Hands the stream to the root's NI (the host pays its start-up).
+  void start() {
+    auto& ni = static_cast<netif::FpfsNi&>(session_.ni(root_));
+    if (selector_) {
+      selector_->start();
+      ni.start_streaming_adaptive(
+          messages_, S_, session_.host(root_),
+          [this](std::int32_t g) { return selector_->select(g); });
+    } else {
+      ni.start_streaming(messages_, session_.host(root_));
+    }
+  }
+
+  /// Per-destination reassembly of a receive-processed packet of one of
+  /// the op's messages: the first receive of each stream index counts;
+  /// the last one completes the destination. Events dispatch in time
+  /// order, so the latest stamp is the NI makespan.
   void on_packet(topo::HostId dest, const net::Packet& p) {
-    const auto& indices =
-        stream_index_[static_cast<std::size_t>(p.message - 1)];
-    if (indices.empty() || dest == root_) return;  // not a stream packet
-    const std::int32_t g = indices[static_cast<std::size_t>(p.packet_index)];
+    if (dest == root_) return;
+    const auto it = std::lower_bound(
+        index_.begin(), index_.end(), p.message,
+        [](const auto& entry, net::MessageId m) { return entry.first < m; });
+    const std::int32_t g = it->second[static_cast<std::size_t>(p.packet_index)];
     auto& at =
         arrival_[static_cast<std::size_t>(dest)][static_cast<std::size_t>(g)];
     if (at != kNotYet) return;  // a repair resend of a packet already seen
     at = session_.sim().now();
-    result_.ni_makespan = at;
+    ni_last_ = at;
     ++result_.packets_delivered;
     if (++seen_count_[static_cast<std::size_t>(dest)] == S_) {
-      session_.host(dest).software_receive([this, dest] {
-        result_.makespan = session_.sim().now();
-        host_all_.emplace_back(dest, result_.makespan);
-      });
+      session_.complete(key_, dest, p.message);
     }
   }
 
-  /// Telemetry (adaptive), the stream itself, then the background flows.
-  void launch() {
-    if (adaptive_) {
-      selector_.emplace(session_, topology_, routes_.virtual_channels(),
-                        config_.params, plan_, R_, S_);
-      selector_->start();
+  /// One repair round after a drain. All fault events fire during the
+  /// first drain (plans are scheduled up front), so the dead set is
+  /// final by the first round. Root alive: patch the rotation set
+  /// incrementally on the first round (replan_rotation — members
+  /// untouched by the dead set survive verbatim, broken members are
+  /// re-planned over their surviving chain) and resend what is missing
+  /// down it. Root dead: hand off per packet.
+  bool repair_round(sim::Time start_at) {
+    net::WormholeNetwork& network = session_.network();
+    if (!network.host_alive(root_)) {
+      return config_.repair.root_handoff && hand_off(start_at);
     }
-    session_.sim().schedule_at(sim::Time::zero(), [this] {
-      auto& ni = static_cast<netif::FpfsNi&>(session_.ni(root_));
-      if (adaptive_) {
-        ni.start_streaming_adaptive(
-            stream_messages_, S_, session_.host(root_),
-            [this](std::int32_t g) { return selector_->select(g); });
-      } else {
-        ni.start_streaming(stream_messages_, session_.host(root_));
+    if (!replanned_) {
+      replanned_ = true;
+      const auto dead =
+          dead_switch_channels(topology_, network.fault_state(), vcs_);
+      std::vector<topo::HostId> dead_hosts;
+      for (topo::HostId h : base_.nodes) {
+        if (!network.host_alive(h)) dead_hosts.push_back(h);
       }
-    });
-    auto message = static_cast<net::MessageId>(R_);
-    for (const auto& flow : config_.background) {
-      session_.start_at(flow.start, flow.src, ++message);
+      auto patched = core::replan_rotation(topology_, network.routes(), plan_,
+                                           dead, dead_hosts);
+      live_ = std::move(patched.plan);
+      result_.replans = patched.rebuilt;
     }
+    return repair_from_root(start_at);
   }
+
+  /// Writes the op's StreamingResult and verdicts into `rec`
+  /// (`completions`: the op's host-level completions, (time, host)
+  /// order). A destination is delivered when it holds the whole stream.
+  void complete(
+      OpRecord& rec,
+      std::span<const std::pair<topo::HostId, sim::Time>> completions) {
+    mcast::StreamingResult& s = result_;
+    rec.ni_completed = std::max(rec.ni_completed, ni_last_);
+    s.makespan = rec.fct();
+    s.ni_makespan = rec.ni_completed - rec.arrival;
+    if (s.ni_makespan > sim::Time::zero()) {
+      const double flits =
+          static_cast<double>(s.packets_delivered) *
+          (static_cast<double>(config_.network.packet_bytes) / 8.0);
+      s.flits_per_us = flits / s.ni_makespan.as_us();
+    }
+    s.p99_gap = p99_inorder_gap();
+    s.stream_packets = S_;
+    s.rotation_requested = plan_.requested;
+    s.rotation_used = R_;
+    s.overlap_mean = plan_.overlap_mean();
+    s.overlap_max = plan_.overlap_max();
+    s.destinations =
+        session_.verdicts(base_.nodes, root_, s.effective_root, completions);
+    s.outcome = mcast::outcome_of(s.destinations);
+    s.selection =
+        adaptive_ ? mcast::Selection::kAdaptive : mcast::Selection::kStatic;
+    const std::int64_t t_snd_ns = config_.params.t_snd.count_ns();
+    for (std::int32_t r = 0; r < R_; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      const auto n = adaptive_
+                         ? selector_->sent(i)
+                         : static_cast<std::int64_t>(index_[i].second.size());
+      s.member_packets.push_back(n);
+      const auto& tree = plan_.members[i].tree;
+      std::int64_t bottleneck_ns = 0;
+      for (std::size_t j = 0; j < tree.nodes.size(); ++j) {
+        std::int64_t work =
+            static_cast<std::int64_t>(tree.children_at(j).size()) * t_snd_ns;
+        if (tree.nodes[j] != root_) work += config_.params.t_rcv.count_ns();
+        bottleneck_ns = std::max(bottleneck_ns, work);
+      }
+      s.member_ni_work_us.push_back(static_cast<double>(n) *
+                                    static_cast<double>(bottleneck_ns) /
+                                    1000.0);
+    }
+    s.telemetry_snapshots = adaptive_ ? selector_->snapshots() : 0;
+    s.telemetry_digest = adaptive_ ? selector_->digest() : 0;
+    rec.completions.assign(completions.begin(), completions.end());
+    rec.packets_delivered = s.packets_delivered;
+    rec.outcome = s.outcome;
+    rec.destinations = s.destinations;
+    rec.repairs = s.repairs;
+    rec.root_handoffs = s.root_handoffs;
+    rec.effective_root = s.effective_root;
+    rec.stream = std::move(s);
+  }
+
+ private:
+  static constexpr sim::Time kNotYet = sim::Time::max();
 
   [[nodiscard]] bool needs(topo::HostId h) const {
     return h != root_ && seen_count_[static_cast<std::size_t>(h)] < S_;
@@ -473,11 +499,11 @@ class StreamRun {
         initiator, order, [this](topo::HostId h) { return needs(h); },
         std::max(plan_.fanout_bound, 1));
     if (!rtree) return false;
-    const net::MessageId message = session_.new_message();
+    const net::MessageId message = session_.new_message(message_key_);
     const auto count = static_cast<std::int32_t>(share.size());
     session_.install_tree(message, *rtree, count);
     result_.packets_resent += count;
-    stream_index_.push_back(std::move(share));
+    index_.emplace_back(message, std::move(share));
     session_.start_at(start_at, initiator, message);
     return true;
   }
@@ -536,12 +562,13 @@ class StreamRun {
   bool hand_off(sim::Time start_at) {
     // The reachability reference after the root died: the lowest-ranked
     // surviving destination holding any packet.
-    if (eff_root_ == root_) {
-      eff_root_ = session_.elect(base_.nodes, root_, [this](topo::HostId h) {
+    topo::HostId& eff_root = result_.effective_root;
+    if (eff_root == root_) {
+      eff_root = session_.elect(base_.nodes, root_, [this](topo::HostId h) {
         return seen_count_[static_cast<std::size_t>(h)] > 0;
       });
-      if (eff_root_ == topo::kInvalidId) {
-        eff_root_ = root_;
+      if (eff_root == topo::kInvalidId) {
+        eff_root = root_;
         return false;  // the stream died with the root
       }
     }
@@ -576,32 +603,6 @@ class StreamRun {
     return scheduled;
   }
 
-  /// All fault events fire during the first drain (plans are scheduled
-  /// up front), so the dead set here is final. Root alive: patch the
-  /// rotation set incrementally (replan_rotation — members untouched by
-  /// the dead set survive verbatim, broken members are re-planned over
-  /// their surviving chain) and resend what is missing down it. Root
-  /// dead: hand off per packet.
-  void repair() {
-    net::WormholeNetwork& network = session_.network();
-    if (network.host_alive(root_)) {
-      const auto dead = dead_switch_channels(topology_, network.fault_state(),
-                                             routes_.virtual_channels());
-      std::vector<topo::HostId> dead_hosts;
-      for (topo::HostId h : base_.nodes) {
-        if (!network.host_alive(h)) dead_hosts.push_back(h);
-      }
-      auto patched = core::replan_rotation(topology_, network.routes(), plan_,
-                                           dead, dead_hosts);
-      live_ = std::move(patched.plan);
-      result_.replans = patched.rebuilt;
-    }
-    session_.repair_rounds([&](sim::Time start_at) {
-      if (network.host_alive(root_)) return repair_from_root(start_at);
-      return config_.repair.root_handoff && hand_off(start_at);
-    });
-  }
-
   /// p99 gap between consecutive in-order completions, pooled over
   /// every destination that received the whole stream: packet g
   /// completes in order once packets 0..g have all arrived, i.e. at the
@@ -626,93 +627,33 @@ class StreamRun {
     return gaps[std::min(n - 1, (n * 99 + 99) / 100 - 1)];
   }
 
-  StreamingResult finish() {
-    StreamingResult& result = result_;
-    result.stream_packets = S_;
-    result.rotation_requested = plan_.requested;
-    result.rotation_used = R_;
-    result.overlap_mean = plan_.overlap_mean();
-    result.overlap_max = plan_.overlap_max();
-    result.effective_root = eff_root_;
-    result.p99_gap = p99_inorder_gap();
-    result.destinations =
-        session_.verdicts(base_.nodes, root_, eff_root_, host_all_);
-    result.outcome = outcome_of(result.destinations);
-    if (!session_.faulty() && config_.network.loss_rate <= 0.0 &&
-        result.outcome != Outcome::kComplete) {
-      throw std::runtime_error(
-          "MulticastEngine: streaming broadcast did not complete");
-    }
-    if (result.ni_makespan > sim::Time::zero()) {
-      const double flits =
-          static_cast<double>(result.packets_delivered) *
-          (static_cast<double>(config_.network.packet_bytes) / 8.0);
-      result.flits_per_us = flits / result.ni_makespan.as_us();
-    }
-    result.selection = adaptive_ ? Selection::kAdaptive : Selection::kStatic;
-    const std::int64_t t_snd_ns = config_.params.t_snd.count_ns();
-    for (std::int32_t r = 0; r < R_; ++r) {
-      const auto i = static_cast<std::size_t>(r);
-      const auto n =
-          adaptive_ ? selector_->sent(i)
-                    : static_cast<std::int64_t>(stream_index_[i].size());
-      result.member_packets.push_back(n);
-      const auto& tree = plan_.members[static_cast<std::size_t>(r)].tree;
-      std::int64_t bottleneck_ns = 0;
-      for (std::size_t j = 0; j < tree.nodes.size(); ++j) {
-        std::int64_t work =
-            static_cast<std::int64_t>(tree.children_at(j).size()) * t_snd_ns;
-        if (tree.nodes[j] != root_) work += config_.params.t_rcv.count_ns();
-        bottleneck_ns = std::max(bottleneck_ns, work);
-      }
-      result.member_ni_work_us.push_back(static_cast<double>(n) *
-                                         static_cast<double>(bottleneck_ns) /
-                                         1000.0);
-    }
-    result.telemetry_snapshots = adaptive_ ? selector_->snapshots() : 0;
-    result.telemetry_digest = adaptive_ ? selector_->digest() : 0;
-    result.total_channel_block_time = session_.network().total_block_time();
-    result.events_dispatched =
-        static_cast<std::int64_t>(session_.sim().events_dispatched());
-    return std::move(result);
-  }
-
-  const MulticastEngine::Config& config_;
+  mcast::Session& session_;
   const topo::Topology& topology_;
-  const routing::RouteTable& routes_;
+  const TrafficConfig& config_;
   const core::RotationPlan& plan_;
   const core::HostTree& base_;
   topo::HostId root_;
   std::int32_t S_;  ///< stream packets
-  /// Classes that actually carry packets: packet g rides class g mod R.
+  /// Members that actually carry packets: min(plan size, S).
   std::int32_t R_;
   /// An R = 1 plan degrades adaptive to static: nothing to choose.
   bool adaptive_;
-  Session session_;
-  std::vector<net::MessageId> stream_messages_;
-  /// Stream index of each message's packets (index = message id - 1):
-  /// packet j of message m carries stream packet stream_index_[m - 1][j].
-  /// Empty for background flows, which stay out of stream accounting.
-  std::vector<std::vector<std::int32_t>> stream_index_;
-  static constexpr sim::Time kNotYet = sim::Time::max();
+  std::int32_t vcs_;
+  std::size_t key_;
+  std::size_t message_key_;
+  std::vector<net::MessageId> messages_;  ///< member r's, index r
+  /// Per message of the op, ascending id (members first, then resends):
+  /// packet j carries stream packet `second[j]`.
+  std::vector<std::pair<net::MessageId, std::vector<std::int32_t>>> index_;
   /// [host][stream index]: first receive-processing, kNotYet until then.
   std::vector<std::vector<sim::Time>> arrival_;
   std::vector<std::int32_t> seen_count_;
-  /// (dest, time) at host-level completion of the whole stream.
-  std::vector<std::pair<topo::HostId, sim::Time>> host_all_;
+  sim::Time ni_last_;  ///< the latest first receive of a stream packet
   std::optional<AdaptiveSelector> selector_;
+  bool replanned_ = false;
   core::RotationPlan live_;  ///< the patched plan repair rides
-  topo::HostId eff_root_;
-  StreamingResult result_;
+  /// The counters repair and hand-off keep, filled at complete().
+  mcast::StreamingResult result_;
 };
 
-}  // namespace
-
-StreamingResult MulticastEngine::run_streaming(
-    const core::RotationPlan& plan, std::int32_t stream_packets) const {
-  validate_stream(config_, topology_, plan, stream_packets);
-  StreamRun run{config_, topology_, routes_, trace_, plan, stream_packets};
-  return run.run();
-}
-
-}  // namespace nimcast::mcast
+}  // namespace nimcast::traffic

@@ -14,6 +14,7 @@
 #include "routing/route_alternatives.hpp"
 #include "sim/rng.hpp"
 #include "traffic/collective_op.hpp"
+#include "traffic/stream_op.hpp"
 
 namespace nimcast::traffic {
 
@@ -46,11 +47,13 @@ struct MsgPlan {
   }
 };
 
-/// Flattens the mix: multicasts, plain streams and real-kind collectives
-/// are one phase-0 tree message; churn streams split into a phase-0
-/// prefix on `tree` and a phase-1 suffix on `tree2`; emulated collectives
-/// gather every member to the root (phase 0, one two-node message per
-/// member) then broadcast back down the tree (phase 1).
+/// Flattens the mix: multicasts, streams and real-kind collectives are
+/// one phase-0 tree message (a rotation stream's on its member 0, which
+/// its StreamOp splits into member messages); churn streams split into a
+/// phase-0 prefix on first_tree() and a phase-1 suffix on `tree2`;
+/// emulated collectives gather every member to the root (phase 0, one
+/// two-node message per member) then broadcast back down the tree
+/// (phase 1).
 std::vector<MsgPlan> build_plans(const Workload& workload) {
   std::vector<MsgPlan> plans;
   for (std::size_t op = 0; op < workload.ops.size(); ++op) {
@@ -58,8 +61,8 @@ std::vector<MsgPlan> build_plans(const Workload& workload) {
     switch (o.cls) {
       case OpClass::kMulticast:
       case OpClass::kStream:
-        plans.push_back(
-            MsgPlan::on_tree(op, 0, o.tree, o.churn ? o.split : o.packets));
+        plans.push_back(MsgPlan::on_tree(op, 0, o.first_tree(),
+                                         o.churn ? o.split : o.packets));
         if (o.churn) {
           plans.push_back(
               MsgPlan::on_tree(op, 1, o.tree2, o.packets - o.split));
@@ -108,20 +111,44 @@ std::int64_t widest_fanout(const std::vector<MsgPlan>& plans) {
   return static_cast<std::int64_t>(fanout);
 }
 
+/// A rotation plan rides a stream op (of one member if it churns) on
+/// kSmartFpfs NIs, and its members agree on root and participants.
+void validate_rotation(const TrafficConfig& config, const TrafficOp& o) {
+  const auto& members = o.rotation->members;
+  const auto group = [](const core::HostTree& t) {
+    std::vector<topo::HostId> nodes = t.nodes;
+    std::sort(nodes.begin(), nodes.end());
+    return std::pair{t.root, nodes};
+  };
+  if (o.cls != OpClass::kStream || members.empty() ||
+      (o.churn && members.size() > 1) ||
+      config.style != mcast::NiStyle::kSmartFpfs ||
+      !std::all_of(members.begin(), members.end(), [&](const auto& m) {
+        return group(m.tree) == group(members.front().tree);
+      })) {
+    throw std::invalid_argument(
+        "TrafficEngine: a rotation stream needs kSmartFpfs NIs, members "
+        "that agree on root and participants, and one member to churn");
+  }
+}
+
 void validate_workload(const TrafficConfig& config,
                        const topo::Topology& topology,
                        const Workload& workload) {
   if (workload.ops.empty()) {
     throw std::invalid_argument("TrafficEngine: empty workload");
   }
+  const auto valid_host = [&](topo::HostId h) {
+    return h >= 0 && h < topology.num_hosts();
+  };
   const auto check_hosts = [&](const core::HostTree& t) {
-    for (topo::HostId h : t.nodes) {
-      if (h < 0 || h >= topology.num_hosts()) {
-        throw std::invalid_argument("TrafficEngine: host out of range");
-      }
+    if (!std::all_of(t.nodes.begin(), t.nodes.end(), valid_host)) {
+      throw std::invalid_argument("TrafficEngine: host out of range");
     }
   };
   for (const TrafficOp& o : workload.ops) {
+    if (o.rotation) validate_rotation(config, o);
+    const core::HostTree& tree = o.first_tree();
     const bool collective = o.cls == OpClass::kCollective;
     // Emulated collectives and churn streams launch a second phase when
     // the first completes.
@@ -129,7 +156,10 @@ void validate_workload(const TrafficConfig& config,
     if (o.packets < 1) {
       throw std::invalid_argument("TrafficEngine: packets < 1");
     }
-    if (o.tree.size() < (collective || o.churn ? 2 : 1)) {
+    if (o.arrival < sim::Time::zero()) {
+      throw std::invalid_argument("TrafficEngine: negative arrival");
+    }
+    if (tree.size() < (collective || o.churn ? 2 : 1)) {
       throw std::invalid_argument("TrafficEngine: group too small");
     }
     // A second phase may wait forever on a first that faults or loss cut
@@ -140,7 +170,7 @@ void validate_workload(const TrafficConfig& config,
           "TrafficEngine: compound operations (emulated collectives, churn) "
           "cannot run under faults or loss, nor collectives under loss");
     }
-    check_hosts(o.tree);
+    check_hosts(tree);
     if (o.churn) {
       if (o.cls != OpClass::kStream) {
         throw std::invalid_argument(
@@ -150,11 +180,18 @@ void validate_workload(const TrafficConfig& config,
         throw std::invalid_argument(
             "TrafficEngine: churn split out of [1, packets)");
       }
-      if (o.tree2.size() < 1 || o.tree2.root != o.tree.root) {
+      if (o.tree2.size() < 1 || o.tree2.root != tree.root) {
         throw std::invalid_argument(
             "TrafficEngine: churn re-bind disagrees on root");
       }
       check_hosts(o.tree2);
+    }
+  }
+  for (const BackgroundFlow& flow : workload.background) {
+    if (!valid_host(flow.src) || !valid_host(flow.dst) ||
+        flow.src == flow.dst || flow.packets < 1 ||
+        flow.start < sim::Time::zero()) {
+      throw std::invalid_argument("TrafficEngine: bad background flow");
     }
   }
 }
@@ -183,6 +220,7 @@ class TrafficRun {
         op_msgs1_(num_ops_),
         op_foot_(num_ops_),
         collectives_(num_ops_),
+        streams_(num_ops_),
         st_(num_ops_),
         recs_(num_ops_),
         session_{topology,      routes,          config.params, config.network,
@@ -192,27 +230,40 @@ class TrafficRun {
         sched_{scfg_, session_.network().num_channels(),
                kHotBlockPackets *
                    config.network.serialization_time().count_ns()},
+        background_{workload.background},
         remaining_(plans_.size()),
         msg_ni_last_(plans_.size()) {
     // Per-op message index lists by phase and, for pacing, channel
     // footprints (every message of the op, forward edge direction — the
     // switch channels the op's worms will fight over; FIFO never reads
     // them); one message per plan, ledger key = plan index, on the NIs
-    // of its hosts.
+    // of its hosts. A rotation stream's member messages carry the
+    // untracked key plans + op, and its members take the next free route
+    // classes; background flows carry the untracked key plans + ops.
     const netif::ReliabilityParams reliability = reliability_for(routes);
     std::vector<std::vector<std::pair<topo::HostId, topo::HostId>>> op_edges(
         paced_ ? num_ops_ : 0);
+    std::int32_t next_class = 1;
     for (std::size_t i = 0; i < plans_.size(); ++i) {
       const MsgPlan& m = plans_[i];
       (m.phase == 0 ? op_msgs0_ : op_msgs1_)[m.op].push_back(i);
-      if (paced_) collect_edges(m, op_edges[m.op]);
       remaining_[i] = m.expected;
-      const net::MessageId message = session_.new_message(i);
       const TrafficOp& o = workload.ops[m.op];
       if (m.tree) {
         for (topo::HostId h : m.tree->nodes) {
           session_.add_ni(h, config_.style, reliability);
         }
+      }
+      if (o.rotation && !o.churn) {  // a churn stream is two tree messages
+        streams_[m.op] = std::make_unique<StreamOp>(
+            session_, o, i, plans_.size() + m.op, next_class, config,
+            topology, routes.virtual_channels());
+        next_class += streams_[m.op]->classes();
+        continue;
+      }
+      if (paced_) collect_edges(m, op_edges[m.op]);
+      const net::MessageId message = session_.new_message(i);
+      if (m.tree) {
         if (o.cls == OpClass::kCollective && o.kind) {
           collectives_[m.op] = std::make_unique<CollectiveOp>(
               session_, o, i, message, config.repair.root_handoff);
@@ -225,10 +276,19 @@ class TrafficRun {
         session_.install_unicast(message, m.src, m.dst, m.packets);
       }
     }
+    for (const BackgroundFlow& flow : background_) {
+      session_.add_ni(flow.src, config_.style, reliability);
+      session_.add_ni(flow.dst, config_.style, reliability);
+      const net::MessageId message =
+          session_.new_message(plans_.size() + num_ops_);
+      if (first_background_ == 0) first_background_ = message;
+      session_.install_unicast(message, flow.src, flow.dst, flow.packets);
+    }
     for (std::size_t op = 0; op < num_ops_; ++op) {
       if (paced_) {
-        op_foot_[op] =
-            routing::edge_channel_footprint(topology, routes, op_edges[op]);
+        op_foot_[op] = streams_[op] ? streams_[op]->footprint()
+                                    : routing::edge_channel_footprint(
+                                          topology, routes, op_edges[op]);
       }
       st_[op].left0 = static_cast<std::int32_t>(op_msgs0_[op].size());
       st_[op].left1 = static_cast<std::int32_t>(op_msgs1_[op].size());
@@ -239,7 +299,8 @@ class TrafficRun {
       rec.group = o.group_size();
       rec.packets = o.packets;
       rec.churn = o.churn;
-      rec.effective_root = o.tree.root;
+      rec.effective_root = o.first_tree().root;
+      if (streams_[op]) streaming_ = true;
     }
     // The sink that brings a message's outstanding destination count to
     // zero logs it as done for the next coordinated instant.
@@ -247,16 +308,26 @@ class TrafficRun {
       msg_ni_last_[i] = session_.sim().now();
       if (--remaining_[i] == 0) done_msgs_.push_back(i);
     });
+    if (!streaming_) return;
+    session_.for_each_ni([this](netif::NetworkInterface& ni) {
+      ni.on_packet_at_ni = [this](topo::HostId dest, const net::Packet& p) {
+        const std::size_t op = session_.key_of(p.message) - plans_.size();
+        if (op < num_ops_) streams_[op]->on_packet(dest, p);
+      };
+    });
   }
 
   TrafficResult run() {
-    // Coordination keys, reserved before anything else is scheduled: one
-    // per arrival in op order, then the tick chain's — only when the mix
-    // can tick (pacing, or a compound op: the only kind with more than
-    // one message), so a FIFO mix of single-phase ops keys its events
-    // exactly as a run_many batch. Every coordinated event fires before
-    // the same-instant events the run schedules, and an arrival fires
-    // before a same-instant tick.
+    // Coordination keys, reserved before anything else is scheduled
+    // (after the keys each adaptive StreamOp's telemetry chain reserved
+    // when it was built): one per arrival in op order, then the tick
+    // chain's — only when the mix can tick (pacing, or a compound op:
+    // the only kind with more than one message), so a FIFO mix of
+    // single-phase ops keys its events exactly as a run_many batch.
+    // Every coordinated event fires before the same-instant events the
+    // run schedules; a snapshot, which only reads, fires first and sees
+    // the state at the start of its instant, and an arrival fires before
+    // a same-instant tick.
     sim::Simulator& simctx = session_.sim();
     std::vector<std::uint64_t> arrival_keys(num_ops_, 0);
     for (auto& key : arrival_keys) key = simctx.reserve_order();
@@ -268,8 +339,12 @@ class TrafficRun {
       simctx.schedule_at_keyed(at, arrival_keys[op],
                                [this, op, at] { arrive(op, at); });
     }
+    for (std::size_t j = 0; j < background_.size(); ++j) {
+      session_.start_at(background_[j].start, background_[j].src,
+                        first_background_ + static_cast<net::MessageId>(j));
+    }
     session_.drain();
-    if (session_.faulty()) repair();
+    if (session_.faulty() || (streaming_ && lossy())) repair();
     return finish();
   }
 
@@ -309,9 +384,15 @@ class TrafficRun {
     return reliability;
   }
 
+  [[nodiscard]] bool lossy() const {
+    return config_.network.loss_rate > 0.0;
+  }
+
   void launch_msg(std::size_t i) {
     if (CollectiveOp* c = collectives_[plans_[i].op].get()) {
       c->start();
+    } else if (StreamOp* s = streams_[plans_[i].op].get()) {
+      s->start();
     } else {
       session_.start(plans_[i].root(), static_cast<net::MessageId>(i + 1));
     }
@@ -419,16 +500,18 @@ class TrafficRun {
     }
   }
 
-  /// Tree repair after the mix drained (faulty runs only; every op is
-  /// then one tree message, plan index = op). Each round re-parents
-  /// every op's still-missing, still-reachable destinations into a fresh
-  /// k-binomial tree in their contention-free (nodes) order — failed
-  /// hosts are simply excised — and resends under a fresh message id of
-  /// the same ledger key. When an op's root died, the lowest-ranked
-  /// surviving destination already holding the payload is elected (at
-  /// most once: every fault fires during the first drain) and drives the
-  /// rounds from then on. A real-kind collective runs its own kind's
-  /// round (CollectiveOp::repair_round).
+  /// Repair after the mix drained: faulty runs, and lossy runs with a
+  /// rotation stream. Every op is then one tree message. Each round
+  /// re-parents every plain op's still-missing, still-reachable
+  /// destinations into a fresh k-binomial tree in their contention-free
+  /// (nodes) order — failed hosts are simply excised — and resends under
+  /// a fresh message id of the same ledger key. When an op's root died,
+  /// the lowest-ranked surviving destination already holding the payload
+  /// is elected (at most once: every fault fires during the first drain)
+  /// and drives the rounds from then on. Plain ops repair after faults
+  /// only. A real-kind collective runs its own kind's round
+  /// (CollectiveOp::repair_round), a rotation stream its own
+  /// (StreamOp::repair_round).
   void repair() {
     session_.repair_rounds([&](sim::Time start_at) {
       bool scheduled_any = false;
@@ -437,6 +520,11 @@ class TrafficRun {
           if (c->repair_round(start_at)) scheduled_any = true;
           continue;
         }
+        if (StreamOp* s = streams_[plans_[i].op].get()) {
+          if (s->repair_round(start_at)) scheduled_any = true;
+          continue;
+        }
+        if (!session_.faulty()) continue;
         const core::HostTree& tree = *plans_[i].tree;
         OpRecord& rec = recs_[plans_[i].op];
         const auto holds = [&](topo::HostId h) {
@@ -497,7 +585,7 @@ class TrafficRun {
 
   /// Completes op `op`'s record: timing over all its messages,
   /// deliveries counted from `done` and verdicts of its last message, or
-  /// a real-kind collective's own verdicts.
+  /// a real-kind collective's or rotation stream's own verdicts.
   void complete_record(std::size_t op, const Deliveries& done) {
     OpRecord& rec = recs_[op];
     std::size_t last = 0;
@@ -515,6 +603,8 @@ class TrafficRun {
     }
     if (CollectiveOp* c = collectives_[op].get()) {
       c->complete(rec, done.in_log_order(c->key()));
+    } else if (StreamOp* s = streams_[op].get()) {
+      s->complete(rec, done.of(last));
     } else {
       const core::HostTree& tree = *plans_[last].tree;
       const auto completions = done.of(last);
@@ -580,8 +670,11 @@ class TrafficRun {
     Deliveries done;
     const std::uint64_t digest = reduce_log(done);
     for (std::size_t i = 0; i < plans_.size(); ++i) {
-      // Without a fault plan to blame, a missing destination is a bug.
-      if (remaining_[i] != 0 && !session_.faulty()) {
+      // Without a fault plan to blame, a missing destination is a bug —
+      // except a rotation stream's under loss: its smart-FPFS NIs have no
+      // link-level retransmit, and its repair rounds ran out.
+      if (remaining_[i] != 0 && !session_.faulty() &&
+          !(lossy() && streams_[plans_[i].op])) {
         throw std::runtime_error(
             "TrafficEngine: message " + std::to_string(i + 1) +
             " completed " + std::to_string(plans_[i].expected - remaining_[i]) +
@@ -637,14 +730,19 @@ class TrafficRun {
   std::vector<std::vector<std::size_t>> op_msgs0_;
   std::vector<std::vector<std::size_t>> op_msgs1_;
   std::vector<std::vector<std::int32_t>> op_foot_;
-  /// Per op: its CollectiveOp when it is a real-kind collective.
+  /// Per op: its CollectiveOp when it is a real-kind collective, its
+  /// StreamOp when it is a rotation stream.
   std::vector<std::unique_ptr<CollectiveOp>> collectives_;
+  std::vector<std::unique_ptr<StreamOp>> streams_;
   std::vector<OpState> st_;
   std::vector<OpRecord> recs_;
   mcast::Session session_;
   SchedulerConfig scfg_;
   bool paced_;
   GroupScheduler sched_;
+  const std::vector<BackgroundFlow>& background_;
+  net::MessageId first_background_ = 0;  ///< the rest follow in order
+  bool streaming_ = false;               ///< the mix has a StreamOp
   /// Destinations each message still waits for.
   std::vector<std::int32_t> remaining_;
   /// Each message's last first-time NI completion at a destination.

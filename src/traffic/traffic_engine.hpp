@@ -57,6 +57,11 @@ struct OpRecord : mcast::Delivery {
   /// folded into the effective root's result (CollectiveResult).
   std::vector<topo::HostId> contributors;
   bool root_alive = true;  ///< whether the effective root survived the run
+  /// Rotation streams only (TrafficOp::rotation): the op's result, its
+  /// run-wide counters left to the TrafficResult. Their Delivery counts
+  /// distinct (destination, packet) deliveries, partial streams too, and
+  /// `repairs` and `root_handoffs` count resend messages.
+  mcast::StreamingResult stream;
 
   /// Flow-completion time: offered arrival to last completion — queueing
   /// wait included, which is what a tenant observes.
@@ -90,14 +95,19 @@ struct TrafficResult : mcast::RunCounters {
 /// collective operations over ONE shared wormhole fabric, admitted and
 /// paced by the contention-aware GroupScheduler. Under Policy::kFifo a
 /// mix of plain multicasts is the paper's "multiple multicast" batch;
-/// MulticastEngine::run and run_many are one-op and n-op FIFO mixes, and
+/// MulticastEngine::run and run_many are one-op and n-op FIFO mixes,
 /// collectives::CollectiveEngine::run a one-op mix of one real-kind
-/// collective (TrafficOp::kind), whose firmware shares the hosts' NIs.
+/// collective (TrafficOp::kind), whose firmware shares the hosts' NIs,
+/// and MulticastEngine::run_streaming a one-op mix of one rotation
+/// stream (TrafficOp::rotation) beside untracked background flows.
 ///
 /// Fault plans and loss run single-phase mixes (multicasts, non-churn
 /// streams, and under faults only, real-kind collectives); once the mix
 /// drains, repair rounds re-parent each op's missing destinations, with
-/// root hand-off (mcast::RepairPolicy).
+/// root hand-off (mcast::RepairPolicy). Two loss rules: a rotation
+/// stream, whose smart-FPFS NIs have no link-level retransmit, repairs
+/// after loss too and reports what arrived; every other op leaves loss
+/// to its NI style and a shortfall without a fault plan throws.
 ///
 /// Arrivals and coordinator ticks are coordinated events: each replays a
 /// FIFO key reserved before the run (sim::Simulator::reserve_order), so
@@ -127,9 +137,12 @@ class TrafficEngine {
   /// Runs the whole mix in one simulation; arrivals may come in any
   /// order (same-instant arrivals launch in op order). Throws
   /// std::invalid_argument on malformed workloads (empty, hosts out of
-  /// range, compound ops under faults or loss, real-kind collectives
-  /// under loss) and std::runtime_error if
-  /// a destination fails to complete without a fault plan to blame.
+  /// range, negative start times, compound ops under faults or loss,
+  /// real-kind collectives under loss, rotation streams off kSmartFpfs
+  /// or with members that disagree on root or participants, bad
+  /// background flows) and std::runtime_error if a destination fails to
+  /// complete without a fault plan (or, for a rotation stream, loss) to
+  /// blame.
   [[nodiscard]] TrafficResult run(const Workload& workload) const;
 
  private:

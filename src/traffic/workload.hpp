@@ -1,11 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/host_tree.hpp"
 #include "core/ordering.hpp"
+#include "core/rotation.hpp"
+#include "mcast/multicast_engine.hpp"
 #include "netif/collective_role.hpp"
 #include "sim/sim_time.hpp"
 #include "topology/topology.hpp"
@@ -15,7 +18,7 @@ namespace nimcast::traffic {
 /// What kind of operation a tenant group runs.
 enum class OpClass : std::uint8_t {
   kMulticast,   ///< one m-packet message down the group tree
-  kStream,      ///< a packet stream; may churn membership mid-stream
+  kStream,      ///< a packet stream: one tree, a rotation, or churn
   kCollective,  ///< a collective: emulated, or one real kind (TrafficOp::kind)
 };
 
@@ -30,10 +33,20 @@ struct TrafficOp {
   /// of fabric state (the scheduler may admit it later).
   sim::Time arrival;
   /// The group tree (kMulticast / kStream phase 1 / kCollective
-  /// broadcast phase). Root is the group source.
+  /// broadcast phase). Root is the group source. Unused when `rotation`
+  /// is set: first_tree() is then its member 0.
   core::HostTree tree;
   /// Packets per logical message (kStream: the whole stream).
   std::int32_t packets = 1;
+
+  /// kStream only. Null: the one-member stream, one message down `tree`
+  /// under the rules of every other single-message op. Set: a rotation
+  /// stream (MulticastEngine::run_streaming) on kSmartFpfs NIs — stream
+  /// packet g rides member g mod R, R = min(members, packets), each
+  /// member under a route class of its own, or the member `selection`
+  /// picks; it repairs after faults or loss (traffic::StreamOp).
+  std::shared_ptr<const core::RotationPlan> rotation;
+  mcast::Selection selection = mcast::Selection::kStatic;
 
   /// kCollective only. Empty: the emulated two-phase collective that
   /// generate_workload draws (a gather incast of one two-node message
@@ -42,16 +55,21 @@ struct TrafficOp {
   std::optional<netif::CollectiveKind> kind;
 
   /// kStream only: membership churn mid-stream. Packets [0, split) ride
-  /// `tree`; once they have all been receive-processed, packets
+  /// first_tree(); once they have all been receive-processed, packets
   /// [split, packets) ride `tree2` — the group re-bound after one member
   /// left and (when the fabric has a spare host) one joined. The leaver
-  /// receives only the prefix; the joiner only the suffix.
+  /// receives only the prefix; the joiner only the suffix. A churn
+  /// stream is one-member: a rotation of more than one is rejected.
   bool churn = false;
   std::int32_t split = 0;
   core::HostTree tree2;
 
+  /// The tree the op starts on: `tree`, or the rotation's member 0.
+  [[nodiscard]] const core::HostTree& first_tree() const {
+    return rotation ? rotation->members.front().tree : tree;
+  }
   /// Hosts in the group, root included (the first tree's, for churn).
-  [[nodiscard]] std::int32_t group_size() const { return tree.size(); }
+  [[nodiscard]] std::int32_t group_size() const { return first_tree().size(); }
 };
 
 /// Knobs of the seeded open-loop generator.
@@ -78,10 +96,16 @@ struct WorkloadConfig {
   std::uint64_t seed = 1997;
 };
 
+/// Untracked unicast load (MulticastEngine::Config::background).
+using BackgroundFlow = mcast::MulticastEngine::Config::BackgroundFlow;
+
 /// A generated mix: ops sorted by arrival time (ties keep generation
 /// order), plus the class census.
 struct Workload {
   std::vector<TrafficOp> ops;
+  /// Flows started at their `start` and never tracked, repaired or
+  /// checked: they only contend for wires and coprocessors.
+  std::vector<BackgroundFlow> background;
   std::int32_t multicasts = 0;
   std::int32_t streams = 0;
   std::int32_t collectives = 0;

@@ -13,6 +13,7 @@
 #include "core/kbinomial.hpp"
 #include "core/optimal_k.hpp"
 #include "core/ordering.hpp"
+#include "core/rotation.hpp"
 #include "mcast/multicast_engine.hpp"
 #include "routing/up_down.hpp"
 #include "sim/rng.hpp"
@@ -437,6 +438,69 @@ TEST(TrafficEngine, RejectsMalformedWorkloads) {
   bad = wl;
   bad.ops.back().tree.nodes.back() = 32;
   EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad = wl;
+  bad.ops.front().arrival = sim::Time::us(-5.0);
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad = wl;
+  bad.background.push_back({0, 1, 4, sim::Time::us(-5.0)});
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+}
+
+/// A rotation stream op of `packets` packets over every host of `rig`,
+/// rooted at `root`, on an R-member plan.
+TrafficOp rotation_op(const Rig& rig, topo::HostId root, std::int32_t rotation,
+                      std::int32_t packets) {
+  std::vector<topo::HostId> dests;
+  for (topo::HostId h : rig.cco) {
+    if (h != root) dests.push_back(h);
+  }
+  core::RotationConfig rc;
+  rc.rotation_trees = rotation;
+  rc.fanout_bound = core::optimal_k(rig.topology->num_hosts(), 4).k;
+  TrafficOp op;
+  op.cls = OpClass::kStream;
+  op.rotation = std::make_shared<const core::RotationPlan>(core::plan_rotation(
+      *rig.topology, *rig.routes, *rig.router,
+      core::arrange_participants(rig.cco, root, dests), rc));
+  op.packets = packets;
+  return op;
+}
+
+// Two R = 4 rotation streams from different roots, 10 ms apart so they
+// cannot overlap: each op's members bind route classes no other op
+// uses, so each reads exactly as in its own one-op run. A class the
+// second op re-bound would re-route the first op's members, which moves
+// some destination's completion.
+TEST(TrafficEngine, TwoRotationStreamsInOneMix) {
+  const Rig rig = make_rig(37);
+  Workload mix;
+  mix.ops.push_back(rotation_op(rig, rig.cco.front(), 4, 16));
+  mix.ops.push_back(rotation_op(rig, rig.cco.back(), 4, 16));
+  mix.ops.back().arrival = sim::Time::ms(10.0);
+  mix.ops.back().selection = mcast::Selection::kAdaptive;
+  const TrafficEngine engine{*rig.topology, *rig.routes,
+                             engine_config(Policy::kFifo)};
+  const TrafficResult r = engine.run(mix);
+  ASSERT_EQ(r.ops.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    Workload alone;
+    alone.ops.push_back(mix.ops[i]);
+    alone.ops.back().arrival = sim::Time::zero();
+    const OpRecord solo = engine.run(alone).ops.front();
+    const OpRecord& rec = r.ops[i];
+    EXPECT_EQ(rec.outcome, mcast::Outcome::kComplete);
+    EXPECT_LT(rec.completed, sim::Time::ms(10.0) + rec.arrival);
+    EXPECT_EQ(rec.fct(), solo.fct());
+    EXPECT_EQ(rec.stream.p99_gap, solo.stream.p99_gap);
+    EXPECT_EQ(rec.stream.member_packets, solo.stream.member_packets);
+    EXPECT_EQ(rec.stream.member_packets.size(), 4u);
+    EXPECT_EQ(rec.packets_delivered, solo.packets_delivered);
+    auto completions = rec.completions;
+    for (auto& [host, at] : completions) at = at - rec.arrival;
+    EXPECT_EQ(completions, solo.completions);
+  }
+  EXPECT_EQ(r.ops[1].stream.selection, mcast::Selection::kAdaptive);
 }
 
 // Arrivals need not be sorted: each op still launches at its own
