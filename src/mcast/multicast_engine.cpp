@@ -164,7 +164,7 @@ StreamingResult MulticastEngine::run_streaming(
   op.selection = config_.selection;
   traffic::TrafficResult r =
       run_mix(topology_, routes_, config_, trace_, workload);
-  StreamingResult result = std::move(r.ops.front().stream);
+  StreamingResult result = std::move(*r.ops.front().stream);
   result.total_channel_block_time = r.total_channel_block_time;
   result.events_dispatched = r.events_dispatched;
   return result;

@@ -97,6 +97,7 @@ class Session {
   /// Later completions of the same key at the same destination (repair
   /// resends) are ignored.
   void complete(std::size_t key, topo::HostId dest, net::MessageId message);
+  /// The ledger key `message` was created with (new_message).
   [[nodiscard]] std::size_t key_of(net::MessageId message) const {
     return message_key_[static_cast<std::size_t>(message - 1)];
   }

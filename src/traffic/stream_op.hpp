@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -460,7 +461,7 @@ class StreamOp {
     rec.repairs = s.repairs;
     rec.root_handoffs = s.root_handoffs;
     rec.effective_root = s.effective_root;
-    rec.stream = std::move(s);
+    rec.stream = std::make_unique<mcast::StreamingResult>(std::move(s));
   }
 
  private:

@@ -111,8 +111,9 @@ std::int64_t widest_fanout(const std::vector<MsgPlan>& plans) {
   return static_cast<std::int64_t>(fanout);
 }
 
-/// A rotation plan rides a stream op (of one member if it churns) on
-/// kSmartFpfs NIs, and its members agree on root and participants.
+/// A rotation plan rides a stream op with no `tree` of its own (of one
+/// member if it churns) on kSmartFpfs NIs, and its members agree on
+/// root and participants.
 void validate_rotation(const TrafficConfig& config, const TrafficOp& o) {
   const auto& members = o.rotation->members;
   const auto group = [](const core::HostTree& t) {
@@ -120,15 +121,16 @@ void validate_rotation(const TrafficConfig& config, const TrafficOp& o) {
     std::sort(nodes.begin(), nodes.end());
     return std::pair{t.root, nodes};
   };
-  if (o.cls != OpClass::kStream || members.empty() ||
-      (o.churn && members.size() > 1) ||
+  if (o.cls != OpClass::kStream || !o.tree.nodes.empty() ||
+      members.empty() || (o.churn && members.size() > 1) ||
       config.style != mcast::NiStyle::kSmartFpfs ||
       !std::all_of(members.begin(), members.end(), [&](const auto& m) {
         return group(m.tree) == group(members.front().tree);
       })) {
     throw std::invalid_argument(
-        "TrafficEngine: a rotation stream needs kSmartFpfs NIs, members "
-        "that agree on root and participants, and one member to churn");
+        "TrafficEngine: a rotation stream needs kSmartFpfs NIs, no tree "
+        "of its own, members that agree on root and participants, and "
+        "one member to churn");
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mcast/multicast_engine.hpp"
@@ -57,11 +58,12 @@ struct OpRecord : mcast::Delivery {
   /// folded into the effective root's result (CollectiveResult).
   std::vector<topo::HostId> contributors;
   bool root_alive = true;  ///< whether the effective root survived the run
-  /// Rotation streams only (TrafficOp::rotation): the op's result, its
-  /// run-wide counters left to the TrafficResult. Their Delivery counts
-  /// distinct (destination, packet) deliveries, partial streams too, and
-  /// `repairs` and `root_handoffs` count resend messages.
-  mcast::StreamingResult stream;
+  /// Rotation streams only (TrafficOp::rotation, else null): the op's
+  /// result, its run-wide counters left to the TrafficResult. Their
+  /// Delivery counts distinct (destination, packet) deliveries, partial
+  /// streams too, and `repairs` and `root_handoffs` count resend
+  /// messages.
+  std::unique_ptr<mcast::StreamingResult> stream;
 
   /// Flow-completion time: offered arrival to last completion — queueing
   /// wait included, which is what a tenant observes.

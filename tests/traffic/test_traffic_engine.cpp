@@ -426,26 +426,6 @@ TEST(TrafficEngine, RealAllReducesShareHostNisWithMulticasts) {
   }
 }
 
-TEST(TrafficEngine, RejectsMalformedWorkloads) {
-  const Rig rig = make_rig(31);
-  const TrafficEngine engine{*rig.topology, *rig.routes,
-                             engine_config(Policy::kFifo)};
-  EXPECT_THROW((void)engine.run(Workload{}), std::invalid_argument);
-  const Workload wl = generate_workload(32, rig.cco, mix_config(2.0, 4));
-  Workload bad = wl;
-  bad.ops.front().packets = 0;
-  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
-  bad = wl;
-  bad.ops.back().tree.nodes.back() = 32;
-  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
-  bad = wl;
-  bad.ops.front().arrival = sim::Time::us(-5.0);
-  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
-  bad = wl;
-  bad.background.push_back({0, 1, 4, sim::Time::us(-5.0)});
-  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
-}
-
 /// A rotation stream op of `packets` packets over every host of `rig`,
 /// rooted at `root`, on an R-member plan.
 TrafficOp rotation_op(const Rig& rig, topo::HostId root, std::int32_t rotation,
@@ -464,6 +444,42 @@ TrafficOp rotation_op(const Rig& rig, topo::HostId root, std::int32_t rotation,
       core::arrange_participants(rig.cco, root, dests), rc));
   op.packets = packets;
   return op;
+}
+
+TEST(TrafficEngine, RejectsMalformedWorkloads) {
+  const Rig rig = make_rig(31);
+  const TrafficEngine engine{*rig.topology, *rig.routes,
+                             engine_config(Policy::kFifo)};
+  EXPECT_THROW((void)engine.run(Workload{}), std::invalid_argument);
+  const Workload wl = generate_workload(32, rig.cco, mix_config(2.0, 4));
+  Workload bad = wl;
+  bad.ops.front().packets = 0;
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad = wl;
+  bad.ops.back().tree.nodes.back() = 32;
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad = wl;
+  bad.ops.front().arrival = sim::Time::us(-5.0);
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad = wl;
+  bad.background.push_back({0, 1, 4, sim::Time::us(-5.0)});
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  // A rotation plan on a multicast, beside a tree of the op's own, or
+  // on an NI style without rotation streaming.
+  bad = Workload{};
+  bad.ops.push_back(rotation_op(rig, rig.cco.front(), 2, 4));
+  bad.ops.front().cls = OpClass::kMulticast;
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad.ops.front().cls = OpClass::kStream;
+  bad.ops.front().tree = wl.ops.front().tree;
+  EXPECT_THROW((void)engine.run(bad), std::invalid_argument);
+  bad.ops.front().tree = {};
+  TrafficConfig reliable = engine_config(Policy::kFifo);
+  reliable.style = mcast::NiStyle::kReliableFpfs;
+  EXPECT_THROW((void)TrafficEngine(*rig.topology, *rig.routes, reliable)
+                   .run(bad),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)engine.run(bad));
 }
 
 // Two R = 4 rotation streams from different roots, 10 ms apart so they
@@ -487,20 +503,21 @@ TEST(TrafficEngine, TwoRotationStreamsInOneMix) {
     Workload alone;
     alone.ops.push_back(mix.ops[i]);
     alone.ops.back().arrival = sim::Time::zero();
-    const OpRecord solo = engine.run(alone).ops.front();
+    const TrafficResult solo_run = engine.run(alone);
+    const OpRecord& solo = solo_run.ops.front();
     const OpRecord& rec = r.ops[i];
     EXPECT_EQ(rec.outcome, mcast::Outcome::kComplete);
     EXPECT_LT(rec.completed, sim::Time::ms(10.0) + rec.arrival);
     EXPECT_EQ(rec.fct(), solo.fct());
-    EXPECT_EQ(rec.stream.p99_gap, solo.stream.p99_gap);
-    EXPECT_EQ(rec.stream.member_packets, solo.stream.member_packets);
-    EXPECT_EQ(rec.stream.member_packets.size(), 4u);
+    EXPECT_EQ(rec.stream->p99_gap, solo.stream->p99_gap);
+    EXPECT_EQ(rec.stream->member_packets, solo.stream->member_packets);
+    EXPECT_EQ(rec.stream->member_packets.size(), 4u);
     EXPECT_EQ(rec.packets_delivered, solo.packets_delivered);
     auto completions = rec.completions;
     for (auto& [host, at] : completions) at = at - rec.arrival;
     EXPECT_EQ(completions, solo.completions);
   }
-  EXPECT_EQ(r.ops[1].stream.selection, mcast::Selection::kAdaptive);
+  EXPECT_EQ(r.ops[1].stream->selection, mcast::Selection::kAdaptive);
 }
 
 // Arrivals need not be sorted: each op still launches at its own
