@@ -313,6 +313,7 @@ class TrafficRun {
     if (!streaming_) return;
     session_.for_each_ni([this](netif::NetworkInterface& ni) {
       ni.on_packet_at_ni = [this](topo::HostId dest, const net::Packet& p) {
+        // Plan keys wrap and the background key lands past the ops.
         const std::size_t op = session_.key_of(p.message) - plans_.size();
         if (op < num_ops_) streams_[op]->on_packet(dest, p);
       };
