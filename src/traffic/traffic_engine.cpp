@@ -26,7 +26,7 @@ constexpr std::int64_t kHotBlockPackets = 4;
 
 /// One launchable message of the flattened mix. Tree messages ride a
 /// workload tree; a null tree is a two-node gather leg src -> dst (the
-/// collective incast phase). Message id = plan index + 1.
+/// collective incast phase).
 struct MsgPlan {
   std::size_t op = 0;
   std::int32_t phase = 0;
@@ -233,6 +233,7 @@ class TrafficRun {
                kHotBlockPackets *
                    config.network.serialization_time().count_ns()},
         background_{workload.background},
+        msg_of_(plans_.size()),
         remaining_(plans_.size()),
         msg_ni_last_(plans_.size()) {
     // Per-op message index lists by phase and, for pacing, channel
@@ -265,6 +266,7 @@ class TrafficRun {
       }
       if (paced_) collect_edges(m, op_edges[m.op]);
       const net::MessageId message = session_.new_message(i);
+      msg_of_[i] = message;
       if (m.tree) {
         if (o.cls == OpClass::kCollective && o.kind) {
           collectives_[m.op] = std::make_unique<CollectiveOp>(
@@ -397,7 +399,7 @@ class TrafficRun {
     } else if (StreamOp* s = streams_[plans_[i].op].get()) {
       s->start();
     } else {
-      session_.start(plans_[i].root(), static_cast<net::MessageId>(i + 1));
+      session_.start(plans_[i].root(), msg_of_[i]);
     }
   }
 
@@ -679,7 +681,7 @@ class TrafficRun {
       if (remaining_[i] != 0 && !session_.faulty() &&
           !(lossy() && streams_[plans_[i].op])) {
         throw std::runtime_error(
-            "TrafficEngine: message " + std::to_string(i + 1) +
+            "TrafficEngine: op " + std::to_string(plans_[i].op) +
             " completed " + std::to_string(plans_[i].expected - remaining_[i]) +
             "/" + std::to_string(plans_[i].expected) + " destinations");
       }
@@ -746,6 +748,10 @@ class TrafficRun {
   const std::vector<BackgroundFlow>& background_;
   net::MessageId first_background_ = 0;  ///< the rest follow in order
   bool streaming_ = false;               ///< the mix has a StreamOp
+  /// Each plan's message (0 for a rotation stream's: its StreamOp owns
+  /// the member messages, which take ids of their own, so a plan index
+  /// does not give its message id).
+  std::vector<net::MessageId> msg_of_;
   /// Destinations each message still waits for.
   std::vector<std::int32_t> remaining_;
   /// Each message's last first-time NI completion at a destination.

@@ -520,6 +520,51 @@ TEST(TrafficEngine, TwoRotationStreamsInOneMix) {
   EXPECT_EQ(r.ops[1].stream->selection, mcast::Selection::kAdaptive);
 }
 
+// A rotation stream's member messages take message ids of their own, so
+// a plain op before or after it in the mix must still start its own
+// message: each op, 10 ms apart from the other, reads exactly as in its
+// own one-op run.
+TEST(TrafficEngine, RotationStreamAndMulticastShareAMix) {
+  const Rig rig = make_rig(37);
+  const TrafficOp stream = rotation_op(rig, rig.cco.front(), 4, 16);
+  TrafficOp multicast;
+  multicast.tree = rotation_op(rig, rig.cco.back(), 1, 4)
+                       .rotation->members.front()
+                       .tree;
+  multicast.packets = 4;
+  const TrafficEngine engine{*rig.topology, *rig.routes,
+                             engine_config(Policy::kFifo)};
+  for (const bool stream_first : {true, false}) {
+    SCOPED_TRACE(stream_first ? "stream first" : "multicast first");
+    Workload mix;
+    mix.ops = stream_first ? std::vector{stream, multicast}
+                           : std::vector{multicast, stream};
+    mix.ops.back().arrival = sim::Time::ms(10.0);
+    const TrafficResult r = engine.run(mix);
+    ASSERT_EQ(r.ops.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      SCOPED_TRACE("op " + std::to_string(i));
+      Workload alone;
+      alone.ops.push_back(mix.ops[i]);
+      alone.ops.back().arrival = sim::Time::zero();
+      const TrafficResult solo_run = engine.run(alone);
+      const OpRecord& solo = solo_run.ops.front();
+      const OpRecord& rec = r.ops[i];
+      EXPECT_EQ(rec.outcome, mcast::Outcome::kComplete);
+      EXPECT_EQ(rec.fct(), solo.fct());
+      EXPECT_EQ(rec.packets_delivered, solo.packets_delivered);
+      auto completions = rec.completions;
+      for (auto& [host, at] : completions) at = at - rec.arrival;
+      EXPECT_EQ(completions, solo.completions);
+      ASSERT_EQ(rec.stream != nullptr, mix.ops[i].rotation != nullptr);
+      if (rec.stream) {
+        EXPECT_EQ(rec.stream->p99_gap, solo.stream->p99_gap);
+        EXPECT_EQ(rec.stream->member_packets, solo.stream->member_packets);
+      }
+    }
+  }
+}
+
 // Arrivals need not be sorted: each op still launches at its own
 // arrival, and the makespan counts from the earliest one.
 TEST(TrafficEngine, AcceptsArrivalsInAnyOrder) {
