@@ -326,9 +326,11 @@ class MulticastEngine {
   /// part: run() throws on a shortfall, while the stream repairs from
   /// the root and reports what arrived (docs/robustness.md).
   ///
-  /// Under faults, repair prefers a surviving rotation member — the
-  /// first whose channel footprint dodges every dead channel — and only
-  /// re-plans on the rebuilt primary routes when none survived.
+  /// Under faults, repair patches the plan (core::replan_rotation:
+  /// members the faults spared survive verbatim, broken ones are
+  /// re-planned) and resends only the missing packets round-robin across
+  /// it; with the root dead, each missing packet is handed off to a
+  /// survivor that holds it (traffic::StreamOp::repair_round).
   [[nodiscard]] StreamingResult run_streaming(const core::RotationPlan& plan,
                                               std::int32_t stream_packets)
       const;

@@ -19,14 +19,15 @@
 
 namespace nimcast::traffic {
 
-/// Directed switch-channel ids condemned by the current fault state, in
-/// the numbering routing::edge_channel_footprint uses — so a footprint
-/// intersection against this set tells whether a rotation member's
-/// static routes dodge every dead link and switch. Sorted by
+/// Directed switch-channel ids condemned by `network`'s current fault
+/// state, in the numbering routing::edge_channel_footprint uses — so a
+/// footprint intersection against this set tells whether a rotation
+/// member's static routes dodge every dead link and switch. Sorted by
 /// construction (link id ascending, then direction, then VC).
 inline std::vector<std::int32_t> dead_switch_channels(
-    const topo::Topology& topology, const topo::SubgraphMask& mask,
-    std::int32_t vcs) {
+    const topo::Topology& topology, const net::WormholeNetwork& network) {
+  const topo::SubgraphMask& mask = network.fault_state();
+  const std::int32_t vcs = network.routes().virtual_channels();
   std::vector<std::int32_t> dead;
   if (!mask.any_dead()) return dead;
   const topo::Graph& g = topology.switches();
@@ -65,12 +66,12 @@ inline std::vector<std::int32_t> dead_switch_channels(
 class AdaptiveSelector {
  public:
   AdaptiveSelector(mcast::Session& session, const topo::Topology& topology,
-                   std::int32_t vcs, const netif::SystemParams& params,
+                   const netif::SystemParams& params,
                    const core::RotationPlan& plan, std::int32_t rotation,
                    std::int32_t stream_packets)
       : session_{session},
         topology_{topology},
-        vcs_{vcs},
+        participants_{plan.members.front().tree.nodes},
         root_{plan.members.front().tree.root},
         S_{stream_packets},
         t_snd_ns_{params.t_snd.count_ns()},
@@ -86,16 +87,16 @@ class AdaptiveSelector {
     std::vector<std::uint8_t> in_union(prev_block_.size(), 0);
     for (std::size_t r = 0; r < members_.size(); ++r) {
       Member& m = members_[r];
-      m.tree = &plan.members[r].tree;
+      const core::HostTree& tree = plan.members[r].tree;
       m.footprint = plan.members[r].footprint;
       // The member's congestion is felt on its switch footprint plus its
       // forwarders' injection channels. The root's injection channel and
       // every ejection channel are member-independent (same source, same
       // destinations) and would only add common-mode noise to every
       // score.
-      for (std::size_t i = 0; i < m.tree->nodes.size(); ++i) {
-        const topo::HostId h = m.tree->nodes[i];
-        if (h == root_ || m.tree->children_at(i).empty()) continue;
+      for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
+        const topo::HostId h = tree.nodes[i];
+        if (h == root_ || tree.children_at(i).empty()) continue;
         m.senders.push_back(h);
         m.footprint.push_back(session.network().injection_channel_id(h));
       }
@@ -168,7 +169,6 @@ class AdaptiveSelector {
   static constexpr std::int64_t kDeadPenalty = std::int64_t{1} << 50;
 
   struct Member {
-    const core::HostTree* tree = nullptr;
     std::vector<std::int32_t> footprint;  ///< sorted channel ids
     std::vector<topo::HostId> senders;    ///< forwarders
     std::int64_t snap = 0;                ///< last snapshot score
@@ -193,22 +193,21 @@ class AdaptiveSelector {
     schedule_snapshot();
   }
 
-  /// A member is dead once a fault killed one of its hosts or condemned
-  /// a channel its static routes cross; the penalty steers every
-  /// subsequent packet to surviving members (repair still redelivers
-  /// what was lost before the fault landed). Re-derived only when the
-  /// applied-fault count moves.
+  /// A member is dead once a fault killed one of its hosts (every
+  /// member spans the same participants) or condemned a channel its
+  /// static routes cross; the penalty steers every subsequent packet to
+  /// surviving members (repair still redelivers what was lost before the
+  /// fault landed). Re-derived only when the applied-fault count moves.
   void refresh_dead_members() {
     const net::WormholeNetwork& network = session_.network();
     if (network.faults_applied() == faults_seen_) return;
     faults_seen_ = network.faults_applied();
-    const auto dead =
-        dead_switch_channels(topology_, network.fault_state(), vcs_);
+    const auto dead = dead_switch_channels(topology_, network);
+    const bool host_dead = std::any_of(
+        participants_.begin(), participants_.end(),
+        [&](topo::HostId h) { return !network.host_alive(h); });
     for (Member& m : members_) {
-      const auto& nodes = m.tree->nodes;
-      m.dead = std::any_of(nodes.begin(), nodes.end(), [&](auto h) {
-        return !network.host_alive(h);
-      });
+      m.dead = host_dead;
       // Both lists are sorted: linear intersection test.
       std::size_t i = 0;
       std::size_t j = 0;
@@ -245,7 +244,7 @@ class AdaptiveSelector {
 
   mcast::Session& session_;
   const topo::Topology& topology_;
-  std::int32_t vcs_;
+  const std::vector<topo::HostId>& participants_;
   topo::HostId root_;
   std::int32_t S_;
   std::int64_t t_snd_ns_;
@@ -276,12 +275,12 @@ class StreamOp {
  public:
   /// Installs the members as messages of ledger key `message_key`
   /// (untracked: the op completes destinations itself, under `key`) and
-  /// binds member r >= 1's table to route class `first_class + r - 1`;
-  /// member 0 stays on class 0. `op` must outlive the object.
+  /// binds member r >= 1's table to route class `next_class`, which it
+  /// advances past them; member 0 stays on class 0. `op` must outlive
+  /// the object.
   StreamOp(mcast::Session& session, const TrafficOp& op, std::size_t key,
-           std::size_t message_key, std::int32_t first_class,
-           const TrafficConfig& config, const topo::Topology& topology,
-           std::int32_t vcs)
+           std::size_t message_key, std::int32_t& next_class,
+           const TrafficConfig& config, const topo::Topology& topology)
       : session_{session},
         topology_{topology},
         config_{config},
@@ -291,7 +290,6 @@ class StreamOp {
         S_{op.packets},
         R_{std::min(plan_.size(), S_)},
         adaptive_{op.selection == mcast::Selection::kAdaptive && R_ > 1},
-        vcs_{vcs},
         key_{key},
         message_key_{message_key} {
     // Static: class r holds the stream packets congruent to r mod R, with
@@ -301,7 +299,7 @@ class StreamOp {
     // the sparse index subset the selector routes to it.
     for (std::int32_t r = 0; r < R_; ++r) {
       const auto& member = plan_.members[static_cast<std::size_t>(r)];
-      const std::int32_t cls = r == 0 ? 0 : first_class + r - 1;
+      const std::int32_t cls = r == 0 ? 0 : next_class++;
       if (r > 0 && member.table) {
         session_.network().bind_route_class(cls, *member.table);
       }
@@ -325,14 +323,10 @@ class StreamOp {
       }
     }
     if (adaptive_) {
-      selector_.emplace(session_, topology_, vcs_, config.params, plan_, R_,
-                        S_);
+      selector_.emplace(session_, topology_, config.params, plan_, R_, S_);
     }
     result_.effective_root = root_;
   }
-
-  /// Route classes the members bound, from first_class on.
-  [[nodiscard]] std::int32_t classes() const { return R_ - 1; }
 
   /// The sorted switch channels the carrying members' routes cross.
   [[nodiscard]] std::vector<std::int32_t> footprint() const {
@@ -392,8 +386,7 @@ class StreamOp {
     }
     if (!replanned_) {
       replanned_ = true;
-      const auto dead =
-          dead_switch_channels(topology_, network.fault_state(), vcs_);
+      const auto dead = dead_switch_channels(topology_, network);
       std::vector<topo::HostId> dead_hosts;
       for (topo::HostId h : base_.nodes) {
         if (!network.host_alive(h)) dead_hosts.push_back(h);
@@ -639,7 +632,6 @@ class StreamOp {
   std::int32_t R_;
   /// An R = 1 plan degrades adaptive to static: nothing to choose.
   bool adaptive_;
-  std::int32_t vcs_;
   std::size_t key_;
   std::size_t message_key_;
   std::vector<net::MessageId> messages_;  ///< member r's, index r

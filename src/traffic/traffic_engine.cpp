@@ -260,8 +260,7 @@ class TrafficRun {
       if (o.rotation && !o.churn) {  // a churn stream is two tree messages
         streams_[m.op] = std::make_unique<StreamOp>(
             session_, o, i, plans_.size() + m.op, next_class, config,
-            topology, routes.virtual_channels());
-        next_class += streams_[m.op]->classes();
+            topology);
         continue;
       }
       if (paced_) collect_edges(m, op_edges[m.op]);
@@ -389,9 +388,7 @@ class TrafficRun {
     return reliability;
   }
 
-  [[nodiscard]] bool lossy() const {
-    return config_.network.loss_rate > 0.0;
-  }
+  [[nodiscard]] bool lossy() const { return config_.network.loss_rate > 0.0; }
 
   void launch_msg(std::size_t i) {
     if (CollectiveOp* c = collectives_[plans_[i].op].get()) {
