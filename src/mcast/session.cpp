@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "core/kbinomial.hpp"
 #include "netif/conventional_ni.hpp"
@@ -21,12 +20,11 @@ Session::Session(const topo::Topology& topology,
                  const routing::RouteTable& routes,
                  const netif::SystemParams& params,
                  const net::NetworkConfig& network, const RepairPolicy& repair,
-                 const char* owner, sim::Trace* trace)
+                 sim::Trace* trace)
     : topology_{topology},
       routes_{routes},
       params_{params},
       repair_{repair},
-      owner_{owner},
       trace_{trace},
       faulty_{!network.faults.empty()},
       num_hosts_{static_cast<std::size_t>(topology.num_hosts())},
@@ -42,9 +40,8 @@ Session::Session(const topo::Topology& topology,
   // purpose: their worms die at dead channels and repair redelivers.
   if (routes_.virtual_channels() != 1) {
     throw std::invalid_argument(
-        std::string{owner_} +
-        ": fault-time reroute cannot rebuild a multi-VC route table "
-        "(dateline torus); set RepairPolicy::reroute = false to run "
+        "TrafficEngine: fault-time reroute cannot rebuild a multi-VC route "
+        "table (dateline torus); set RepairPolicy::reroute = false to run "
         "degraded on the original routes");
   }
   network_.on_fault = [this](const net::FaultEvent& ev) {
@@ -119,8 +116,8 @@ void Session::start_at(sim::Time when, topo::HostId root,
 void Session::drain() {
   sim_.run();
   if (network_.in_flight() != 0) {
-    throw std::runtime_error(std::string{owner_} +
-                             ": network deadlock (worms still in flight)");
+    throw std::runtime_error(
+        "TrafficEngine: network deadlock (worms still in flight)");
   }
 }
 

@@ -17,24 +17,22 @@
 
 namespace nimcast::mcast {
 
-/// The simulated system one engine call runs on (paper Sections 2.3 and
-/// 3): one simulator, the wormhole network, and per participating host a
-/// Host (t_s/t_r software) plus, for the multicast styles, its NI. Every
-/// engine entry point builds one Session, drives it, and reads its
-/// verdicts. The network is constructed first, so its fault events keep
-/// their FIFO order keys; nothing else the session does schedules an
-/// event unless its comment says so, so each engine keeps its exact
-/// sequence of schedule and reserve_order calls.
+/// The simulated system one traffic::TrafficEngine run (and so every
+/// engine call) runs on (paper Sections 2.3 and 3): one simulator, the
+/// wormhole network, and per participating host a Host (t_s/t_r
+/// software) plus, for the multicast styles, its NI. The network is
+/// constructed first, so its fault events keep their FIFO order keys;
+/// nothing else the session does schedules an event unless its comment
+/// says so, so the run keeps its exact sequence of schedule and
+/// reserve_order calls. Its errors are prefixed "TrafficEngine".
 class Session {
  public:
-  /// `owner` prefixes every error the session throws. With a non-empty
-  /// fault plan and RepairPolicy::reroute, every fault event rebuilds
-  /// up*/down* routes on the surviving fabric (std::invalid_argument on
-  /// a multi-VC table, which cannot be rebuilt).
+  /// With a non-empty fault plan and RepairPolicy::reroute, every fault
+  /// event rebuilds up*/down* routes on the surviving fabric
+  /// (std::invalid_argument on a multi-VC table, which cannot be rebuilt).
   Session(const topo::Topology& topology, const routing::RouteTable& routes,
           const netif::SystemParams& params, const net::NetworkConfig& network,
-          const RepairPolicy& repair, const char* owner,
-          sim::Trace* trace = nullptr);
+          const RepairPolicy& repair, sim::Trace* trace = nullptr);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -143,7 +141,6 @@ class Session {
   const routing::RouteTable& routes_;
   netif::SystemParams params_;
   RepairPolicy repair_;
-  const char* owner_;
   sim::Trace* trace_;
   bool faulty_;
   std::size_t num_hosts_;

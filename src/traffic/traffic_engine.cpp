@@ -225,8 +225,8 @@ class TrafficRun {
         streams_(num_ops_),
         st_(num_ops_),
         recs_(num_ops_),
-        session_{topology,      routes,          config.params, config.network,
-                 config.repair, "TrafficEngine", trace},
+        session_{topology,       routes,        config.params,
+                 config.network, config.repair, trace},
         scfg_{derive_scheduler()},
         paced_{scfg_.policy == Policy::kPaced},
         sched_{scfg_, session_.network().num_channels(),
