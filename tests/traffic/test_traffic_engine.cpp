@@ -482,6 +482,34 @@ TEST(TrafficEngine, RejectsMalformedWorkloads) {
   EXPECT_NO_THROW((void)engine.run(bad));
 }
 
+/// Expects every op of `mix` (run as `r`) to read exactly as in its own
+/// one-op run: outcome complete, fct, packets, arrival-relative
+/// completions, and for a rotation stream its p99 gap and member counts.
+void expect_each_op_as_alone(const TrafficEngine& engine, const Workload& mix,
+                             const TrafficResult& r) {
+  ASSERT_EQ(r.ops.size(), mix.ops.size());
+  for (std::size_t i = 0; i < mix.ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    Workload alone;
+    alone.ops.push_back(mix.ops[i]);
+    alone.ops.back().arrival = sim::Time::zero();
+    const TrafficResult solo_run = engine.run(alone);
+    const OpRecord& solo = solo_run.ops.front();
+    const OpRecord& rec = r.ops[i];
+    EXPECT_EQ(rec.outcome, mcast::Outcome::kComplete);
+    EXPECT_EQ(rec.fct(), solo.fct());
+    EXPECT_EQ(rec.packets_delivered, solo.packets_delivered);
+    auto completions = rec.completions;
+    for (auto& [host, at] : completions) at = at - rec.arrival;
+    EXPECT_EQ(completions, solo.completions);
+    ASSERT_EQ(rec.stream != nullptr, mix.ops[i].rotation != nullptr);
+    if (rec.stream) {
+      EXPECT_EQ(rec.stream->p99_gap, solo.stream->p99_gap);
+      EXPECT_EQ(rec.stream->member_packets, solo.stream->member_packets);
+    }
+  }
+}
+
 // Two R = 4 rotation streams from different roots, 10 ms apart so they
 // cannot overlap: each op's members bind route classes no other op
 // uses, so each reads exactly as in its own one-op run. A class the
@@ -497,25 +525,10 @@ TEST(TrafficEngine, TwoRotationStreamsInOneMix) {
   const TrafficEngine engine{*rig.topology, *rig.routes,
                              engine_config(Policy::kFifo)};
   const TrafficResult r = engine.run(mix);
-  ASSERT_EQ(r.ops.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    SCOPED_TRACE("op " + std::to_string(i));
-    Workload alone;
-    alone.ops.push_back(mix.ops[i]);
-    alone.ops.back().arrival = sim::Time::zero();
-    const TrafficResult solo_run = engine.run(alone);
-    const OpRecord& solo = solo_run.ops.front();
-    const OpRecord& rec = r.ops[i];
-    EXPECT_EQ(rec.outcome, mcast::Outcome::kComplete);
+  expect_each_op_as_alone(engine, mix, r);
+  for (const OpRecord& rec : r.ops) {
     EXPECT_LT(rec.completed, sim::Time::ms(10.0) + rec.arrival);
-    EXPECT_EQ(rec.fct(), solo.fct());
-    EXPECT_EQ(rec.stream->p99_gap, solo.stream->p99_gap);
-    EXPECT_EQ(rec.stream->member_packets, solo.stream->member_packets);
     EXPECT_EQ(rec.stream->member_packets.size(), 4u);
-    EXPECT_EQ(rec.packets_delivered, solo.packets_delivered);
-    auto completions = rec.completions;
-    for (auto& [host, at] : completions) at = at - rec.arrival;
-    EXPECT_EQ(completions, solo.completions);
   }
   EXPECT_EQ(r.ops[1].stream->selection, mcast::Selection::kAdaptive);
 }
@@ -540,28 +553,7 @@ TEST(TrafficEngine, RotationStreamAndMulticastShareAMix) {
     mix.ops = stream_first ? std::vector{stream, multicast}
                            : std::vector{multicast, stream};
     mix.ops.back().arrival = sim::Time::ms(10.0);
-    const TrafficResult r = engine.run(mix);
-    ASSERT_EQ(r.ops.size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-      SCOPED_TRACE("op " + std::to_string(i));
-      Workload alone;
-      alone.ops.push_back(mix.ops[i]);
-      alone.ops.back().arrival = sim::Time::zero();
-      const TrafficResult solo_run = engine.run(alone);
-      const OpRecord& solo = solo_run.ops.front();
-      const OpRecord& rec = r.ops[i];
-      EXPECT_EQ(rec.outcome, mcast::Outcome::kComplete);
-      EXPECT_EQ(rec.fct(), solo.fct());
-      EXPECT_EQ(rec.packets_delivered, solo.packets_delivered);
-      auto completions = rec.completions;
-      for (auto& [host, at] : completions) at = at - rec.arrival;
-      EXPECT_EQ(completions, solo.completions);
-      ASSERT_EQ(rec.stream != nullptr, mix.ops[i].rotation != nullptr);
-      if (rec.stream) {
-        EXPECT_EQ(rec.stream->p99_gap, solo.stream->p99_gap);
-        EXPECT_EQ(rec.stream->member_packets, solo.stream->member_packets);
-      }
-    }
+    expect_each_op_as_alone(engine, mix, engine.run(mix));
   }
 }
 
